@@ -186,6 +186,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _add_mode_options(p: argparse.ArgumentParser) -> None:
+    """The token game's two variation points: step discipline and action execution."""
+    p.add_argument("--mode", choices=[tokengame.INTERLEAVING, tokengame.CONCURRENT],
+                   default=tokengame.INTERLEAVING)
+    p.add_argument("--actions", choices=[tokengame.INSTANT, tokengame.TWO_PHASE],
+                   default=tokengame.INSTANT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="adsem",
                              description="Activity-diagram semantics workbench")
@@ -204,10 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="one seeded token-game run as JSON lines")
     p.add_argument("file")
-    p.add_argument("--mode", choices=[tokengame.INTERLEAVING, tokengame.CONCURRENT],
-                   default=tokengame.INTERLEAVING)
-    p.add_argument("--actions", choices=[tokengame.INSTANT, tokengame.TWO_PHASE],
-                   default=tokengame.INSTANT)
+    _add_mode_options(p)
     p.add_argument("--bound", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the run here instead of stdout")
@@ -215,10 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="exhaustive reachability report")
     p.add_argument("file")
-    p.add_argument("--mode", choices=[tokengame.INTERLEAVING, tokengame.CONCURRENT],
-                   default=tokengame.INTERLEAVING)
-    p.add_argument("--actions", choices=[tokengame.INSTANT, tokengame.TWO_PHASE],
-                   default=tokengame.INSTANT)
+    _add_mode_options(p)
     p.add_argument("--bound", type=int, default=tokengame.DEFAULT_BOUND)
     p.add_argument("--dot", help="also write the reachability graph as DOT")
     p.set_defaults(fn=_cmd_reach)
@@ -241,10 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("trace")
     p.add_argument("--variant", choices=["v1", "v2", "token"], required=True)
-    p.add_argument("--mode", choices=[tokengame.INTERLEAVING, tokengame.CONCURRENT],
-                   default=tokengame.INTERLEAVING)
-    p.add_argument("--actions", choices=[tokengame.INSTANT, tokengame.TWO_PHASE],
-                   default=tokengame.INSTANT)
+    _add_mode_options(p)
     p.set_defaults(fn=_cmd_check_trace)
     return parser
 

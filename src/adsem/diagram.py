@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 DEFAULT_ROLE = "unassigned"
 
@@ -85,16 +86,9 @@ class Transition:
     dst: str
     in_pin: str
 
-    @property
+    @cached_property
     def key(self) -> str:
         return f"{self.src}.{self.out_pin}->{self.dst}.{self.in_pin}"
-
-    @staticmethod
-    def from_key(key: str) -> "Transition":
-        left, right = key.split("->", 1)
-        src, out_pin = left.rsplit(".", 1)
-        dst, in_pin = right.rsplit(".", 1)
-        return Transition(src, out_pin, dst, in_pin)
 
 
 @dataclass(frozen=True)
@@ -106,14 +100,25 @@ class ActivityDiagram:
     pin_types: dict[tuple[str, str], PinType]
     guards: dict[tuple[str, str], str]
 
+    @cached_property
+    def _index(self) -> dict[str, tuple[Node, tuple[Transition, ...], tuple[Transition, ...]]]:
+        """Node name -> (node, incoming, outgoing), transitions in declaration
+        order and the first of duplicate names winning; built once per instance."""
+        index = {n.name: (n, [], []) for n in reversed(self.nodes)}
+        for t in self.transitions:
+            if t.dst in index:
+                index[t.dst][1].append(t)
+            if t.src in index:
+                index[t.src][2].append(t)
+        return {name: (n, tuple(ins), tuple(outs)) for name, (n, ins, outs) in index.items()}
+
     def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise DiagramError(f"unknown node {name!r} in activity {self.name!r}")
+        if name not in self._index:
+            raise DiagramError(f"unknown node {name!r} in activity {self.name!r}")
+        return self._index[name][0]
 
     def has_node(self, name: str) -> bool:
-        return any(n.name == name for n in self.nodes)
+        return name in self._index
 
     def pin_type(self, node: str, pin: str) -> PinType:
         try:
@@ -170,7 +175,7 @@ def incoming(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
     name = node if isinstance(node, str) else node.name
     if not ad.has_node(name):
         raise DiagramError(f"unknown node {name!r}")
-    return tuple(t for t in ad.transitions if t.dst == name)
+    return ad._index[name][1]
 
 
 def outgoing(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
@@ -178,7 +183,7 @@ def outgoing(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
     name = node if isinstance(node, str) else node.name
     if not ad.has_node(name):
         raise DiagramError(f"unknown node {name!r}")
-    return tuple(t for t in ad.transitions if t.src == name)
+    return ad._index[name][2]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .diagram import ActivityDiagram, NodeKind, PinKind, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -47,7 +48,9 @@ class TokenGameError(Exception):
 
 @dataclass(frozen=True)
 class Configuration:
-    """Total buffer map (by transition key) and action executing flags."""
+    """Total buffer map (by transition key) and action executing flags, in
+    the diagram's declaration order.  `make` and `from_json` validate what
+    comes from outside; the token game builds successors directly."""
     buffers: tuple[tuple[str, Buffer], ...]
     flags: tuple[tuple[str, bool], ...]
 
@@ -57,26 +60,34 @@ class Configuration:
              flags: Mapping[str, bool] | None = None) -> "Configuration":
         buffers = dict(buffers or {})
         flags = dict(flags or {})
-        unknown = set(buffers) - {t.key for t in ad.transitions}
+        view = _view(ad)
+        unknown = set(buffers) - view.by_key.keys()
         if unknown:
             raise TokenGameError(f"buffers for unknown transitions: {sorted(unknown)}")
+        unknown = set(flags) - view.flag_position.keys()
+        if unknown:
+            raise TokenGameError(f"exec flags for unknown or non-action nodes: {sorted(unknown)}")
         return Configuration(
-            buffers=tuple((t.key, tuple(buffers.get(t.key, ()))) for t in ad.transitions),
-            flags=tuple((n.name, bool(flags.get(n.name, False)))
-                        for n in ad.nodes if n.kind is NodeKind.ACTION),
+            buffers=tuple((k, tuple(buffers.get(k, ()))) for k in view.by_key),
+            flags=tuple((name, bool(flags.get(name, False))) for name in view.actions),
         )
 
+    @cached_property
+    def _buffer_of(self) -> dict[str, Buffer]:
+        return dict(self.buffers)
+
     def buffer(self, key: str) -> Buffer:
-        for k, buf in self.buffers:
-            if k == key:
-                return buf
-        raise TokenGameError(f"unknown transition {key!r}")
+        try:
+            return self._buffer_of[key]
+        except KeyError:
+            raise TokenGameError(f"unknown transition {key!r}") from None
+
+    @cached_property
+    def _flag_of(self) -> dict[str, bool]:
+        return dict(self.flags)
 
     def flag(self, node: str) -> bool:
-        for name, value in self.flags:
-            if name == node:
-                return value
-        return False
+        return self._flag_of.get(node, False)
 
     @property
     def token_count(self) -> int:
@@ -176,91 +187,118 @@ def initial_config(ad: ActivityDiagram,
     return Configuration.make(ad, buffers)
 
 
-def _node_choices(ad: ActivityDiagram, c: Configuration, guards: GuardOracle,
-                  action_mode: str) -> dict[str, list[StepChoice]]:
-    """Enabled non-stutter choices per node."""
-    choices: dict[str, list[StepChoice]] = {}
-    for n in ad.nodes:
-        ins = incoming(ad, n)
-        outs = outgoing(ad, n)
-        opts: list[StepChoice] = []
-        if n.kind is NodeKind.ACTION:
-            inputs_ready = all(c.buffer(t.key) for t in ins)
+Step = tuple[StepChoice, tuple[int, ...], tuple[int, ...]]
+
+
+class _NodeView:
+    """A node's adjacency as buffer positions (in the `Configuration`
+    layout), and the steps it can take, each as (choice, positions it
+    consumes from, positions it produces to)."""
+
+    def __init__(self, ad: ActivityDiagram, view: _View, n: Node):
+        self.node = n
+        self.flag = view.flag_position.get(n.name)
+        self.ins = ins = tuple(dict.fromkeys(view.position[t.key] for t in incoming(ad, n)))
+        self.outs = outs = tuple(dict.fromkeys(view.position[t.key] for t in outgoing(ad, n)))
+        self.steps: dict[str, Step] = {
+            kind: (StepChoice(n.name, kind), cons, prod)
+            for kind, cons, prod in (("start", ins, ()), ("finish", (), outs),
+                                     ("instant", ins, outs), ("forkjoin", ins, outs))}
+        # decisions: (input position, guard, step) per input x output pair
+        self.branches: list[tuple[int, str, Step]] = [
+            (view.position[t_in.key], ad.guard(t_out.src, t_out.out_pin),
+             (StepChoice(n.name, "decision", t_in.key, t_out.key),
+              (view.position[t_in.key],), (view.position[t_out.key],)))
+            for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
+        ] if n.kind is NodeKind.DECISIONMERGE else []
+
+    def executing(self, c: Configuration) -> bool:
+        return self.flag is not None and c.flags[self.flag][1]
+
+
+class _View:
+    """What the token game reads of a diagram on every step: buffers and
+    flags by their position in the `Configuration` layout, which holds one
+    buffer per transition key and one flag per action name."""
+
+    def __init__(self, ad: ActivityDiagram):
+        self.by_key = {t.key: t for t in ad.transitions}
+        self.position = {k: i for i, k in enumerate(self.by_key)}
+        self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
+        self.flag_position = {name: i for i, name in enumerate(self.actions)}
+        self.nodes = [_NodeView(ad, self, n) for n in ad.nodes]
+
+
+def _view(ad: ActivityDiagram) -> _View:
+    """Built on first use and kept on the diagram, as `cached_property` keeps
+    values, so it lives as long as the diagram (unhashable, so uncacheable)."""
+    try:
+        return ad.__dict__["_token_view"]
+    except KeyError:
+        view = ad.__dict__["_token_view"] = _View(ad)
+        return view
+
+
+def _node_choices(view: _View, c: Configuration, guards: GuardOracle,
+                  action_mode: str) -> dict[str, list[Step]]:
+    """Enabled non-stutter steps per node."""
+    buffers = c.buffers
+    choices: dict[str, list[Step]] = {}
+    for nv in view.nodes:
+        kind = nv.node.kind
+        opts: list[Step] = []
+        if kind is NodeKind.ACTION:
+            inputs_ready = all(buffers[p][1] for p in nv.ins)
             if action_mode == INSTANT:
                 if inputs_ready:
-                    opts.append(StepChoice(n.name, "instant"))
+                    opts.append(nv.steps["instant"])
             elif action_mode == TWO_PHASE:
-                if c.flag(n.name):
-                    opts.append(StepChoice(n.name, "finish"))
+                if nv.executing(c):
+                    opts.append(nv.steps["finish"])
                 elif inputs_ready:
-                    opts.append(StepChoice(n.name, "start"))
+                    opts.append(nv.steps["start"])
             else:
                 raise TokenGameError(f"unknown action mode {action_mode!r}")
-        elif n.kind is NodeKind.FORKJOIN:
-            if all(c.buffer(t.key) for t in ins):
-                opts.append(StepChoice(n.name, "forkjoin"))
-        elif n.kind is NodeKind.DECISIONMERGE:
-            for t_in in ins:
-                if not c.buffer(t_in.key):
-                    continue
-                for t_out in outs:
-                    verdict = guards.decide(ad.guard(t_out.src, t_out.out_pin), c)
-                    if verdict in (TRUE, EITHER):
-                        opts.append(StepChoice(n.name, "decision", t_in.key, t_out.key))
+        elif kind is NodeKind.FORKJOIN:
+            if all(buffers[p][1] for p in nv.ins):
+                opts.append(nv.steps["forkjoin"])
+        elif kind is NodeKind.DECISIONMERGE:
+            for p_in, guard, step in nv.branches:
+                if buffers[p_in][1] and guards.decide(guard, c) in (TRUE, EITHER):
+                    opts.append(step)
         # initial and final nodes only stutter
         if opts:
-            choices[n.name] = opts
+            choices[nv.node.name] = opts
     return choices
 
 
-def _choice_footprint(ad: ActivityDiagram, choice: StepChoice) -> tuple[set[str], set[str]]:
-    """(consumed transition keys, produced transition keys)."""
-    n = ad.node(choice.node)
-    ins = {t.key for t in incoming(ad, n)}
-    outs = {t.key for t in outgoing(ad, n)}
-    if choice.kind == "start":
-        return ins, set()
-    if choice.kind == "finish":
-        return set(), outs
-    if choice.kind in ("instant", "forkjoin"):
-        return ins, outs
-    if choice.kind == "decision":
-        assert choice.in_edge is not None and choice.out_edge is not None
-        return {choice.in_edge}, {choice.out_edge}
-    raise TokenGameError(f"unknown step kind {choice.kind!r}")
-
-
-def _apply(ad: ActivityDiagram, c: Configuration,
-           choices: Iterable[StepChoice]) -> Configuration:
-    buffers = {k: list(buf) for k, buf in c.buffers}
-    flags = dict(c.flags)
-    consumed: dict[str, Token] = {}
-    for choice in choices:
-        cons_keys, _ = _choice_footprint(ad, choice)
-        for k in cons_keys:
-            if not buffers[k]:
-                raise TokenGameError(f"consume from empty buffer {k}")
-            consumed[k] = buffers[k].pop(0)
-        if choice.kind == "start":
-            flags[choice.node] = True
-        elif choice.kind == "finish":
-            flags[choice.node] = False
-    for choice in choices:
-        _, prod_keys = _choice_footprint(ad, choice)
-        for k in prod_keys:
-            t = Transition.from_key(k)
-            tok = representative_token(ad, t, len(buffers[k]))
-            if choice.kind == "decision" and choice.in_edge in consumed:
-                candidate = consumed[choice.in_edge]
+def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
+           steps: Iterable[Step]) -> Configuration:
+    buffers = list(c.buffers)
+    flags = list(c.flags)
+    consumed: dict[int, Token] = {}
+    for choice, cons, _ in steps:
+        for p in cons:
+            key, buf = buffers[p]
+            if not buf:
+                raise TokenGameError(f"consume from empty buffer {key}")
+            consumed[p] = buf[0]
+            buffers[p] = (key, buf[1:])
+        if choice.kind in ("start", "finish"):
+            flags[view.flag_position[choice.node]] = (choice.node, choice.kind == "start")
+    for choice, cons, prod in steps:
+        for p in prod:
+            key, buf = buffers[p]
+            t = view.by_key[key]
+            tok = representative_token(ad, t, len(buf))
+            if choice.kind == "decision":
+                candidate = consumed[cons[0]]
                 out_set = admissible_tokens(ad.pin_type(t.src, t.out_pin))
                 in_set = admissible_tokens(ad.pin_type(t.dst, t.in_pin))
                 if candidate in out_set and candidate in in_set:
                     tok = candidate
-            buffers[k].append(tok)
-    return Configuration.make(ad, {k: tuple(v) for k, v in buffers.items()}, flags)
-
-
-ChoiceSet = frozenset
+            buffers[p] = (key, buf + (tok,))
+    return Configuration(tuple(buffers), tuple(flags))
 
 
 def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
@@ -272,30 +310,30 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     any nonempty set of nodes whose consumed and produced transition sets
     are pairwise disjoint fires simultaneously.
     """
+    view = _view(ad)
     guards = guards or ExploreAllBranches()
-    per_node = _node_choices(ad, c, guards, action_mode)
+    per_node = _node_choices(view, c, guards, action_mode)
     results: list[tuple[frozenset, Configuration]] = []
 
-    def admit(selection: tuple[StepChoice, ...]) -> None:
-        footprints = [_choice_footprint(ad, ch) for ch in selection]
-        touched_cons: set[str] = set()
-        touched_prod: set[str] = set()
-        for cons_keys, prod_keys in footprints:
-            touched_cons |= cons_keys
-            touched_prod |= prod_keys
+    def admit(selection: tuple[Step, ...]) -> None:
+        touched_cons: set[int] = set()
+        touched_prod: set[int] = set()
+        for _, cons, prod in selection:
+            touched_cons.update(cons)
+            touched_prod.update(prod)
         if touched_cons & touched_prod:
             return
-        results.append((frozenset(selection), _apply(ad, c, selection)))
+        results.append((frozenset(ch for ch, _, _ in selection), _apply(ad, view, c, selection)))
 
     if mode == INTERLEAVING:
         for opts in per_node.values():
-            for choice in opts:
-                admit((choice,))
+            for step in opts:
+                admit((step,))
     elif mode == CONCURRENT:
         names = sorted(per_node)
-        pools = [[None] + list(per_node[name]) for name in names]
+        pools = [[None] + per_node[name] for name in names]
         for combo in itertools.product(*pools):
-            selection = tuple(ch for ch in combo if ch is not None)
+            selection = tuple(step for step in combo if step is not None)
             if selection:
                 admit(selection)
     else:
@@ -312,26 +350,26 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
 
 def config_is_initial(ad: ActivityDiagram, c: Configuration) -> bool:
     some_initial = any(
-        n.kind is NodeKind.INITIAL and all(c.buffer(t.key) for t in outgoing(ad, n))
-        for n in ad.nodes
+        nv.node.kind is NodeKind.INITIAL and all(c.buffers[p][1] for p in nv.outs)
+        for nv in _view(ad).nodes
     )
     others_quiet = all(
-        n.kind is NodeKind.INITIAL
-        or (not any(c.buffer(t.key) for t in outgoing(ad, n)) and not c.flag(n.name))
-        for n in ad.nodes
+        nv.node.kind is NodeKind.INITIAL
+        or (not any(c.buffers[p][1] for p in nv.outs) and not nv.executing(c))
+        for nv in _view(ad).nodes
     )
     return some_initial and others_quiet
 
 
 def config_is_final(ad: ActivityDiagram, c: Configuration) -> bool:
     some_final = any(
-        n.kind is NodeKind.FINAL and any(c.buffer(t.key) for t in incoming(ad, n))
-        for n in ad.nodes
+        nv.node.kind is NodeKind.FINAL and any(c.buffers[p][1] for p in nv.ins)
+        for nv in _view(ad).nodes
     )
     others_quiet = all(
-        n.kind is NodeKind.FINAL
-        or (not any(c.buffer(t.key) for t in incoming(ad, n)) and not c.flag(n.name))
-        for n in ad.nodes
+        nv.node.kind is NodeKind.FINAL
+        or (not any(c.buffers[p][1] for p in nv.ins) and not nv.executing(c))
+        for nv in _view(ad).nodes
     )
     return some_final and others_quiet
 
@@ -404,11 +442,13 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
     sources = {c for c, _, _ in result.edges}
     deadlocks = [c for c in result.configs if c not in sources and not config_is_final(ad, c)]
 
+    view = _view(ad)
     final_reach: dict[str, bool] = {}
     for n in ad.nodes:
         if n.kind is NodeKind.FINAL:
             for t in incoming(ad, n):
-                final_reach[t.key] = any(c.buffer(t.key) for c in result.configs)
+                p = view.position[t.key]
+                final_reach[t.key] = any(c.buffers[p][1] for c in result.configs)
 
     coverage: dict[str, bool] = {}
     for n in ad.nodes:
@@ -420,7 +460,7 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
         for ch in choices:
             fired.add(ch.node)
             if ch.kind == "decision" and ch.out_edge:
-                t = Transition.from_key(ch.out_edge)
+                t = view.by_key[ch.out_edge]
                 coverage[f"{t.src}.{t.out_pin}"] = True
 
     never = [n.name for n in ad.nodes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from adsem.diagram import ActivityDiagram, NodeKind, Transition, incoming, outgoing
+from adsem.diagram import ActivityDiagram, NodeKind, incoming, outgoing
 from adsem.semantics import admissible_tokens
 from adsem.tokengame import (
     EITHER,
@@ -140,7 +140,7 @@ def _content_options(ad, buffers, cons_keys, consumed_tokens, prod_keys):
     representative, plus any consumed token the endpoint pins admit."""
     per_key = []
     for k in prod_keys:
-        t = Transition.from_key(k)
+        t = next(t for t in ad.transitions if t.key == k)
         landing = len(buffers[k]) - (1 if k in cons_keys else 0)
         options = {representative_token(ad, t, landing)}
         out_set = admissible_tokens(ad.pin_type(t.src, t.out_pin))

@@ -172,6 +172,17 @@ def test_malformed_trace_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_token_trace_naming_unknown_action_exits_three(tmp_path, capsys):
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--out", str(out_file))
+    configs = [json.loads(line) for line in out_file.read_text().splitlines()]
+    configs[1]["exec"]["Ghost"] = False
+    out_file.write_text("".join(json.dumps(c) + "\n" for c in configs))
+    code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
+    assert code == 3
+    assert "Ghost" in capsys.readouterr().err
+
+
 def test_usage_error_exits_three(capsys):
     with pytest.raises(SystemExit) as e:
         main(["check-trace", GRADE, "whatever"])  # missing required --variant

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from adsem.diagram import (
     DEFAULT_ROLE,
     TOP,
     DiagramError,
+    Node,
     NodeKind,
     ParseError,
     Severity,
@@ -138,6 +140,9 @@ def test_unknown_node_raises(grade):
         incoming(grade, "nope")
     with pytest.raises(DiagramError):
         outgoing(grade, "nope")
+    with pytest.raises(DiagramError):
+        grade.node("nope")
+    assert not grade.has_node("nope")
 
 
 @pytest.mark.parametrize("name", ["grade_thesis.ad", "fac.ad", "minimal.ad", "split_join.ad"])
@@ -148,6 +153,41 @@ def test_in_out_partition_transitions(name):
     for n in ad.nodes:
         mentioned = {t for t in ad.transitions if t.src == n.name or t.dst == n.name}
         assert set(incoming(ad, n)) | set(outgoing(ad, n)) == mentioned
+
+
+def test_adjacency_in_declaration_order():
+    ad = parse("""
+        activity Order {
+            initial i out s;
+            forkjoin F in x out a, b, c;
+            forkjoin J in p, q, r out y;
+            final f in z;
+            F.c -> J.r; i.s -> F.x; F.a -> J.q; J.y -> f.z; F.b -> J.p;
+        }
+    """)
+    assert [t.out_pin for t in outgoing(ad, "F")] == ["c", "a", "b"]
+    assert [t.in_pin for t in incoming(ad, "J")] == ["r", "q", "p"]
+    for n in ad.nodes:
+        assert incoming(ad, n) == tuple(t for t in ad.transitions if t.dst == n.name)
+        assert outgoing(ad, n) == tuple(t for t in ad.transitions if t.src == n.name)
+
+
+def test_node_returns_first_of_duplicate_names(minimal):
+    shadow = Node(NodeKind.ACTION, "f", in_pins=("x",))
+    ad = replace(minimal, nodes=minimal.nodes + (shadow,))
+    assert ad.node("f").kind is NodeKind.FINAL
+    assert ad.has_node("f")
+
+
+def test_replaced_diagram_has_its_own_adjacency():
+    ad = parse("activity R { initial i out s, t; final f in x, y; i.s -> f.x; i.t -> f.y; }")
+    assert len(outgoing(ad, "i")) == 2
+    fewer = replace(ad, transitions=ad.transitions[1:])
+    assert outgoing(fewer, "i") == ad.transitions[1:]
+    assert incoming(fewer, "f") == ad.transitions[1:]
+    assert len(incoming(ad, "f")) == 2
+    extra = replace(ad, nodes=ad.nodes + (Node(NodeKind.ACTION, "a"),))
+    assert incoming(extra, "a") == () and not ad.has_node("a")
 
 
 # ---------------------------------------------------------------------------

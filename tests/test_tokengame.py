@@ -86,6 +86,12 @@ def test_initial_config_requires_initial_node():
         initial_config(ad)
 
 
+def test_make_rejects_exec_for_unknown_or_non_action_nodes(grade):
+    with pytest.raises(TokenGameError, match=r"\['F1', 'Ghost'\]"):
+        Configuration.make(grade, {}, {"FileThesis": True, "F1": False, "Ghost": True})
+    assert Configuration.make(grade, {}, {"FileThesis": True}).flag("FileThesis")
+
+
 def test_initial_config_data_pin_uses_seeder():
     from adsem.semantics import Token
 
