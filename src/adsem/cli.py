@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import diagram, semantics, sysmodel, tokengame, variant1, variant2
@@ -146,31 +147,56 @@ def _cmd_run_v2(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _trace_line(path: str, lineno: int):
+    """Report what is wrong with one line of a trace file, and where."""
+    try:
+        yield
+    except json.JSONDecodeError as e:
+        raise CliError(f"{path}:{lineno}: not JSON: {e.msg} at column {e.colno}") from e
+    except KeyError as e:
+        raise CliError(f"{path}:{lineno}: missing key {e}") from e
+    except (ValueError, TypeError, AttributeError,
+            tokengame.TokenGameError, sysmodel.SystemModelError) as e:
+        raise CliError(f"{path}:{lineno}: {e}") from e
+
+
+def _decode_lines(path: str, lines: list[tuple[int, str]], decode) -> list:
+    decoded = []
+    for lineno, line in lines:
+        with _trace_line(path, lineno):
+            decoded.append(decode(json.loads(line)))
+    return decoded
+
+
 def _cmd_check_trace(args) -> int:
     ad = _load_diagram(args.file)
-    lines = [line for line in Path(args.trace).read_text(encoding="utf-8").splitlines()
+    lines = [(i, line) for i, line in
+             enumerate(Path(args.trace).read_text(encoding="utf-8").splitlines(), 1)
              if line.strip()]
     if not lines:
         raise CliError(f"empty trace file {args.trace}")
 
     if args.variant == "token":
-        run = [tokengame.Configuration.from_json(ad, json.loads(line)) for line in lines]
+        run = _decode_lines(args.trace, lines,
+                            lambda d: tokengame.Configuration.from_json(ad, d))
         inst, binding, trace = tokengame.as_binding(ad, run, mode=args.mode,
                                                     action_mode=args.actions)
     else:
-        header = json.loads(lines[0])
-        if header.get("variant") not in (args.variant, None):
-            raise CliError(f"trace was recorded for variant {header.get('variant')!r}")
-        states = tuple(sysmodel.state_from_json(json.loads(line)) for line in lines[1:])
+        with _trace_line(args.trace, lines[0][0]):
+            header = json.loads(lines[0][1])
+            if header.get("variant") not in (args.variant, None):
+                raise CliError(f"trace was recorded for variant {header.get('variant')!r}")
+            if args.variant == "v1":
+                inst = variant1.MethodExecutionInstance.from_json(ad, header["params"])
+                binding = variant1.atomic_binding(inst)
+            else:
+                inst = variant2.ActionMethodsInstance.from_json(ad, header["params"])
+                binding = variant2.methods_binding(inst)
+        states = tuple(_decode_lines(args.trace, lines[1:], sysmodel.state_from_json))
         if not states:
             raise CliError("trace file has a header but no states")
         trace = sysmodel.Trace(states, truncated=bool(header.get("truncated", False)))
-        if args.variant == "v1":
-            inst = variant1.MethodExecutionInstance.from_json(ad, header["params"])
-            binding = variant1.atomic_binding(inst)
-        else:
-            inst = variant2.ActionMethodsInstance.from_json(ad, header["params"])
-            binding = variant2.methods_binding(inst)
 
     verdict = semantics.conforms(trace, inst, binding)
     _emit(verdict.to_json(), args.human)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -92,6 +93,16 @@ class Transition:
 
 
 @dataclass(frozen=True)
+class EdgeLayout:
+    """A diagram's transitions, one per key (two declarations of one pinned
+    edge are one edge), and per node, in the order of `nodes`, its incoming
+    and outgoing transitions as positions among them, in declaration order."""
+    transitions: tuple[Transition, ...]
+    ins: tuple[tuple[int, ...], ...]
+    outs: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class ActivityDiagram:
     name: str
     nodes: tuple[Node, ...]
@@ -111,6 +122,17 @@ class ActivityDiagram:
             if t.src in index:
                 index[t.src][2].append(t)
         return {name: (n, tuple(ins), tuple(outs)) for name, (n, ins, outs) in index.items()}
+
+    @cached_property
+    def layout(self) -> EdgeLayout:
+        by_key = {t.key: t for t in self.transitions}
+        position = {k: i for i, k in enumerate(by_key)}
+
+        def positions(ts: tuple[Transition, ...]) -> tuple[int, ...]:
+            return tuple(dict.fromkeys(position[t.key] for t in ts))
+        return EdgeLayout(tuple(by_key.values()),
+                          tuple(positions(self._index[n.name][1]) for n in self.nodes),
+                          tuple(positions(self._index[n.name][2]) for n in self.nodes))
 
     def node(self, name: str) -> Node:
         if name not in self._index:
@@ -552,6 +574,11 @@ def validate(ad: ActivityDiagram, profile: str = "general") -> list[Diagnostic]:
                         Severity.WARNING, "guard-on-non-decision", f"pin {n.name}.{pin}",
                         f"guard on {n.name}.{pin} is never consulted "
                         f"({n.kind.value} nodes do not branch)"))
+
+    repeated = Counter(t.key for t in ad.transitions)
+    for key in sorted(k for k, count in repeated.items() if count > 1):
+        diags.append(Diagnostic(Severity.ERROR, "duplicate-transition", f"transition {key}",
+                                f"transition {key} is declared {repeated[key]} times"))
 
     node_names = set(names)
     for t in ad.transitions:

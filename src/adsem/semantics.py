@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
-from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
+from .diagram import (ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition,
+                      incoming, outgoing)
 from .sysmodel import SystemState, Trace
 
 
@@ -47,7 +48,8 @@ class Token:
     def from_json(d: object) -> "Token":
         if d == "control":
             return CONTROL_TOKEN
-        assert isinstance(d, dict)
+        if not isinstance(d, dict):
+            raise ValueError(f"not a token: {d!r}")
         payload = d.get("payload")
         if isinstance(payload, dict):
             payload = tuple(sorted(payload.items()))
@@ -118,6 +120,39 @@ class VariationBinding:
     eval_guard: Callable[[str, object, SystemState], bool]
 
 
+_Derived = TypeVar("_Derived")
+
+
+def remember_pair(derive: Callable[[SystemState, SystemState], _Derived]
+                  ) -> Callable[[SystemState, SystemState], _Derived]:
+    """`derive(s0, s1)`, remembered for the most recent pair only (states
+    match by identity), so that a binding's `cons` and `prod` of one pair
+    share one derivation and nothing grows with the trace."""
+    last: list = [None, None, None]
+
+    def remembered(s0: SystemState, s1: SystemState) -> _Derived:
+        if last[0] is not s0 or last[1] is not s1:
+            last[:] = [s0, s1, derive(s0, s1)]
+        return last[2]
+    return remembered
+
+
+def remember_states(derive: Callable[[SystemState], _Derived]
+                    ) -> Callable[[SystemState], _Derived]:
+    """`derive(s)`, remembered for the two most recent states (by
+    identity): the two states of the pair being judged."""
+    recent: list[tuple[SystemState, _Derived]] = []
+
+    def remembered(s: SystemState) -> _Derived:
+        for state, value in recent:
+            if state is s:
+                return value
+        value = derive(s)
+        recent[:] = [*recent[-1:], (s, value)]
+        return value
+    return remembered
+
+
 def buf_empty(t: Transition, inst: object, s: SystemState, b: VariationBinding) -> bool:
     return len(b.buf_state(t, inst, s)) == 0
 
@@ -160,69 +195,146 @@ def is_final_state(inst: object, s: SystemState, b: VariationBinding) -> bool:
     """Some final node has a token on an incoming transition, and every
     other node has empty incoming buffers and is not executing."""
     ad = b.diagram_of(inst)
-    some_final = any(
-        n.kind is NodeKind.FINAL
-        and any(buf_nonempty(t, inst, s, b) for t in incoming(ad, n))
-        for n in ad.nodes
-    )
-    others_quiet = all(
-        n.kind is NodeKind.FINAL
-        or (all(buf_empty(t, inst, s, b) for t in incoming(ad, n))
-            and not b.executing(n, inst, s))
-        for n in ad.nodes
-    )
-    return some_final and others_quiet
+    return _is_final(ad, inst, s, b, lambda i: b.executing(ad.nodes[i], inst, s))
+
+
+def _is_final(ad: ActivityDiagram, inst: object, s: SystemState, b: VariationBinding,
+              executing: Callable[[int], bool]) -> bool:
+    """`is_final_state`, with the flag of the i-th node read through
+    `executing(i)`."""
+    transitions, ins = ad.layout.transitions, ad.layout.ins
+
+    def buffered(p: int) -> bool:
+        return len(b.buf_state(transitions[p], inst, s)) != 0
+
+    some_final = any(n.kind is NodeKind.FINAL and any(buffered(p) for p in ins[i])
+                     for i, n in enumerate(ad.nodes))
+    return some_final and all(
+        n.kind is NodeKind.FINAL or (not any(buffered(p) for p in ins[i]) and not executing(i))
+        for i, n in enumerate(ad.nodes))
 
 
 # ---------------------------------------------------------------------------
 # Step predicates
 # ---------------------------------------------------------------------------
 
-def _cons_counts(ad, n, inst, s0, s1, b):
-    return [len(b.cons(t, inst, s0, s1)) for t in incoming(ad, n)]
+@dataclass(frozen=True)
+class StepDelta:
+    """What one state pair did: the tokens consumed and produced on each
+    transition (by its position in `EdgeLayout.transitions`) and each
+    node's executing flag before and after (by its position in the
+    diagram).  `conforms` asks the binding's `cons` and `prod` once per
+    transition and `executing` once per node and state, and judges every
+    node of the pair from this one value."""
+    consumed: tuple[int, ...]
+    produced: tuple[int, ...]
+    executing0: tuple[bool, ...]
+    executing1: tuple[bool, ...]
 
 
-def _prod_counts(ad, n, inst, s0, s1, b):
-    return [len(b.prod(t, inst, s0, s1)) for t in outgoing(ad, n)]
+def _flags(ad: ActivityDiagram, inst: object, s: SystemState,
+           b: VariationBinding) -> tuple[bool, ...]:
+    return tuple(b.executing(n, inst, s) for n in ad.nodes)
+
+
+# The clauses of a permitted step, over one node's counts: `ins` consumed
+# per incoming and `outs` produced per outgoing transition, and the
+# executing flag before (f0) and after (f1).
+
+def _stutter(ins, outs, f0, f1) -> bool:
+    return f0 == f1 and not any(ins) and not any(outs)
+
+
+def _start(ins, outs, f0, f1) -> bool:
+    return not f0 and f1 and all(c == 1 for c in ins) and not any(outs)
+
+
+def _finish(ins, outs, f0, f1) -> bool:
+    return f0 and not f1 and all(p == 1 for p in outs) and not any(ins)
+
+
+def _instant(ins, outs) -> bool:
+    return all(c == 1 for c in ins) and all(p == 1 for p in outs)
+
+
+def _decision_branch(ins, outs) -> int | None:
+    """The output that took the token when exactly one input gave one and
+    exactly one output took one (counts are never negative, so a sum of
+    one means a single 1 among zeros); None otherwise."""
+    if sum(ins) == 1 and sum(outs) == 1:
+        return outs.index(1)
+    return None
+
+
+def _allows(kind: NodeKind, ins, outs, f0: bool, f1: bool, out_edges: tuple[int, ...],
+            holds: Callable[[int], bool]) -> bool:
+    """A stutter, or the node-kind-specific reaction; `out_edges` are the
+    positions of the outgoing transitions and `holds(p)` evaluates the
+    guard of the transition at position p in the pair's second state."""
+    if _stutter(ins, outs, f0, f1):
+        return True
+    if kind is NodeKind.ACTION:
+        return _start(ins, outs, f0, f1) or _finish(ins, outs, f0, f1) or _instant(ins, outs)
+    if kind is NodeKind.FORKJOIN:
+        return _instant(ins, outs)
+    if kind is NodeKind.DECISIONMERGE:
+        j = _decision_branch(ins, outs)
+        return j is not None and holds(out_edges[j])
+    return False
+
+
+def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: VariationBinding):
+    """One node's view of the pair, for the named predicates: the
+    arguments of `_allows` after the node's kind."""
+    ad = b.diagram_of(inst)
+    i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
+    if i is None:
+        raise DiagramError(f"unknown node {n.name!r}")
+    transitions, outs = ad.layout.transitions, ad.layout.outs[i]
+    return ([len(b.cons(transitions[p], inst, s0, s1)) for p in ad.layout.ins[i]],
+            [len(b.prod(transitions[p], inst, s0, s1)) for p in outs],
+            b.executing(n, inst, s0), b.executing(n, inst, s1), outs,
+            _guard_holds(ad, inst, s1, b))
+
+
+def _guard_holds(ad: ActivityDiagram, inst: object, s1: SystemState,
+                 b: VariationBinding) -> Callable[[int], bool]:
+    def holds(p: int) -> bool:
+        t = ad.layout.transitions[p]
+        return b.eval_guard(ad.guard(t.src, t.out_pin), inst, s1)
+    return holds
 
 
 def stutters(n: Node, inst: object, s0: SystemState, s1: SystemState,
              b: VariationBinding) -> bool:
     """The node's execution flag is unchanged and none of its adjacent
     transitions consumed or produced anything."""
-    ad = b.diagram_of(inst)
-    return (b.executing(n, inst, s0) == b.executing(n, inst, s1)
-            and all(c == 0 for c in _cons_counts(ad, n, inst, s0, s1, b))
-            and all(p == 0 for p in _prod_counts(ad, n, inst, s0, s1, b)))
+    ins, outs, f0, f1, _, _ = _node_step(n, inst, s0, s1, b)
+    return _stutter(ins, outs, f0, f1)
 
 
 def starts_action(n: Node, inst: object, s0: SystemState, s1: SystemState,
                   b: VariationBinding) -> bool:
     """Execution begins: flag flips on, one token consumed per incoming
     transition, nothing produced."""
-    ad = b.diagram_of(inst)
-    return (not b.executing(n, inst, s0) and b.executing(n, inst, s1)
-            and all(c == 1 for c in _cons_counts(ad, n, inst, s0, s1, b))
-            and all(p == 0 for p in _prod_counts(ad, n, inst, s0, s1, b)))
+    ins, outs, f0, f1, _, _ = _node_step(n, inst, s0, s1, b)
+    return _start(ins, outs, f0, f1)
 
 
 def finishes_action(n: Node, inst: object, s0: SystemState, s1: SystemState,
                     b: VariationBinding) -> bool:
     """Execution ends: flag flips off, one token produced per outgoing
     transition, nothing consumed."""
-    ad = b.diagram_of(inst)
-    return (b.executing(n, inst, s0) and not b.executing(n, inst, s1)
-            and all(p == 1 for p in _prod_counts(ad, n, inst, s0, s1, b))
-            and all(c == 0 for c in _cons_counts(ad, n, inst, s0, s1, b)))
+    ins, outs, f0, f1, _, _ = _node_step(n, inst, s0, s1, b)
+    return _finish(ins, outs, f0, f1)
 
 
 def fires_instantly(n: Node, inst: object, s0: SystemState, s1: SystemState,
                     b: VariationBinding) -> bool:
     """The whole reaction in one step: one token consumed per incoming
     and one produced per outgoing transition."""
-    ad = b.diagram_of(inst)
-    return (all(c == 1 for c in _cons_counts(ad, n, inst, s0, s1, b))
-            and all(p == 1 for p in _prod_counts(ad, n, inst, s0, s1, b)))
+    ins, outs, _, _, _, _ = _node_step(n, inst, s0, s1, b)
+    return _instant(ins, outs)
 
 
 # A fork/join reacts instantaneously with exactly the same token-count
@@ -234,21 +346,9 @@ def fires_decision(n: Node, inst: object, s0: SystemState, s1: SystemState,
                    b: VariationBinding) -> bool:
     """Exactly one incoming transition consumes one token and exactly one
     outgoing transition produces one token whose guard holds afterwards."""
-    ad = b.diagram_of(inst)
-    ins = incoming(ad, n)
-    outs = outgoing(ad, n)
-    one_in = any(
-        len(b.cons(t, inst, s0, s1)) == 1
-        and all(len(b.cons(t2, inst, s0, s1)) == 0 for t2 in ins if t2 != t)
-        for t in ins
-    )
-    one_out = any(
-        len(b.prod(t, inst, s0, s1)) == 1
-        and b.eval_guard(ad.guard(t.src, t.out_pin), inst, s1)
-        and all(len(b.prod(t2, inst, s0, s1)) == 0 for t2 in outs if t2 != t)
-        for t in outs
-    )
-    return one_in and one_out
+    ins, outs, _, _, out_edges, holds = _node_step(n, inst, s0, s1, b)
+    j = _decision_branch(ins, outs)
+    return j is not None and holds(out_edges[j])
 
 
 def allows_step(n: Node, inst: object, s0: SystemState, s1: SystemState,
@@ -256,17 +356,7 @@ def allows_step(n: Node, inst: object, s0: SystemState, s1: SystemState,
     """Whether the state change is permitted for this node: a stutter, or
     the node-kind-specific reaction.  Initial and final nodes only ever
     stutter; anything else would create or destroy tokens unaccounted."""
-    if stutters(n, inst, s0, s1, b):
-        return True
-    if n.kind is NodeKind.ACTION:
-        return (starts_action(n, inst, s0, s1, b)
-                or finishes_action(n, inst, s0, s1, b)
-                or fires_instantly(n, inst, s0, s1, b))
-    if n.kind is NodeKind.FORKJOIN:
-        return fires_forkjoin(n, inst, s0, s1, b)
-    if n.kind is NodeKind.DECISIONMERGE:
-        return fires_decision(n, inst, s0, s1, b)
-    return False
+    return _allows(n.kind, *_node_step(n, inst, s0, s1, b))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +398,8 @@ _STEP_PREDICATE = {
 def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial
     state, then require every later step to be allowed for every node and
-    finality to persist."""
+    finality to persist.  Each pair is judged from one `StepDelta`; the
+    flags and finality of a pair's second state carry over to the next."""
     ad = b.diagram_of(inst)
     start = None
     for i in range(len(trace)):
@@ -318,14 +409,27 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     if start is None:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
+    transitions = ad.layout.transitions
+    nodes = tuple(zip(ad.nodes, ad.layout.ins, ad.layout.outs))
+    s0 = trace[start]
+    flags0 = _flags(ad, inst, s0, b)
+    final0 = _is_final(ad, inst, s0, b, flags0.__getitem__)
     for j in range(start, len(trace) - 1):
-        s0, s1 = trace[j], trace[j + 1]
-        for n in ad.nodes:
-            if not allows_step(n, inst, s0, s1, b):
+        s1 = trace[j + 1]
+        d = StepDelta(tuple(len(b.cons(t, inst, s0, s1)) for t in transitions),
+                      tuple(len(b.prod(t, inst, s0, s1)) for t in transitions),
+                      flags0, _flags(ad, inst, s1, b))
+        consumed, produced = d.consumed, d.produced
+        holds = _guard_holds(ad, inst, s1, b)
+        for i, (n, ins, outs) in enumerate(nodes):
+            if not _allows(n.kind, [consumed[p] for p in ins], [produced[p] for p in outs],
+                           d.executing0[i], d.executing1[i], outs, holds):
                 return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
-        if is_final_state(inst, s0, b) and not is_final_state(inst, s1, b):
+        final1 = _is_final(ad, inst, s1, b, d.executing1.__getitem__)
+        if final0 and not final1:
             return Verdict(VerdictKind.VIOLATED, j, _final_witness(ad, inst, s1, b),
                            "final-persistence")
+        s0, flags0, final0 = s1, d.executing1, final1
     if trace.truncated:
         return Verdict(VerdictKind.SATISFIED_SO_FAR)
     return Verdict(VerdictKind.SATISFIED)
@@ -367,6 +471,8 @@ def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
     """Infer (consumed, produced) from two buffer snapshots under the
     FIFO law, choosing the decomposition with minimal movement (the
     longest suffix of `before` that is a prefix of `after` stays put)."""
+    if before == after:
+        return (), ()
     for keep in range(min(len(before), len(after)), -1, -1):
         if keep == 0 or before[-keep:] == after[:keep]:
             return before[:len(before) - keep], after[keep:]

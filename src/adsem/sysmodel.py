@@ -3,8 +3,8 @@
 A state has three stores: a data store (per-object attribute values), a
 control store (per-object, per-thread stacks of activation frames), and
 an event store (per-object pending messages, carried but never consumed
-here).  Behavior comes from a pluggable successor function; a trace is a
-sequence of states adjacent under it.
+here).  A trace is a finite sequence of states; the variants and the
+token game produce them, and the conformance checker judges them.
 
 States are values: update helpers return new states and never mutate.
 Stacks are tuples with the top frame at index 0.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Value = int | bool | str
 
@@ -159,39 +159,6 @@ class Trace:
 
     def __getitem__(self, i: int) -> SystemState:
         return self.states[i]
-
-
-Successors = Callable[[SystemState], Iterable[SystemState]]
-
-
-def generate_traces(successors: Successors, start: SystemState,
-                    depth: int, fanout: int) -> list[Trace]:
-    """All runs from `start` of at most `depth` steps.
-
-    At each state at most `fanout` successors are explored, taken in
-    canonical (serialization) order.  Runs that die out before `depth`
-    are maximal; runs cut at `depth` with successors remaining are
-    marked truncated.
-    """
-    if depth < 0:
-        raise SystemModelError("depth must be >= 0")
-    if fanout < 1:
-        raise SystemModelError("fanout must be >= 1")
-    out: list[Trace] = []
-
-    def explore(prefix: tuple[SystemState, ...]) -> None:
-        nxt = sorted(successors(prefix[-1]), key=canonical_key)[:fanout]
-        if not nxt:
-            out.append(Trace(prefix, truncated=False))
-            return
-        if len(prefix) > depth:
-            out.append(Trace(prefix, truncated=True))
-            return
-        for s in nxt:
-            explore(prefix + (s,))
-
-    explore((start,))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ class _NodeView:
     layout), and the steps it can take, each as (choice, positions it
     consumes from, positions it produces to)."""
 
-    def __init__(self, ad: ActivityDiagram, view: _View, n: Node):
+    def __init__(self, ad: ActivityDiagram, view: _View, n: Node,
+                 ins: tuple[int, ...], outs: tuple[int, ...]):
         self.node = n
         self.flag = view.flag_position.get(n.name)
-        self.ins = ins = tuple(dict.fromkeys(view.position[t.key] for t in incoming(ad, n)))
-        self.outs = outs = tuple(dict.fromkeys(view.position[t.key] for t in outgoing(ad, n)))
+        self.ins, self.outs = ins, outs
         self.steps: dict[str, Step] = {
             kind: (StepChoice(n.name, kind), cons, prod)
             for kind, cons, prod in (("start", ins, ()), ("finish", (), outs),
@@ -222,11 +222,13 @@ class _View:
     buffer per transition key and one flag per action name."""
 
     def __init__(self, ad: ActivityDiagram):
-        self.by_key = {t.key: t for t in ad.transitions}
+        layout = ad.layout
+        self.by_key = {t.key: t for t in layout.transitions}
         self.position = {k: i for i, k in enumerate(self.by_key)}
         self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
-        self.nodes = [_NodeView(ad, self, n) for n in ad.nodes]
+        self.nodes = [_NodeView(ad, self, n, ins, outs)
+                      for n, ins, outs in zip(ad.nodes, layout.ins, layout.outs)]
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -547,16 +549,15 @@ class TokenGameInstance:
 
 
 def lift_config(ad: ActivityDiagram, c: Configuration) -> SystemState:
-    buffers = {k: json.dumps([tok.to_json() for tok in buf], sort_keys=True)
-               for k, buf in c.buffers}
-    flags = {name: value for name, value in c.flags}
-    return SystemState(data_store={BUFFER_OID: buffers, FLAGS_OID: flags})
+    """The configuration as a state: buffers (`Token` tuples, shared with the
+    configuration) and flags as attributes of two bookkeeping objects.  A
+    lifted state is read by `lifted_binding` only and never serialised."""
+    return SystemState(data_store={BUFFER_OID: dict(c.buffers), FLAGS_OID: dict(c.flags)})
 
 
 def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
     def buf_state(t: Transition, inst, s: SystemState) -> Buffer:
-        raw = s.data_store.get(BUFFER_OID, {}).get(t.key, "[]")
-        return tuple(Token.from_json(d) for d in json.loads(raw))
+        return s.data_store.get(BUFFER_OID, {}).get(t.key, ())
 
     def executing(n, inst, s: SystemState) -> bool:
         return bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False))

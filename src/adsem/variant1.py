@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
-from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
+from .semantics import (ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding,
+                        remember_pair)
 from .sysmodel import Frame, SystemState, Trace, Universe, Value, advance_pc, top_frame
 
 
@@ -192,6 +194,18 @@ def parse_guard(text: str) -> GuardExpr:
     right = p.sum()
     p.done()
     return Compare(op, left, right)
+
+
+@lru_cache(maxsize=4096)
+def _guard(text: str) -> GuardExpr:
+    """`parse_guard` once per text; the parsed value is frozen, so callers share it."""
+    return parse_guard(text)
+
+
+@lru_cache(maxsize=4096)
+def _effect(text: str) -> Stmt:
+    """`parse_statement` once per text; the parsed value is frozen, so callers share it."""
+    return parse_statement(text)
 
 
 def eval_expr(expr: Expr, attrs: dict[str, Value], locals_: dict[str, Value]) -> int:
@@ -426,7 +440,7 @@ def flow_walk(ad: ActivityDiagram, start: Node, attrs: dict[str, Value],
         if node.kind is NodeKind.DECISIONMERGE:
             chosen = None
             for t in outgoing(ad, node):
-                if eval_guard_expr(parse_guard(ad.guard(t.src, t.out_pin)), attrs, locals_):
+                if eval_guard_expr(_guard(ad.guard(t.src, t.out_pin)), attrs, locals_):
                     chosen = t
                     break
             if chosen is None:
@@ -495,7 +509,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
         attrs = state.attrs(inst.callee)
         locals_ = frame.locals
         if node.kind is NodeKind.ACTION:
-            stmt = parse_statement(node.effect)
+            stmt = _effect(node.effect)
             if isinstance(stmt, SetAttr):
                 attrs[stmt.name] = eval_expr(stmt.expr, state.attrs(inst.callee), frame.locals)
             elif isinstance(stmt, SetLocal):
@@ -545,28 +559,38 @@ def _movement(inst: MethodExecutionInstance, s0: SystemState,
     return source, landing, path
 
 
+_NO_FRAME = object()  # the pc of an empty stack: equal to no pc of the instance
+
+
 def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     """All executions are instantaneous: nothing ever reports executing,
     guards always evaluate true (branching lives in the guard's effect),
-    and consumption/production is derived from the pc movement."""
+    and consumption/production is derived from the pc movement, once per
+    state pair."""
     ad = inst.ad
+
+    @remember_pair
+    def movement(s0: SystemState, s1: SystemState) -> tuple[object, object, frozenset[str]]:
+        """The pc before and after (`_NO_FRAME` without a frame) and the keys
+        of the transitions into decisions that the pc crossed."""
+        f0 = top_frame(s0, inst.callee, inst.thread)
+        f1 = top_frame(s1, inst.callee, inst.thread)
+        move = _movement(inst, s0, s1)
+        crossed = frozenset() if move is None else frozenset(
+            p.key for p in move[2] if ad.node(p.dst).kind is NodeKind.DECISIONMERGE)
+        return (_NO_FRAME if f0 is None else f0.pc, _NO_FRAME if f1 is None else f1.pc, crossed)
 
     def moved(t: Transition, s0: SystemState, s1: SystemState,
               produced_side: bool) -> tuple[Token, ...]:
-        before = pc_buffer_state(t, inst, s0)
-        after = pc_buffer_state(t, inst, s1)
-        if produced_side and not before and after:
+        """The control token sits on t when the pc names t's destination
+        (see `pc_buffer_state`): it arrives or leaves with the pc, or passes
+        through t into a decision the pc crossed."""
+        pc0, pc1, crossed = movement(s0, s1)
+        at = inst.pc_map.get(t.dst)
+        before, after = pc0 == at, pc1 == at
+        if (after and not before) if produced_side else (before and not after):
             return (CONTROL_TOKEN,)
-        if not produced_side and before and not after:
-            return (CONTROL_TOKEN,)
-        move = _movement(inst, s0, s1)
-        if move is not None:
-            _, _, path = move
-            pass_through = {p.key for p in path
-                            if ad.node(p.dst).kind is NodeKind.DECISIONMERGE}
-            if t.key in pass_through:
-                return (CONTROL_TOKEN,)
-        return ()
+        return (CONTROL_TOKEN,) if t.key in crossed else ()
 
     return VariationBinding(
         diagram_of=lambda _inst: ad,
@@ -602,7 +626,7 @@ def check_effect_constraint(ad: ActivityDiagram, inst: MethodExecutionInstance,
         source, _, path = move
 
         if source.kind is NodeKind.ACTION:
-            if not statement_holds(parse_statement(source.effect), inst.callee,
+            if not statement_holds(_effect(source.effect), inst.callee,
                                    inst.thread, s0, s1):
                 return False
         elif source.kind is NodeKind.DECISIONMERGE:
@@ -613,7 +637,7 @@ def check_effect_constraint(ad: ActivityDiagram, inst: MethodExecutionInstance,
 
         for t in path:
             if ad.node(t.src).kind is NodeKind.DECISIONMERGE:
-                guard = parse_guard(ad.guard(t.src, t.out_pin))
+                guard = _guard(ad.guard(t.src, t.out_pin))
                 if not eval_guard_expr(guard, s1.attrs(inst.callee), f1.locals):
                     return False
     return True

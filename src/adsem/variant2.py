@@ -30,6 +30,7 @@ from .semantics import (
     call_token,
     fifo_delta,
     is_final_state,
+    remember_states,
 )
 from .sysmodel import Frame, SystemState, Trace, Universe, Value
 
@@ -216,13 +217,18 @@ def set_mailbox(s: SystemState, t: Transition, tokens: tuple[Token, ...]) -> Sys
 def method_frame_present(n: Node, inst: ActionMethodsInstance, s: SystemState) -> bool:
     """A frame for the node's method, on the node's object, anywhere in
     the stack of any of the instance's threads."""
-    if n.name not in inst.meth:
-        return False
-    oid, mname = inst.oid[n.name], inst.meth[n.name]
-    return any(
-        any(f.callee == oid and f.mname == mname for f in s.stack(oid, th))
-        for th in inst.threads
-    )
+    return _runs(n, inst, _running_methods(inst, s))
+
+
+def _running_methods(inst: ActionMethodsInstance, s: SystemState) -> set[tuple[str, str]]:
+    """(object, method) of every frame that sits on a stack of its own
+    object in one of the instance's threads."""
+    return {(f.callee, f.mname) for oid in set(inst.oid.values()) for th in inst.threads
+            for f in s.stack(oid, th) if f.callee == oid}
+
+
+def _runs(n: Node, inst: ActionMethodsInstance, running: set[tuple[str, str]]) -> bool:
+    return n.name in inst.meth and (inst.oid[n.name], inst.meth[n.name]) in running
 
 
 def evaluate_guard(guard: str, inst: ActionMethodsInstance, s: SystemState) -> bool:
@@ -234,19 +240,34 @@ def evaluate_guard(guard: str, inst: ActionMethodsInstance, s: SystemState) -> b
 
 
 def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
+    """Buffers are the mailboxes, each decoded once per state of the pair
+    being judged; a node executes while its method has a frame on its
+    object (`method_frame_present`), and the frames of a state are read
+    once."""
+    mailboxes = remember_states(lambda s: {})
+    running = remember_states(lambda s: _running_methods(inst, s))
+
+    def buf_state(t, _inst, s):
+        decoded = mailboxes(s)
+        try:
+            return decoded[t.key]
+        except KeyError:
+            tokens = decoded[t.key] = mailbox_tokens(s, t)
+            return tokens
+
     def cons(t, _inst, s0, s1):
-        consumed, _ = fifo_delta(mailbox_tokens(s0, t), mailbox_tokens(s1, t))
+        consumed, _ = fifo_delta(buf_state(t, _inst, s0), buf_state(t, _inst, s1))
         return consumed
 
     def prod(t, _inst, s0, s1):
-        _, produced = fifo_delta(mailbox_tokens(s0, t), mailbox_tokens(s1, t))
+        _, produced = fifo_delta(buf_state(t, _inst, s0), buf_state(t, _inst, s1))
         return produced
 
     return VariationBinding(
         diagram_of=lambda _inst: inst.ad,
-        executing=lambda n, _inst, s: method_frame_present(n, inst, s),
+        executing=lambda n, _inst, s: _runs(n, inst, running(s)),
         elems=admissible_tokens,
-        buf_state=lambda t, _inst, s: mailbox_tokens(s, t),
+        buf_state=buf_state,
         cons=cons,
         prod=prod,
         eval_guard=lambda g, _inst, s: evaluate_guard(g, inst, s),

@@ -172,6 +172,31 @@ def test_malformed_trace_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_bad_variant_trace_line_is_located(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    run(capsys, "run-v1", FAC, "n=2", "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    for bad, reason in (("not json", "not JSON: Expecting value at column 1"),
+                        ('{"cs": {"obj:callee": {"th0": [{"m": "x"}]}}}', "missing key 'callee'")):
+        trace.write_text("\n".join(lines[:2] + ["", bad] + lines[2:]) + "\n")
+        code = main(["check-trace", FAC, str(trace), "--variant", "v1"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {trace}:4: {reason}\n"
+
+
+def test_bad_token_trace_line_is_located(tmp_path, capsys):
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    for bad, reason in (("{", "not JSON: Expecting property name enclosed in double quotes "
+                              "at column 2"),
+                        ('{"buffers": {"start.s0->FileThesis.go": [7]}}', "not a token: 7")):
+        out_file.write_text("\n".join(lines[:1] + [bad] + lines[1:]) + "\n")
+        code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {out_file}:2: {reason}\n"
+
+
 def test_token_trace_naming_unknown_action_exits_three(tmp_path, capsys):
     out_file = tmp_path / "run.jsonl"
     run(capsys, "simulate", GRADE, "--out", str(out_file))

@@ -223,6 +223,14 @@ def test_validate_incompatible_pin_types():
     assert "incompatible-pin-types" in codes
 
 
+def test_validate_reports_repeated_pinned_edge():
+    ad = parse("activity A { initial i out s; final f in z; i.s -> f.z; i.s -> f.z; }")
+    diags = validate(ad)
+    assert [(d.severity, d.code, d.location) for d in diags] == [
+        (Severity.ERROR, "duplicate-transition", "transition i.s->f.z")]
+    assert "2 times" in diags[0].message
+
+
 def test_validate_warns_on_stray_guard():
     ad = parse('activity X { action a out p guard "x > 1"; final f in z; a.p -> f.z; }')
     diags = validate(ad)

@@ -10,7 +10,6 @@ from adsem.sysmodel import (
     Universe,
     advance_pc,
     canonical_key,
-    generate_traces,
     state_from_json,
     state_to_json,
     top_frame,
@@ -100,59 +99,8 @@ def test_set_attr_is_functional_override():
 
 
 # ---------------------------------------------------------------------------
-# Trace generation
+# Traces
 # ---------------------------------------------------------------------------
-
-def number(n: int) -> SystemState:
-    return SystemState().set_attr("obj:a", "n", n)
-
-
-def test_generate_traces_no_successors():
-    traces = generate_traces(lambda s: [], number(0), depth=5, fanout=4)
-    assert traces == [Trace((number(0),), truncated=False)]
-
-
-def test_generate_traces_deterministic_chain():
-    def delta(s):
-        n = s.attrs("obj:a")["n"]
-        return [number(n + 1)] if n < 3 else []
-
-    traces = generate_traces(delta, number(0), depth=10, fanout=4)
-    assert len(traces) == 1
-    assert len(traces[0]) == 4
-    assert not traces[0].truncated
-
-
-def test_generate_traces_binary_branching():
-    def delta(s):
-        n = s.attrs("obj:a")["n"]
-        return [number(2 * n + 1), number(2 * n + 2)]
-
-    traces = generate_traces(delta, number(0), depth=2, fanout=2)
-    assert len(traces) == 4
-    assert all(len(t) == 3 and t.truncated for t in traces)
-
-
-def test_generate_traces_fanout_limits_and_orders():
-    def delta(s):
-        return [number(3), number(1), number(2)]
-
-    traces = generate_traces(delta, number(0), depth=1, fanout=2)
-    # canonical order means the two smallest serializations are explored
-    seconds = sorted(t[1].attrs("obj:a")["n"] for t in traces)
-    assert len(traces) == 2
-    assert seconds == [1, 2]
-
-
-def test_generated_traces_are_delta_adjacent():
-    def delta(s):
-        n = s.attrs("obj:a")["n"]
-        return [number(n + 1), number(n + 2)] if n < 4 else []
-
-    for trace in generate_traces(delta, number(0), depth=3, fanout=2):
-        for i in range(len(trace) - 1):
-            assert trace[i + 1] in delta(trace[i])
-
 
 def test_trace_requires_a_state():
     with pytest.raises(SystemModelError):
