@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import diagram, semantics, sysmodel, tokengame, variant1, variant2
@@ -134,9 +135,10 @@ def _cmd_run_v1(args) -> int:
 
 def _cmd_run_v2(args) -> int:
     ad = _load_diagram(args.file)
-    scenario = variant2.Scenario.from_json(json.loads(Path(args.scenario).read_text()))
-    scenario = variant2.Scenario.from_json({**scenario.to_json(),
-                                            "seed": _seed_override(scenario.seed)})
+    with _located(args.scenario):
+        scenario = variant2.Scenario.from_json(
+            ad, json.loads(Path(args.scenario).read_text(encoding="utf-8")))
+    scenario = replace(scenario, seed=_seed_override(scenario.seed))
     inst = variant2.standard_instance(ad, scenario)
     trace = variant2.simulate(ad, inst, scenario, max_steps=args.max_steps)
     if args.trace:
@@ -148,23 +150,26 @@ def _cmd_run_v2(args) -> int:
 
 
 @contextmanager
-def _trace_line(path: str, lineno: int):
-    """Report what is wrong with one line of a trace file, and where."""
+def _located(path: str, lineno: int | None = None):
+    """Report what is wrong with a JSON file, or one line of a JSON-lines
+    file, and where."""
+    where = path if lineno is None else f"{path}:{lineno}"
     try:
         yield
     except json.JSONDecodeError as e:
-        raise CliError(f"{path}:{lineno}: not JSON: {e.msg} at column {e.colno}") from e
+        at = f"line {e.lineno} column {e.colno}" if lineno is None else f"column {e.colno}"
+        raise CliError(f"{where}: not JSON: {e.msg} at {at}") from e
     except KeyError as e:
-        raise CliError(f"{path}:{lineno}: missing key {e}") from e
+        raise CliError(f"{where}: missing key {e}") from e
     except (ValueError, TypeError, AttributeError,
             tokengame.TokenGameError, sysmodel.SystemModelError) as e:
-        raise CliError(f"{path}:{lineno}: {e}") from e
+        raise CliError(f"{where}: {e}") from e
 
 
 def _decode_lines(path: str, lines: list[tuple[int, str]], decode) -> list:
     decoded = []
     for lineno, line in lines:
-        with _trace_line(path, lineno):
+        with _located(path, lineno):
             decoded.append(decode(json.loads(line)))
     return decoded
 
@@ -183,7 +188,7 @@ def _cmd_check_trace(args) -> int:
         inst, binding, trace = tokengame.as_binding(ad, run, mode=args.mode,
                                                     action_mode=args.actions)
     else:
-        with _trace_line(args.trace, lines[0][0]):
+        with _located(args.trace, lines[0][0]):
             header = json.loads(lines[0][1])
             if header.get("variant") not in (args.variant, None):
                 raise CliError(f"trace was recorded for variant {header.get('variant')!r}")

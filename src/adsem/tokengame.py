@@ -19,8 +19,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
@@ -72,22 +71,14 @@ class Configuration:
             flags=tuple((name, bool(flags.get(name, False))) for name in view.actions),
         )
 
-    @cached_property
-    def _buffer_of(self) -> dict[str, Buffer]:
-        return dict(self.buffers)
-
     def buffer(self, key: str) -> Buffer:
-        try:
-            return self._buffer_of[key]
-        except KeyError:
-            raise TokenGameError(f"unknown transition {key!r}") from None
-
-    @cached_property
-    def _flag_of(self) -> dict[str, bool]:
-        return dict(self.flags)
+        for k, buf in self.buffers:
+            if k == key:
+                return buf
+        raise TokenGameError(f"unknown transition {key!r}")
 
     def flag(self, node: str) -> bool:
-        return self._flag_of.get(node, False)
+        return dict(self.flags).get(node, False)
 
     @property
     def token_count(self) -> int:
@@ -106,7 +97,19 @@ class Configuration:
         return Configuration.make(ad, buffers, d.get("exec", {}))
 
     def canonical(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return _dumps(self.to_json())
+
+    def __hash__(self) -> int:
+        # Once per configuration, which the search, `analyze` and the DOT
+        # export hash again; not `cached_property`, which locks on 3.10/3.11.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            return self.__dict__.setdefault("_hash", hash((self.buffers, self.flags)))
+
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +190,37 @@ def initial_config(ad: ActivityDiagram,
     return Configuration.make(ad, buffers)
 
 
-Step = tuple[StepChoice, tuple[int, ...], tuple[int, ...]]
+class Step(NamedTuple):
+    """One reaction of a node, with its choice set and label made once."""
+    choice: StepChoice
+    cons: tuple[int, ...]  # positions it consumes from
+    prod: tuple[int, ...]  # positions it produces to
+    choices: frozenset
+    label: str
+
+    @staticmethod
+    def of(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...]) -> "Step":
+        return Step(choice, cons, prod, frozenset((choice,)), choice.label())
 
 
 class _NodeView:
     """A node's adjacency as buffer positions (in the `Configuration`
-    layout), and the steps it can take, each as (choice, positions it
-    consumes from, positions it produces to)."""
+    layout), and the steps it can take."""
 
     def __init__(self, ad: ActivityDiagram, view: _View, n: Node,
                  ins: tuple[int, ...], outs: tuple[int, ...]):
         self.node = n
         self.flag = view.flag_position.get(n.name)
         self.ins, self.outs = ins, outs
-        self.steps: dict[str, Step] = {
-            kind: (StepChoice(n.name, kind), cons, prod)
-            for kind, cons, prod in (("start", ins, ()), ("finish", (), outs),
-                                     ("instant", ins, outs), ("forkjoin", ins, outs))}
+        shapes = {NodeKind.ACTION: (("start", ins, ()), ("finish", (), outs), ("instant", ins, outs)),
+                  NodeKind.FORKJOIN: (("forkjoin", ins, outs),)}
+        self.steps: dict[str, Step] = {kind: Step.of(StepChoice(n.name, kind), cons, prod)
+                                       for kind, cons, prod in shapes.get(n.kind, ())}
         # decisions: (input position, guard, step) per input x output pair
         self.branches: list[tuple[int, str, Step]] = [
             (view.position[t_in.key], ad.guard(t_out.src, t_out.out_pin),
-             (StepChoice(n.name, "decision", t_in.key, t_out.key),
-              (view.position[t_in.key],), (view.position[t_out.key],)))
+             Step.of(StepChoice(n.name, "decision", t_in.key, t_out.key),
+                     (view.position[t_in.key],), (view.position[t_out.key],)))
             for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
@@ -225,10 +237,36 @@ class _View:
         layout = ad.layout
         self.by_key = {t.key: t for t in layout.transitions}
         self.position = {k: i for i, k in enumerate(self.by_key)}
+        self.key_order = [p for _, p in sorted(self.position.items())]
         self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
         self.nodes = [_NodeView(ad, self, n, ins, outs)
                       for n, ins, outs in zip(ad.nodes, layout.ins, layout.outs)]
+        self.tokens: dict[tuple[int, int], Token] = {}
+        self.fragments: dict[tuple[str, Buffer], str] = {}
+        self.exec_json: dict[tuple[tuple[str, bool], ...], str] = {}
+
+    def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:
+        """`representative_token`, one object per (position, index), so that
+        equal buffers compare by identity."""
+        return self.tokens.get((p, index)) or self.tokens.setdefault(
+            (p, index), representative_token(ad, ad.layout.transitions[p], index))
+
+    def order_key(self, c: Configuration) -> str:
+        """`c.canonical()`, joined from memoised JSON fragments: one per
+        nonempty buffer, in key order, and one for the flags."""
+        frags, execs = self.fragments, self.exec_json
+        parts = []
+        try:
+            for p in self.key_order:
+                pair = c.buffers[p]
+                if pair[1]:
+                    parts.append(frags.get(pair) or frags.setdefault(
+                        pair, _dumps({pair[0]: [tok.to_json() for tok in pair[1]]})[1:-1]))
+        except TypeError:  # unhashable: a payload read from a file may be a list
+            return c.canonical()
+        flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(c.flags)))
+        return '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -279,7 +317,7 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
     buffers = list(c.buffers)
     flags = list(c.flags)
     consumed: dict[int, Token] = {}
-    for choice, cons, _ in steps:
+    for choice, cons, _, _, _ in steps:
         for p in cons:
             key, buf = buffers[p]
             if not buf:
@@ -288,12 +326,12 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
             buffers[p] = (key, buf[1:])
         if choice.kind in ("start", "finish"):
             flags[view.flag_position[choice.node]] = (choice.node, choice.kind == "start")
-    for choice, cons, prod in steps:
+    for choice, cons, prod, _, _ in steps:
         for p in prod:
             key, buf = buffers[p]
-            t = view.by_key[key]
-            tok = representative_token(ad, t, len(buf))
+            tok = view.token(ad, p, len(buf))
             if choice.kind == "decision":
+                t = view.by_key[key]
                 candidate = consumed[cons[0]]
                 out_set = admissible_tokens(ad.pin_type(t.src, t.out_pin))
                 in_set = admissible_tokens(ad.pin_type(t.dst, t.in_pin))
@@ -313,37 +351,31 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     are pairwise disjoint fires simultaneously.
     """
     view = _view(ad)
-    guards = guards or ExploreAllBranches()
-    per_node = _node_choices(view, c, guards, action_mode)
-    results: list[tuple[frozenset, Configuration]] = []
-
-    def admit(selection: tuple[Step, ...]) -> None:
-        touched_cons: set[int] = set()
-        touched_prod: set[int] = set()
-        for _, cons, prod in selection:
-            touched_cons.update(cons)
-            touched_prod.update(prod)
-        if touched_cons & touched_prod:
-            return
-        results.append((frozenset(ch for ch, _, _ in selection), _apply(ad, view, c, selection)))
-
+    per_node = _node_choices(view, c, guards or ExploreAllBranches(), action_mode)
     if mode == INTERLEAVING:
-        for opts in per_node.values():
-            for step in opts:
-                admit((step,))
+        picks = [(step,) for opts in per_node.values() for step in opts]
     elif mode == CONCURRENT:
-        names = sorted(per_node)
-        pools = [[None] + per_node[name] for name in names]
-        for combo in itertools.product(*pools):
-            selection = tuple(step for step in combo if step is not None)
-            if selection:
-                admit(selection)
+        pools = [[None] + per_node[name] for name in sorted(per_node)]
+        picks = (tuple(step for step in combo if step is not None)  # the first picks nothing
+                 for combo in itertools.islice(itertools.product(*pools), 1, None))
     else:
         raise TokenGameError(f"unknown mode {mode!r}")
 
-    results.sort(key=lambda pair: (pair[1].canonical(),
-                                   sorted(ch.label() for ch in pair[0])))
-    return results
+    results = []
+    for selection in picks:
+        consumed = [p for step in selection for p in step.cons]
+        if any(p in consumed for step in selection for p in step.prod):
+            continue
+        if len(selection) == 1:
+            choices, labels = selection[0].choices, (selection[0].label,)
+        else:
+            choices = frozenset(step.choice for step in selection)
+            labels = tuple(sorted(step.label for step in selection))
+        results.append((choices, labels, _apply(ad, view, c, selection)))
+    # the order of canonical(), with the labels breaking ties
+    if len(results) > 1:
+        results.sort(key=lambda r: (view.order_key(r[2]), r[1]))
+    return [(choices, c1) for choices, _, c1 in results]
 
 
 # ---------------------------------------------------------------------------

@@ -255,9 +255,6 @@ class MethodExecutionInstance:
     pc_map: dict[str, str]
     thread: str
 
-    def pc_of_node(self, name: str) -> str:
-        return self.pc_map[name]
-
     def node_at(self, pc: str) -> Node | None:
         for name, value in self.pc_map.items():
             if value == pc:

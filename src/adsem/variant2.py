@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
@@ -143,10 +143,27 @@ class Scenario:
                 "caller_mode": self.caller_mode}
 
     @staticmethod
-    def from_json(d: dict) -> "Scenario":
-        return Scenario(seed=int(d.get("seed", 0)), decisions=dict(d.get("decisions", {})),
-                        durations={k: int(v) for k, v in d.get("durations", {}).items()},
-                        sub_variant=bool(d.get("sub_variant", True)),
+    def from_json(ad: ActivityDiagram, d: object) -> "Scenario":
+        """Raises ValueError for unknown keys, durations that are not integers
+        >= 0 and names of nodes the diagram lacks or has of another kind."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a scenario is a JSON object, not {type(d).__name__}")
+        unknown = sorted(d.keys() - {f.name for f in fields(Scenario)})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        decisions, durations = d.get("decisions", {}), d.get("durations", {})
+        for key, names, kind in (("decisions", decisions, NodeKind.DECISIONMERGE),
+                                 ("durations", durations, NodeKind.ACTION)):
+            if not isinstance(names, dict):
+                raise ValueError(f"{key} is not a JSON object")
+            unknown = sorted(name for name in names
+                             if not (ad.has_node(name) and ad.node(name).kind is kind))
+            if unknown:
+                raise ValueError(f"{key} for unknown {kind.value} nodes {unknown}")
+        if any(type(v) is not int or v < 0 for v in durations.values()):
+            raise ValueError(f"durations are not all integers >= 0: {durations}")
+        return Scenario(seed=int(d.get("seed", 0)), decisions=dict(decisions),
+                        durations=dict(durations), sub_variant=bool(d.get("sub_variant", True)),
                         caller_mode=d.get("caller_mode", ROLE_CALLER))
 
 

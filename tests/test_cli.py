@@ -138,6 +138,46 @@ def test_run_v2_check_trace_pipeline(tmp_path, capsys):
     assert "meth" in header["params"]
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("", "not JSON: Expecting value at line 1 column 1"),
+    ('{"seed": 1,\n "durations": }', "not JSON: Expecting value at line 2 column 15"),
+    ("[1, 2]", "a scenario is a JSON object, not list"),
+    ('{"durration": 3}', "unknown keys ['durration']"),
+    ('{"durations": {"FileThesis": "x"}}',
+     "durations are not all integers >= 0: {'FileThesis': 'x'}"),
+    ('{"durations": {"FileThesis": 2.5}}',
+     "durations are not all integers >= 0: {'FileThesis': 2.5}"),
+    ('{"durations": {"FileThesis": -1}}',
+     "durations are not all integers >= 0: {'FileThesis': -1}"),
+    ('{"durations": {"NoSuchAction": 2}}',
+     "durations for unknown action nodes ['NoSuchAction']"),
+    ('{"durations": {"D1": 2}}', "durations for unknown action nodes ['D1']"),
+    ('{"decisions": {"NoSuchNode": "x"}}',
+     "decisions for unknown decisionmerge nodes ['NoSuchNode']"),
+    ('{"decisions": ["D1"]}', "decisions is not a JSON object"),
+], ids=["empty", "not-json", "list", "unknown-key", "string-duration", "float-duration",
+        "negative-duration", "unknown-action", "duration-of-decision", "unknown-decision",
+        "decisions-list"])
+def test_bad_scenario_is_located(tmp_path, capsys, text, reason):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    trace = tmp_path / "trace.jsonl"
+    code = main(["run-v2", GRADE, str(scenario), "--trace", str(trace)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {scenario}: {reason}\n"
+    assert not trace.exists()
+
+
+def test_scenario_with_every_key_runs(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": 4, "decisions": {"D1": "failed"},
+                                    "durations": {"FileThesis": 0, "Evaluate": 3},
+                                    "sub_variant": False, "caller_mode": "command"}))
+    code, out = run(capsys, "run-v2", GRADE, str(scenario))
+    assert code == 0
+    assert json.loads(out)["truncated"] is False
+
+
 # ---------------------------------------------------------------------------
 # reach
 # ---------------------------------------------------------------------------
@@ -206,6 +246,20 @@ def test_token_trace_naming_unknown_action_exits_three(tmp_path, capsys):
     code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
     assert code == 3
     assert "Ghost" in capsys.readouterr().err
+
+
+def test_token_trace_with_list_payloads_gets_a_verdict(tmp_path, capsys):
+    # the last configuration (after the fork) has two successors, so the
+    # check orders them, with tokens whose payloads cannot be hashed
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--seed", "0", "--out", str(out_file))
+    configs = [json.loads(line) for line in out_file.read_text().splitlines()][:3]
+    for buf in configs[2]["buffers"].values():
+        buf[:] = [{"type": "Thesis", "payload": [1]} for _ in buf]
+    out_file.write_text("".join(json.dumps(c) + "\n" for c in configs))
+    code, out = run(capsys, "check-trace", GRADE, str(out_file), "--variant", "token")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "satisfied-so-far"
 
 
 def test_usage_error_exits_three(capsys):
