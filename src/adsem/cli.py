@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import diagram, semantics, sysmodel, tokengame, variant1, variant2
@@ -225,7 +226,9 @@ def _add_mode_options(p: argparse.ArgumentParser) -> None:
                    default=tokengame.INSTANT)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call; each `parse_args` makes a fresh namespace."""
     parser = _ArgumentParser(prog="adsem",
                              description="Activity-diagram semantics workbench")
     parser.add_argument("--human", action="store_true",

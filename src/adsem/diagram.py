@@ -25,6 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 DEFAULT_ROLE = "unassigned"
 
@@ -220,6 +221,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>->)
   | (?P<punct>[{};:,.])
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -228,8 +230,7 @@ _KINDS = {k.value: k for k in NodeKind}
 _KEYWORDS = {"activity", "role", "in", "out", "effect", "guard"} | set(_KINDS)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     kind: str
     line: int
@@ -238,26 +239,18 @@ class _Tok:
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError([
-                Diagnostic(Severity.ERROR, "syntax-error", f"{line}:{col}",
-                           f"unexpected character {text[pos]!r} at {line}:{col}")
-            ])
-        group = m.lastgroup or ""
-        raw = m.group()
-        if group not in ("ws", "comment"):
-            toks.append(_Tok(raw, group, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind, raw, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            at = f"{line}:{pos - line_start + 1}"
+            raise ParseError([Diagnostic(Severity.ERROR, "syntax-error", at,
+                                         f"unexpected character {raw!r} at {at}")])
+        if kind not in ("ws", "comment"):
+            toks.append(_Tok(raw, kind, line, pos - line_start + 1))
+        if "\n" in raw:  # only whitespace and strings span lines
+            line += raw.count("\n")
+            line_start = pos + raw.rfind("\n") + 1
     return toks
 
 

@@ -124,8 +124,7 @@ class ActionMethodsInstance:
         return ActionMethodsInstance(
             ad=ad, meth=dict(d["meth"]), oid=dict(d["oid"]), rrep=dict(d["rrep"]),
             threads=frozenset(d["threads"]), thread_of=dict(d["thread_of"]),
-            caller_mode=d.get("caller_mode", ROLE_CALLER),
-            sub_variant=bool(d.get("sub_variant", True)))
+            **_variation_points(d))
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,11 @@ class Scenario:
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: object) -> "Scenario":
-        """Raises ValueError for unknown keys, durations that are not integers
-        >= 0 and names of nodes the diagram lacks or has of another kind."""
+        """Raises ValueError for unknown keys, names of nodes the diagram lacks
+        or has of another kind, decision outcomes that are not guards of
+        their node, durations that are not integers >= 0, a seed that is
+        not an integer, and `sub_variant`/`caller_mode` values outside
+        their domains."""
         if not isinstance(d, dict):
             raise ValueError(f"a scenario is a JSON object, not {type(d).__name__}")
         unknown = sorted(d.keys() - {f.name for f in fields(Scenario)})
@@ -162,9 +164,26 @@ class Scenario:
                 raise ValueError(f"{key} for unknown {kind.value} nodes {unknown}")
         if any(type(v) is not int or v < 0 for v in durations.values()):
             raise ValueError(f"durations are not all integers >= 0: {durations}")
-        return Scenario(seed=int(d.get("seed", 0)), decisions=dict(decisions),
-                        durations=dict(durations), sub_variant=bool(d.get("sub_variant", True)),
-                        caller_mode=d.get("caller_mode", ROLE_CALLER))
+        unguarded = {name: outcome for name, outcome in decisions.items()
+                     if outcome not in [ad.guard(name, pin) for pin in ad.node(name).out_pins]}
+        if unguarded:
+            raise ValueError(f"decisions are not guards of their nodes: {unguarded}")
+        seed = d.get("seed", 0)
+        if type(seed) is not int:
+            raise ValueError(f"seed is not an integer: {seed!r}")
+        return Scenario(seed=seed, decisions=dict(decisions), durations=dict(durations),
+                        **_variation_points(d))
+
+
+def _variation_points(d: dict) -> dict:
+    """The checked `sub_variant` and `caller_mode` of a scenario or instance."""
+    sub_variant, caller_mode = d.get("sub_variant", True), d.get("caller_mode", ROLE_CALLER)
+    if type(sub_variant) is not bool:
+        raise ValueError(f"sub_variant is not true or false: {sub_variant!r}")
+    if caller_mode not in (ROLE_CALLER, COMMAND_CALLER):
+        raise ValueError(f"caller_mode is not {ROLE_CALLER!r} or {COMMAND_CALLER!r}: "
+                         f"{caller_mode!r}")
+    return {"sub_variant": sub_variant, "caller_mode": caller_mode}
 
 
 def standard_instance(ad: ActivityDiagram, scenario: Scenario | None = None) -> ActionMethodsInstance:

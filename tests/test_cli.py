@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from adsem.cli import main
+import adsem
+from adsem.cli import _build_parser, main
 
 from .conftest import CORPUS
 
 GRADE = str(CORPUS / "grade_thesis.ad")
 FAC = str(CORPUS / "fac.ad")
+MINIMAL = str(CORPUS / "minimal.ad")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -155,9 +161,16 @@ def test_run_v2_check_trace_pipeline(tmp_path, capsys):
     ('{"decisions": {"NoSuchNode": "x"}}',
      "decisions for unknown decisionmerge nodes ['NoSuchNode']"),
     ('{"decisions": ["D1"]}', "decisions is not a JSON object"),
+    ('{"decisions": {"D1": "nosuchguard"}}',
+     "decisions are not guards of their nodes: {'D1': 'nosuchguard'}"),
+    ('{"sub_variant": "false"}', "sub_variant is not true or false: 'false'"),
+    ('{"caller_mode": "commnd"}', "caller_mode is not 'role' or 'command': 'commnd'"),
+    ('{"seed": 2.7}', "seed is not an integer: 2.7"),
+    ('{"seed": true}', "seed is not an integer: True"),
 ], ids=["empty", "not-json", "list", "unknown-key", "string-duration", "float-duration",
         "negative-duration", "unknown-action", "duration-of-decision", "unknown-decision",
-        "decisions-list"])
+        "decisions-list", "unknown-guard", "string-sub-variant", "unknown-caller-mode",
+        "float-seed", "bool-seed"])
 def test_bad_scenario_is_located(tmp_path, capsys, text, reason):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(text)
@@ -166,6 +179,24 @@ def test_bad_scenario_is_located(tmp_path, capsys, text, reason):
     assert code == 3
     assert capsys.readouterr().err == f"error: {scenario}: {reason}\n"
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("params,reason", [
+    ({"sub_variant": "false", "caller_mode": "commnd"},
+     "sub_variant is not true or false: 'false'"),
+    ({"caller_mode": "commnd"}, "caller_mode is not 'role' or 'command': 'commnd'"),
+], ids=["string-sub-variant", "unknown-caller-mode"])
+def test_bad_v2_trace_header_is_located(tmp_path, capsys, params, reason):
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    scenario.write_text(json.dumps({"seed": 2, "decisions": {"D1": "passed"}}))
+    run(capsys, "run-v2", GRADE, str(scenario), "--trace", str(trace))
+    header, *states = trace.read_text().splitlines()
+    header = json.loads(header)
+    header["params"].update(params)
+    trace.write_text("\n".join([json.dumps(header), *states]) + "\n")
+    code = main(["check-trace", GRADE, str(trace), "--variant", "v2"])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:1: {reason}\n")
 
 
 def test_scenario_with_every_key_runs(tmp_path, capsys):
@@ -272,3 +303,41 @@ def test_human_output(capsys):
     code, out = run(capsys, "--human", "run-v1", FAC, "n=3")
     assert code == 0
     assert "store" in out and "{" not in out.splitlines()[0][:1]
+
+
+# ---------------------------------------------------------------------------
+# One process, many calls
+# ---------------------------------------------------------------------------
+
+def test_reused_parser_answers_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    """`main` reuses one parser; no option, store list, usage error or help
+    screen of one call may show in the next."""
+    assert _build_parser() is _build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # help screens wrap to the terminal width
+    monkeypatch.delenv("ADSEM_SEED", raising=False)
+    env = {**os.environ, "PYTHONPATH": str(Path(adsem.__file__).resolve().parents[1])}
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "fac.jsonl"
+    scenario.write_text(json.dumps({"seed": 1, "decisions": {"D1": "failed"}}))
+    calls = [
+        ["--human", "reach", GRADE, "--bound", "5", "--mode", "concurrent"],
+        ["reach", GRADE],
+        ["run-v1", FAC, "n=4", "--trace", str(trace)],
+        ["run-v1", FAC],
+        ["check-trace", FAC, str(trace), "--variant", "v1"],
+        ["check-trace", GRADE, "whatever"],
+        ["--help"],
+        ["validate", GRADE, "--profile", "variant1"],
+        ["render", MINIMAL],
+        ["simulate", GRADE, "--seed", "3"],
+        ["run-v2", GRADE, str(scenario)],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "adsem.cli", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (code, out.encode(), err.encode()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv

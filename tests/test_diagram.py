@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from adsem.diagram import (
     to_text,
     validate,
 )
+from adsem.diagram import _TOKEN_RE, _lex
 
 from .conftest import CORPUS, load
 
@@ -88,6 +90,88 @@ def test_parse_top_type_and_guard_escapes():
     assert ad.guard("a", "p") == 'x "q" y'
     again = parse(to_text(ad))
     assert again == ad
+
+
+# ---------------------------------------------------------------------------
+# Lexer locations
+# ---------------------------------------------------------------------------
+
+def _reference_lex(text: str) -> list[tuple[str, str, int, int]] | str:
+    """Tokens as (text, kind, line, col), counting lines and columns over
+    every lexeme; or the location of the first character no token matches."""
+    toks, line, col, pos = [], 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.lastgroup == "bad":
+            return f"{line}:{col}"
+        raw = m.group()
+        if m.lastgroup not in ("ws", "comment"):
+            toks.append((raw, m.lastgroup, line, col))
+        nl = raw.count("\n")
+        if nl:
+            line += nl
+            col = len(raw) - raw.rfind("\n")
+        else:
+            col += len(raw)
+        pos = m.end()
+    return toks
+
+
+def _lexed(text: str) -> list[tuple[str, str, int, int]] | str:
+    try:
+        return [(tok.text, tok.kind, tok.line, tok.col) for tok in _lex(text)]
+    except ParseError as e:
+        return e.diagnostics[0].location
+
+
+LEXED_FILES = sorted(CORPUS.glob("*.ad")) + sorted((Path(__file__).parent / "fixtures").glob("*.ad"))
+
+
+@pytest.mark.parametrize("path", LEXED_FILES, ids=lambda path: path.name)
+def test_lex_matches_reference(path):
+    text = path.read_text(encoding="utf-8")
+    assert _lexed(text) == _reference_lex(text)
+    assert _lexed(text.replace("\n", "\r\n")) == _reference_lex(text.replace("\n", "\r\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet='activy {};.->"\\/\t\r\n$', max_size=60))
+def test_lex_matches_reference_on_any_text(text):
+    assert _lexed(text) == _reference_lex(text)
+
+
+# Expected diagnostics were recorded with a lexer that counted lines and
+# columns over every lexeme, as `_reference_lex` does.
+@pytest.mark.parametrize("text,code,location,message", [
+    ("activity X {\n  // a comment; with -> punctuation\n  initial i out o; // trailing\n"
+     "  final f in z; $\n}\n", "syntax-error", "4:17", "unexpected character '$'"),
+    ('activity X {\n  decisionmerge D in v out p guard "a\nb", q guard "c";\n'
+     "  decisionmerge D in w;\n}\n", "duplicate-node", "4:17", "duplicate node name 'D'"),
+    ('activity X {\n  decisionmerge D in v out p guard "first\n  second" -> q;\n}\n',
+     "syntax-error", "3:11", "unexpected token '->' in node declaration"),
+    ('activity X {\n  action A out p guard "say \\"hi\\"\n" @\n}\n',
+     "syntax-error", "3:3", "unexpected character '@'"),
+    ("activity X {\n\tinitial\ti out o;\n\t\tfinal\tf in z;\n\tfinal\tf in y;\n}\n",
+     "duplicate-node", "4:8", "duplicate node name 'f'"),
+    ("activity X {\r\n  initial i out o;\r\n  initial i out p;\r\n}\r\n",
+     "duplicate-node", "3:11", "duplicate node name 'i'"),
+    ("activity X {\r\n  initial i out o;\r\n  final f in z; #\r\n}\r\n",
+     "syntax-error", "3:17", "unexpected character '#'"),
+    ("activity X {\n  initial i;\n  final f;\n  i -> f;\n}\n!",
+     "syntax-error", "6:1", "unexpected character '!'"),
+    ("activity X { initial i; final f; i -> f; }?", "syntax-error", "1:43",
+     "unexpected character '?'"),
+    ('activity X {\n  action A effect "never closed;\n}\n', "syntax-error", "2:19",
+     "unexpected character '\"'"),
+], ids=["comment", "multiline-guard", "token-after-multiline-guard", "escaped-quotes", "tabs",
+        "crlf-duplicate", "crlf-bad-char", "bad-char-at-end", "bad-char-at-end-of-line",
+        "unterminated-string"])
+def test_parse_error_locations(text, code, location, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert [d.to_json() for d in err.value.diagnostics] == [
+        {"severity": "error", "code": code, "location": location,
+         "message": f"{message} at {location}"}]
 
 
 # ---------------------------------------------------------------------------
