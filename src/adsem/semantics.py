@@ -16,8 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .diagram import (ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition,
-                      incoming, outgoing)
+from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition
 from .sysmodel import SystemState, Trace
 
 
@@ -153,14 +152,6 @@ def remember_states(derive: Callable[[SystemState], _Derived]
     return remembered
 
 
-def buf_empty(t: Transition, inst: object, s: SystemState, b: VariationBinding) -> bool:
-    return len(b.buf_state(t, inst, s)) == 0
-
-
-def buf_nonempty(t: Transition, inst: object, s: SystemState, b: VariationBinding) -> bool:
-    return len(b.buf_state(t, inst, s)) != 0
-
-
 def buffer_types_ok(t: Transition, inst: object, s: SystemState, b: VariationBinding) -> bool:
     """Every buffered token lies in the token sets of both endpoint pins."""
     ad = b.diagram_of(inst)
@@ -176,60 +167,61 @@ def buffer_types_ok(t: Transition, inst: object, s: SystemState, b: VariationBin
 def is_initial_state(inst: object, s: SystemState, b: VariationBinding) -> bool:
     """Some initial node has tokens on all its outgoing transitions, and
     every other node has empty outgoing buffers and is not executing."""
-    ad = b.diagram_of(inst)
-    some_initial = any(
-        n.kind is NodeKind.INITIAL
-        and all(buf_nonempty(t, inst, s, b) for t in outgoing(ad, n))
-        for n in ad.nodes
-    )
-    others_quiet = all(
-        n.kind is NodeKind.INITIAL
-        or (all(buf_empty(t, inst, s, b) for t in outgoing(ad, n))
-            and not b.executing(n, inst, s))
-        for n in ad.nodes
-    )
-    return some_initial and others_quiet
+    return _state_is(NodeKind.INITIAL, inst, s, b)
 
 
 def is_final_state(inst: object, s: SystemState, b: VariationBinding) -> bool:
     """Some final node has a token on an incoming transition, and every
     other node has empty incoming buffers and is not executing."""
+    return _state_is(NodeKind.FINAL, inst, s, b)
+
+
+def _state_is(kind: NodeKind, inst: object, s: SystemState, b: VariationBinding) -> bool:
     ad = b.diagram_of(inst)
-    return _is_final(ad, inst, s, b, lambda i: b.executing(ad.nodes[i], inst, s))
+    return configuration_is(ad, kind, _buffered(ad, inst, s, b),
+                            lambda i: b.executing(ad.nodes[i], inst, s))
 
 
-def _is_final(ad: ActivityDiagram, inst: object, s: SystemState, b: VariationBinding,
-              executing: Callable[[int], bool]) -> bool:
-    """`is_final_state`, with the flag of the i-th node read through
-    `executing(i)`."""
-    transitions, ins = ad.layout.transitions, ad.layout.ins
+def _buffered(ad: ActivityDiagram, inst: object, s: SystemState,
+              b: VariationBinding) -> Callable[[int], bool]:
+    transitions = ad.layout.transitions
+    return lambda p: len(b.buf_state(transitions[p], inst, s)) != 0
 
-    def buffered(p: int) -> bool:
-        return len(b.buf_state(transitions[p], inst, s)) != 0
 
-    some_final = any(n.kind is NodeKind.FINAL and any(buffered(p) for p in ins[i])
-                     for i, n in enumerate(ad.nodes))
-    return some_final and all(
-        n.kind is NodeKind.FINAL or (not any(buffered(p) for p in ins[i]) and not executing(i))
-        for i, n in enumerate(ad.nodes))
+def configuration_is(ad: ActivityDiagram, kind: NodeKind, buffered: Callable[[int], bool],
+                     executing: Callable[[int], bool]) -> bool:
+    """The initial (or final) clause: some node of `kind` has all (or any)
+    of its outgoing (or incoming) buffers filled, and every node of
+    another kind has those buffers empty and is not executing.
+    `buffered(p)` reads the transition at position p of `ad.layout` and
+    `executing(i)` the flag of the i-th node."""
+    filled, sides = (all, ad.layout.outs) if kind is NodeKind.INITIAL else (any, ad.layout.ins)
+    return (any(n.kind is kind and filled(buffered(p) for p in side)
+                for n, side in zip(ad.nodes, sides))
+            and _busy(ad, kind, buffered, executing) is None)
+
+
+def _busy(ad: ActivityDiagram, kind: NodeKind, buffered: Callable[[int], bool],
+          executing: Callable[[int], bool]) -> Node | None:
+    """The first node of another kind than `kind` that `configuration_is`
+    finds filled or executing, or None."""
+    sides = ad.layout.outs if kind is NodeKind.INITIAL else ad.layout.ins
+    return next((n for i, (n, side) in enumerate(zip(ad.nodes, sides))
+                 if n.kind is not kind and (any(buffered(p) for p in side) or executing(i))),
+                None)
 
 
 # ---------------------------------------------------------------------------
 # Step predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepDelta:
-    """What one state pair did: the tokens consumed and produced on each
-    transition (by its position in `EdgeLayout.transitions`) and each
-    node's executing flag before and after (by its position in the
-    diagram).  `conforms` asks the binding's `cons` and `prod` once per
-    transition and `executing` once per node and state, and judges every
-    node of the pair from this one value."""
-    consumed: tuple[int, ...]
-    produced: tuple[int, ...]
-    executing0: tuple[bool, ...]
-    executing1: tuple[bool, ...]
+def _counts(ad: ActivityDiagram, inst: object, s0: SystemState, s1: SystemState,
+            b: VariationBinding) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tokens the pair consumed and produced on each transition, by its
+    position in `ad.layout`: `cons` and `prod` once per transition."""
+    transitions = ad.layout.transitions
+    return (tuple(len(b.cons(t, inst, s0, s1)) for t in transitions),
+            tuple(len(b.prod(t, inst, s0, s1)) for t in transitions))
 
 
 def _flags(ad: ActivityDiagram, inst: object, s: SystemState,
@@ -253,17 +245,15 @@ def _finish(ins, outs, f0, f1) -> bool:
     return f0 and not f1 and all(p == 1 for p in outs) and not any(ins)
 
 
-def _instant(ins, outs) -> bool:
-    return all(c == 1 for c in ins) and all(p == 1 for p in outs)
+def _instant(ins, outs, f0, f1) -> bool:
+    return f0 == f1 and all(c == 1 for c in ins) and all(p == 1 for p in outs)
 
 
-def _decision_branch(ins, outs) -> int | None:
-    """The output that took the token when exactly one input gave one and
-    exactly one output took one (counts are never negative, so a sum of
-    one means a single 1 among zeros); None otherwise."""
-    if sum(ins) == 1 and sum(outs) == 1:
-        return outs.index(1)
-    return None
+def _decides(ins, outs, out_edges: tuple[int, ...], holds: Callable[[int], bool]) -> bool:
+    """Exactly one input gave a token and exactly one output took one
+    (counts are never negative, so a sum of one means a single 1 among
+    zeros), and the guard of that output holds."""
+    return sum(ins) == 1 and sum(outs) == 1 and holds(out_edges[outs.index(1)])
 
 
 def _allows(kind: NodeKind, ins, outs, f0: bool, f1: bool, out_edges: tuple[int, ...],
@@ -274,12 +264,12 @@ def _allows(kind: NodeKind, ins, outs, f0: bool, f1: bool, out_edges: tuple[int,
     if _stutter(ins, outs, f0, f1):
         return True
     if kind is NodeKind.ACTION:
-        return _start(ins, outs, f0, f1) or _finish(ins, outs, f0, f1) or _instant(ins, outs)
+        return (_start(ins, outs, f0, f1) or _finish(ins, outs, f0, f1)
+                or _instant(ins, outs, f0, f1))
     if kind is NodeKind.FORKJOIN:
-        return _instant(ins, outs)
+        return _instant(ins, outs, f0, f1)
     if kind is NodeKind.DECISIONMERGE:
-        j = _decision_branch(ins, outs)
-        return j is not None and holds(out_edges[j])
+        return _decides(ins, outs, out_edges, holds)
     return False
 
 
@@ -290,9 +280,9 @@ def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: Varia
     i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
     if i is None:
         raise DiagramError(f"unknown node {n.name!r}")
-    transitions, outs = ad.layout.transitions, ad.layout.outs[i]
-    return ([len(b.cons(transitions[p], inst, s0, s1)) for p in ad.layout.ins[i]],
-            [len(b.prod(transitions[p], inst, s0, s1)) for p in outs],
+    consumed, produced = _counts(ad, inst, s0, s1, b)
+    outs = ad.layout.outs[i]
+    return ([consumed[p] for p in ad.layout.ins[i]], [produced[p] for p in outs],
             b.executing(n, inst, s0), b.executing(n, inst, s1), outs,
             _guard_holds(ad, inst, s1, b))
 
@@ -332,13 +322,13 @@ def finishes_action(n: Node, inst: object, s0: SystemState, s1: SystemState,
 def fires_instantly(n: Node, inst: object, s0: SystemState, s1: SystemState,
                     b: VariationBinding) -> bool:
     """The whole reaction in one step: one token consumed per incoming
-    and one produced per outgoing transition."""
-    ins, outs, _, _, _, _ = _node_step(n, inst, s0, s1, b)
-    return _instant(ins, outs)
+    and one produced per outgoing transition, the flag unchanged."""
+    ins, outs, f0, f1, _, _ = _node_step(n, inst, s0, s1, b)
+    return _instant(ins, outs, f0, f1)
 
 
 # A fork/join reacts instantaneously with exactly the same token-count
-# formula as a one-step action; keep a distinct name for call sites.
+# and flag rule as a one-step action; keep a distinct name for call sites.
 fires_forkjoin = fires_instantly
 
 
@@ -347,8 +337,7 @@ def fires_decision(n: Node, inst: object, s0: SystemState, s1: SystemState,
     """Exactly one incoming transition consumes one token and exactly one
     outgoing transition produces one token whose guard holds afterwards."""
     ins, outs, _, _, out_edges, holds = _node_step(n, inst, s0, s1, b)
-    j = _decision_branch(ins, outs)
-    return j is not None and holds(out_edges[j])
+    return _decides(ins, outs, out_edges, holds)
 
 
 def allows_step(n: Node, inst: object, s0: SystemState, s1: SystemState,
@@ -398,7 +387,7 @@ _STEP_PREDICATE = {
 def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial
     state, then require every later step to be allowed for every node and
-    finality to persist.  Each pair is judged from one `StepDelta`; the
+    finality to persist.  Each pair is judged from one `_counts`; the
     flags and finality of a pair's second state carry over to the next."""
     ad = b.diagram_of(inst)
     start = None
@@ -409,44 +398,30 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     if start is None:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
-    transitions = ad.layout.transitions
     nodes = tuple(zip(ad.nodes, ad.layout.ins, ad.layout.outs))
     s0 = trace[start]
     flags0 = _flags(ad, inst, s0, b)
-    final0 = _is_final(ad, inst, s0, b, flags0.__getitem__)
+    final0 = configuration_is(ad, NodeKind.FINAL, _buffered(ad, inst, s0, b), flags0.__getitem__)
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
-        d = StepDelta(tuple(len(b.cons(t, inst, s0, s1)) for t in transitions),
-                      tuple(len(b.prod(t, inst, s0, s1)) for t in transitions),
-                      flags0, _flags(ad, inst, s1, b))
-        consumed, produced = d.consumed, d.produced
+        consumed, produced = _counts(ad, inst, s0, s1, b)
+        flags1 = _flags(ad, inst, s1, b)
         holds = _guard_holds(ad, inst, s1, b)
         for i, (n, ins, outs) in enumerate(nodes):
             if not _allows(n.kind, [consumed[p] for p in ins], [produced[p] for p in outs],
-                           d.executing0[i], d.executing1[i], outs, holds):
+                           flags0[i], flags1[i], outs, holds):
                 return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
-        final1 = _is_final(ad, inst, s1, b, d.executing1.__getitem__)
+        buffered1 = _buffered(ad, inst, s1, b)
+        final1 = configuration_is(ad, NodeKind.FINAL, buffered1, flags1.__getitem__)
         if final0 and not final1:
-            return Verdict(VerdictKind.VIOLATED, j, _final_witness(ad, inst, s1, b),
-                           "final-persistence")
-        s0, flags0, final0 = s1, d.executing1, final1
+            # a final node exists, for s0 was final; blame a busy node before it
+            blamed = (_busy(ad, NodeKind.FINAL, buffered1, flags1.__getitem__)
+                      or next(n for n in ad.nodes if n.kind is NodeKind.FINAL))
+            return Verdict(VerdictKind.VIOLATED, j, blamed.name, "final-persistence")
+        s0, flags0, final0 = s1, flags1, final1
     if trace.truncated:
         return Verdict(VerdictKind.SATISFIED_SO_FAR)
     return Verdict(VerdictKind.SATISFIED)
-
-
-def _final_witness(ad: ActivityDiagram, inst: object, s: SystemState,
-                   b: VariationBinding) -> str:
-    """A node to blame when a state stopped being final."""
-    for n in ad.nodes:
-        if n.kind is NodeKind.FINAL:
-            continue
-        if b.executing(n, inst, s) or any(buf_nonempty(t, inst, s, b) for t in incoming(ad, n)):
-            return n.name
-    for n in ad.nodes:
-        if n.kind is NodeKind.FINAL:
-            return n.name
-    return ad.nodes[0].name if ad.nodes else ""
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +452,17 @@ def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
         if keep == 0 or before[-keep:] == after[:keep]:
             return before[:len(before) - keep], after[keep:]
     return before, after
+
+
+def fifo_binding(diagram_of, executing, buf_state, eval_guard) -> VariationBinding:
+    """A binding from the open functions of the same names, with the default
+    pin-type interpretation, whose buffers obey the FIFO law: `cons` and
+    `prod` are the `fifo_delta` of a transition's buffer in the two states."""
+    def cons(t: Transition, inst: object, s0: SystemState, s1: SystemState) -> Buffer:
+        return fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))[0]
+
+    def prod(t: Transition, inst: object, s0: SystemState, s1: SystemState) -> Buffer:
+        return fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))[1]
+
+    return VariationBinding(diagram_of, executing, admissible_tokens, buf_state, cons, prod,
+                            eval_guard)

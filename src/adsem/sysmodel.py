@@ -12,7 +12,6 @@ Stacks are tuples with the top frame at index 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -50,12 +49,6 @@ class Universe:
                 raise SystemModelError(f"no defining class for method {m!r}")
             if not self.pc_of.get(m):
                 raise SystemModelError(f"empty program counter set for method {m!r}")
-
-    def require(self, *, oid: str | None = None, thread: str | None = None) -> None:
-        if oid is not None and oid not in self.oids:
-            raise SystemModelError(f"unknown object {oid!r}")
-        if thread is not None and thread not in self.threads:
-            raise SystemModelError(f"unknown thread {thread!r}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +109,8 @@ class SystemState:
         return self.with_stack(oid, thread, stack[1:])
 
 
-def top_frame(state: SystemState, oid: str, thread: str,
-              universe: Universe | None = None) -> Frame | None:
+def top_frame(state: SystemState, oid: str, thread: str) -> Frame | None:
     """Top of the (oid, thread) stack, or None when the stack is empty."""
-    if universe is not None:
-        universe.require(oid=oid, thread=thread)
     stack = state.stack(oid, thread)
     return stack[0] if stack else None
 
@@ -190,8 +180,3 @@ def state_from_json(d: dict) -> SystemState:
                        for o, ts in d.get("cs", {}).items()},
         event_store={o: tuple(msgs) for o, msgs in d.get("es", {}).items()},
     )
-
-
-def canonical_key(s: SystemState) -> str:
-    """Stable serialization used for ordering and deduplication."""
-    return json.dumps(state_to_json(s), sort_keys=True, separators=(",", ":"))

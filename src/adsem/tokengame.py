@@ -19,7 +19,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
@@ -27,7 +27,8 @@ from .semantics import (
     Token,
     VariationBinding,
     admissible_tokens,
-    fifo_delta,
+    configuration_is,
+    fifo_binding,
 )
 from .sysmodel import SystemState, Trace
 
@@ -70,15 +71,6 @@ class Configuration:
             buffers=tuple((k, tuple(buffers.get(k, ()))) for k in view.by_key),
             flags=tuple((name, bool(flags.get(name, False))) for name in view.actions),
         )
-
-    def buffer(self, key: str) -> Buffer:
-        for k, buf in self.buffers:
-            if k == key:
-                return buf
-        raise TokenGameError(f"unknown transition {key!r}")
-
-    def flag(self, node: str) -> bool:
-        return dict(self.flags).get(node, False)
 
     @property
     def token_count(self) -> int:
@@ -133,20 +125,6 @@ class ExploreAllBranches(GuardOracle):
         return TRUE if guard == "true" else EITHER
 
 
-class FixedDecisions(GuardOracle):
-    """Resolve listed guard texts to fixed booleans; others unresolved."""
-
-    def __init__(self, choices: Mapping[str, bool]):
-        self.choices = dict(choices)
-
-    def decide(self, guard: str, config: Configuration) -> str:
-        if guard == "true":
-            return TRUE
-        if guard in self.choices:
-            return TRUE if self.choices[guard] else FALSE
-        return EITHER
-
-
 # ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
@@ -176,8 +154,7 @@ def representative_token(ad: ActivityDiagram, t: Transition, position: int) -> T
     return CONTROL_TOKEN
 
 
-def initial_config(ad: ActivityDiagram,
-                   seed_token: Callable[[Transition], Token] | None = None) -> Configuration:
+def initial_config(ad: ActivityDiagram) -> Configuration:
     """One token on every outgoing transition of every initial node."""
     initials = [n for n in ad.nodes if n.kind is NodeKind.INITIAL]
     if not initials:
@@ -185,8 +162,7 @@ def initial_config(ad: ActivityDiagram,
     buffers: dict[str, list[Token]] = {}
     for n in initials:
         for t in outgoing(ad, n):
-            tok = seed_token(t) if seed_token else representative_token(ad, t, 0)
-            buffers[t.key] = [tok]
+            buffers[t.key] = [representative_token(ad, t, 0)]
     return Configuration.make(ad, buffers)
 
 
@@ -379,33 +355,14 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
 
 
 # ---------------------------------------------------------------------------
-# Configuration-level initial/final
+# Configuration-level finality
 # ---------------------------------------------------------------------------
 
-def config_is_initial(ad: ActivityDiagram, c: Configuration) -> bool:
-    some_initial = any(
-        nv.node.kind is NodeKind.INITIAL and all(c.buffers[p][1] for p in nv.outs)
-        for nv in _view(ad).nodes
-    )
-    others_quiet = all(
-        nv.node.kind is NodeKind.INITIAL
-        or (not any(c.buffers[p][1] for p in nv.outs) and not nv.executing(c))
-        for nv in _view(ad).nodes
-    )
-    return some_initial and others_quiet
-
-
 def config_is_final(ad: ActivityDiagram, c: Configuration) -> bool:
-    some_final = any(
-        nv.node.kind is NodeKind.FINAL and any(c.buffers[p][1] for p in nv.ins)
-        for nv in _view(ad).nodes
-    )
-    others_quiet = all(
-        nv.node.kind is NodeKind.FINAL
-        or (not any(c.buffers[p][1] for p in nv.ins) and not nv.executing(c))
-        for nv in _view(ad).nodes
-    )
-    return some_final and others_quiet
+    """`semantics.is_final_state`, read off the configuration."""
+    nodes = _view(ad).nodes
+    return configuration_is(ad, NodeKind.FINAL, lambda p: bool(c.buffers[p][1]),
+                            lambda i: nodes[i].executing(c))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +481,7 @@ class Run:
             raise TokenGameError("a run has one choice set per step")
 
 
-def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING,
-                 guards: GuardOracle | None = None, action_mode: str = INSTANT,
+def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = INSTANT,
                  max_runs: int = 1000, max_len: int = 200) -> list[Run]:
     """All runs from the initial configuration that end in a configuration
     with no successors, depth-first up to `max_len` states; longer runs
@@ -535,7 +491,7 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING,
     def explore(configs: tuple[Configuration, ...], choices: tuple[frozenset, ...]) -> None:
         if len(out) >= max_runs:
             return
-        succ = successors(ad, configs[-1], mode, guards, action_mode)
+        succ = successors(ad, configs[-1], mode, action_mode=action_mode)
         if not succ:
             out.append(Run(configs, choices))
             return
@@ -549,20 +505,19 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING,
 
 
 def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
-               guards: GuardOracle | None = None, action_mode: str = INSTANT,
-               max_len: int = 200) -> tuple[Run, bool]:
+               action_mode: str = INSTANT, max_len: int = 200) -> tuple[Run, bool]:
     """One seeded run; the flag reports whether it was cut before dying out."""
     rng = random.Random(seed)
     configs: tuple[Configuration, ...] = (initial_config(ad),)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = successors(ad, configs[-1], mode, guards, action_mode)
+        succ = successors(ad, configs[-1], mode, action_mode=action_mode)
         if not succ:
             return Run(configs, choices), False
         chs, c1 = succ[rng.randrange(len(succ))]
         configs += (c1,)
         choices += (chs,)
-    succ = successors(ad, configs[-1], mode, guards, action_mode)
+    succ = successors(ad, configs[-1], mode, action_mode=action_mode)
     return Run(configs, choices), bool(succ)
 
 
@@ -588,34 +543,16 @@ def lift_config(ad: ActivityDiagram, c: Configuration) -> SystemState:
 
 
 def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
-    def buf_state(t: Transition, inst, s: SystemState) -> Buffer:
-        return s.data_store.get(BUFFER_OID, {}).get(t.key, ())
-
-    def executing(n, inst, s: SystemState) -> bool:
-        return bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False))
-
-    def cons(t, inst, s0, s1) -> Buffer:
-        consumed, _ = fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))
-        return consumed
-
-    def prod(t, inst, s0, s1) -> Buffer:
-        _, produced = fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))
-        return produced
-
-    return VariationBinding(
+    return fifo_binding(
         diagram_of=lambda inst: ad,
-        executing=executing,
-        elems=admissible_tokens,
-        buf_state=buf_state,
-        cons=cons,
-        prod=prod,
+        executing=lambda n, inst, s: bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False)),
+        buf_state=lambda t, inst, s: s.data_store.get(BUFFER_OID, {}).get(t.key, ()),
         eval_guard=lambda guard, inst, s: True,
     )
 
 
 def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
-               mode: str = INTERLEAVING, guards: GuardOracle | None = None,
-               action_mode: str = INSTANT,
+               mode: str = INTERLEAVING, action_mode: str = INSTANT,
                truncated: bool | None = None) -> tuple[TokenGameInstance, VariationBinding, Trace]:
     """Lift a run of configurations to a system-model trace plus a binding
     that reads buffers and flags straight off the lifted states.
@@ -626,7 +563,7 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
     if not run:
         raise TokenGameError("empty run")
     if truncated is None:
-        truncated = bool(successors(ad, run[-1], mode, guards, action_mode))
+        truncated = bool(successors(ad, run[-1], mode, action_mode=action_mode))
     states = tuple(lift_config(ad, c) for c in run)
     return TokenGameInstance(ad), lifted_binding(ad), Trace(states, truncated=truncated)
 
@@ -637,11 +574,6 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
 
 def run_to_jsonl(run: Iterable[Configuration]) -> str:
     return "\n".join(json.dumps(c.to_json(), sort_keys=True) for c in run) + "\n"
-
-
-def run_from_jsonl(ad: ActivityDiagram, text: str) -> list[Configuration]:
-    return [Configuration.from_json(ad, json.loads(line))
-            for line in text.splitlines() if line.strip()]
 
 
 def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import (ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding,
                         remember_pair)
-from .sysmodel import Frame, SystemState, Trace, Universe, Value, advance_pc, top_frame
+from .sysmodel import Frame, SystemState, Trace, Value, advance_pc, top_frame
 
 
 class ActionLanguageError(Exception):
@@ -272,30 +272,12 @@ class MethodExecutionInstance:
             callee=d["callee"], pc_map=dict(d["pc_map"]), thread=d["thread"])
 
 
-def method_instance(ad: ActivityDiagram, caller: str = "obj:caller",
-                    callee: str = "obj:callee", thread: str = "th0",
-                    params: tuple[str, ...] = ()) -> MethodExecutionInstance:
+def method_instance(ad: ActivityDiagram) -> MethodExecutionInstance:
     """Standard instance: one pc per node, named after it."""
     pc_map = {n.name: f"pc:{n.name}" for n in ad.nodes}
-    return MethodExecutionInstance(ad=ad, caller=caller, meth=f"m:{ad.name}",
-                                   params=params, callee=callee, pc_map=pc_map,
-                                   thread=thread)
-
-
-def instance_universe(inst: MethodExecutionInstance) -> Universe:
-    owner_class = "MethodOwner"
-    caller_class = "CallerSite"
-    return Universe(
-        oids=frozenset({inst.callee, inst.caller}),
-        classes=frozenset({owner_class, caller_class}),
-        vars=frozenset(inst.params),
-        meths=frozenset({inst.meth}),
-        threads=frozenset({inst.thread}),
-        pcs=frozenset(inst.pc_map.values()),
-        class_of={inst.callee: owner_class, inst.caller: caller_class},
-        defined_in={inst.meth: owner_class},
-        pc_of={inst.meth: frozenset(inst.pc_map.values())},
-    )
+    return MethodExecutionInstance(ad=ad, caller="obj:caller", meth=f"m:{ad.name}",
+                                   params=(), callee="obj:callee", pc_map=pc_map,
+                                   thread="th0")
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +455,7 @@ def _check_shape(ad: ActivityDiagram) -> None:
 
 
 def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
-               store: dict[str, Value], args: dict[str, Value] | None = None,
-               max_steps: int = 10_000) -> Trace:
+               store: dict[str, Value], max_steps: int = 10_000) -> Trace:
     """Deterministic execution of the diagram as one method call.
 
     The trace starts in the initial configuration (frame pushed, pc on
@@ -488,7 +469,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
     if len(incoming(ad, ad.node(entry.dst))) > 1:
         raise VariantError(f"entry node {entry.dst!r} has several incoming transitions; "
                            f"no state could count as initial")
-    locals_ = {p: (args or {}).get(p, 0) for p in inst.params}
+    locals_ = {p: 0 for p in inst.params}
     frame = Frame.make(inst.callee, inst.meth, locals_, inst.pc_map[entry.dst], inst.caller)
     state = SystemState(
         data_store={inst.callee: dict(store)},

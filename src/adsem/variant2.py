@@ -26,9 +26,8 @@ from .semantics import (
     CONTROL_TOKEN,
     Token,
     VariationBinding,
-    admissible_tokens,
     call_token,
-    fifo_delta,
+    fifo_binding,
     is_final_state,
     remember_states,
 )
@@ -121,10 +120,26 @@ class ActionMethodsInstance:
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "ActionMethodsInstance":
-        return ActionMethodsInstance(
+        """Raises ValueError unless `meth`, `oid` and `thread_of` name exactly
+        the action nodes, `rrep` names every role and each thread of
+        `thread_of` is one of `threads`."""
+        inst = ActionMethodsInstance(
             ad=ad, meth=dict(d["meth"]), oid=dict(d["oid"]), rrep=dict(d["rrep"]),
             threads=frozenset(d["threads"]), thread_of=dict(d["thread_of"]),
             **_variation_points(d))
+        actions = {n.name for n in ad.nodes if n.kind is NodeKind.ACTION}
+        for key in ("meth", "oid", "thread_of"):
+            names = getattr(inst, key).keys()
+            if names != actions:
+                raise ValueError(f"{key} does not name exactly the action nodes: missing "
+                                 f"{sorted(actions - names)}, unknown {sorted(names - actions)}")
+        roles = sorted(set(ad.roles) - inst.rrep.keys())
+        if roles:
+            raise ValueError(f"rrep does not name the roles {roles}")
+        threads = sorted(set(inst.thread_of.values()) - inst.threads, key=str)
+        if threads:
+            raise ValueError(f"thread_of names threads not in threads: {threads}")
+        return inst
 
 
 @dataclass(frozen=True)
@@ -291,21 +306,10 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
             tokens = decoded[t.key] = mailbox_tokens(s, t)
             return tokens
 
-    def cons(t, _inst, s0, s1):
-        consumed, _ = fifo_delta(buf_state(t, _inst, s0), buf_state(t, _inst, s1))
-        return consumed
-
-    def prod(t, _inst, s0, s1):
-        _, produced = fifo_delta(buf_state(t, _inst, s0), buf_state(t, _inst, s1))
-        return produced
-
-    return VariationBinding(
+    return fifo_binding(
         diagram_of=lambda _inst: inst.ad,
         executing=lambda n, _inst, s: _runs(n, inst, running(s)),
-        elems=admissible_tokens,
         buf_state=buf_state,
-        cons=cons,
-        prod=prod,
         eval_guard=lambda g, _inst, s: evaluate_guard(g, inst, s),
     )
 

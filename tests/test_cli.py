@@ -117,6 +117,21 @@ def test_check_trace_detects_mutation(tmp_path, capsys):
     assert payload["node"] and payload["predicate"]
 
 
+def test_check_trace_rejects_a_one_step_action_that_flips_its_flag(tmp_path, capsys):
+    # FileThesis consumes its input and produces its output in one step, as
+    # a one-step action does, but also reports executing afterwards
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--out", str(out_file))
+    configs = [json.loads(line) for line in out_file.read_text().splitlines()][:2]
+    assert configs[1]["buffers"] and configs[1]["exec"]["FileThesis"] is False
+    configs[1]["exec"]["FileThesis"] = True
+    out_file.write_text("".join(json.dumps(c) + "\n" for c in configs))
+    code, out = run(capsys, "check-trace", GRADE, str(out_file), "--variant", "token")
+    assert code == 2
+    assert json.loads(out) == {"verdict": "violated", "index": 0, "node": "FileThesis",
+                               "predicate": "step:action"}
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     monkeypatch.setenv("ADSEM_SEED", "9")
@@ -193,6 +208,42 @@ def test_bad_v2_trace_header_is_located(tmp_path, capsys, params, reason):
     header, *states = trace.read_text().splitlines()
     header = json.loads(header)
     header["params"].update(params)
+    trace.write_text("\n".join([json.dumps(header), *states]) + "\n")
+    code = main(["check-trace", GRADE, str(trace), "--variant", "v2"])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:1: {reason}\n")
+
+
+def _drop_evaluate_meth(params):
+    del params["meth"]["Evaluate"]
+
+
+def _strand_evaluate(params):
+    params["thread_of"]["Evaluate"] = "th:nowhere"
+
+
+def _extra_oid(params):
+    params["oid"]["D1"] = "obj:Referee1"
+
+
+def _drop_role(params):
+    params["rrep"].clear()
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (_drop_evaluate_meth,
+     "meth does not name exactly the action nodes: missing ['Evaluate'], unknown []"),
+    (_strand_evaluate, "thread_of names threads not in threads: ['th:nowhere']"),
+    (_extra_oid, "oid does not name exactly the action nodes: missing [], unknown ['D1']"),
+    (_drop_role, "rrep does not name the roles ['Referee1', 'Referee2', 'Student']"),
+], ids=["missing-meth", "unknown-thread", "non-action-oid", "missing-roles"])
+def test_v2_trace_header_maps_must_match_the_diagram(tmp_path, capsys, edit, reason):
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    scenario.write_text(json.dumps({"seed": 2, "decisions": {"D1": "passed"}}))
+    run(capsys, "run-v2", GRADE, str(scenario), "--trace", str(trace))
+    header, *states = trace.read_text().splitlines()
+    header = json.loads(header)
+    edit(header["params"])
     trace.write_text("\n".join([json.dumps(header), *states]) + "\n")
     code = main(["check-trace", GRADE, str(trace), "--variant", "v2"])
     assert code == 3

@@ -20,8 +20,6 @@ from adsem.semantics import (
     VerdictKind,
     admissible_tokens,
     allows_step,
-    buf_empty,
-    buf_nonempty,
     buffer_law_holds,
     buffer_types_ok,
     conforms,
@@ -86,14 +84,6 @@ def test_buffer_type_constraint(grade):
     assert buffer_types_ok(tr(grade, T_FILE), inst, s0, b)
     inst, s0, _, b = pair(grade, bufs0={T_FILE: [REVIEW1]})
     assert not buffer_types_ok(tr(grade, T_FILE), inst, s0, b)
-
-
-def test_buf_empty_nonempty_complement(grade):
-    inst, s0, _, b = pair(grade, bufs0={T_START: [CONTROL_TOKEN]})
-    for t in grade.transitions:
-        assert buf_empty(t, inst, s0, b) != buf_nonempty(t, inst, s0, b)
-    assert buf_nonempty(tr(grade, T_START), inst, s0, b)
-    assert buf_empty(tr(grade, T_FILE), inst, s0, b)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from adsem.variant1 import (
     eval_guard_expr,
     flow_walk,
     guard_effect_holds,
-    instance_universe,
     method_instance,
     parse_guard,
     parse_statement,
@@ -164,14 +163,6 @@ def test_token_domain_v1():
     assert CONTROL_TOKEN in token_domain_v1(TOP)
     with pytest.raises(VariantError):
         token_domain_v1(data_type("Thesis"))
-
-
-def test_instance_universe_consistency(fac):
-    inst = method_instance(fac)
-    uni = instance_universe(inst)
-    assert uni.class_of[inst.callee] == uni.defined_in[inst.meth]
-    assert set(inst.pc_map.values()) <= set(uni.pc_of[inst.meth])
-    assert len(set(inst.pc_map.values())) == len(inst.pc_map)
 
 
 # ---------------------------------------------------------------------------
