@@ -110,9 +110,8 @@ def _cmd_reach(args) -> int:
 
 
 def _write_trace(path: str, header: dict, trace: sysmodel.Trace) -> None:
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(sysmodel.state_to_json(s), sort_keys=True) for s in trace.states]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(header, sort_keys=True) + "\n"
+                          + sysmodel.states_to_jsonl(trace.states), encoding="utf-8")
 
 
 def _cmd_run_v1(args) -> int:

@@ -7,13 +7,16 @@ here).  A trace is a finite sequence of states; the variants and the
 token game produce them, and the conformance checker judges them.
 
 States are values: update helpers return new states and never mutate.
-Stacks are tuples with the top frame at index 0.
+An update copies only the object it changes, so states share unchanged
+per-object stores and no code may mutate a store dict in place.  Stacks
+are tuples with the top frame at index 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+import json
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
 
 Value = int | bool | str
 
@@ -51,8 +54,7 @@ class Universe:
                 raise SystemModelError(f"empty program counter set for method {m!r}")
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     callee: str
     mname: str
     vars: tuple[tuple[str, Value], ...]
@@ -66,12 +68,6 @@ class Frame:
     @property
     def locals(self) -> dict[str, Value]:
         return dict(self.vars)
-
-    def with_locals(self, vars: Mapping[str, Value]) -> "Frame":
-        return replace(self, vars=tuple(sorted(vars.items())))
-
-    def with_pc(self, pc: str) -> "Frame":
-        return replace(self, pc=pc)
 
 
 Stack = tuple[Frame, ...]
@@ -90,14 +86,14 @@ class SystemState:
         return self.control_store.get(oid, {}).get(thread, ())
 
     def set_attr(self, oid: str, var: str, value: Value) -> "SystemState":
-        ds = {o: dict(vs) for o, vs in self.data_store.items()}
-        ds.setdefault(oid, {})[var] = value
-        return replace(self, data_store=ds)
+        ds = dict(self.data_store)
+        ds[oid] = {**ds.get(oid, {}), var: value}
+        return SystemState(ds, self.control_store, self.event_store)
 
     def with_stack(self, oid: str, thread: str, stack: Stack) -> "SystemState":
-        cs = {o: dict(ts) for o, ts in self.control_store.items()}
-        cs.setdefault(oid, {})[thread] = stack
-        return replace(self, control_store=cs)
+        cs = dict(self.control_store)
+        cs[oid] = {**cs.get(oid, {}), thread: stack}
+        return SystemState(self.data_store, cs, self.event_store)
 
     def push(self, oid: str, thread: str, frame: Frame) -> "SystemState":
         return self.with_stack(oid, thread, (frame,) + self.stack(oid, thread))
@@ -127,7 +123,7 @@ def advance_pc(stack: Stack, pc_order: Iterable[str]) -> Stack:
         raise SystemModelError(f"pc {top.pc!r} not in the given order") from None
     if idx + 1 >= len(order):
         raise SystemModelError(f"pc {top.pc!r} is terminal in the given order")
-    return (top.with_pc(order[idx + 1]),) + stack[1:]
+    return (top._replace(pc=order[idx + 1]),) + stack[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +166,34 @@ def state_to_json(s: SystemState) -> dict:
                for o, ts in s.control_store.items()},
         "es": {o: list(msgs) for o, msgs in s.event_store.items()},
     }
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys=True)
+
+
+def states_to_jsonl(states: Iterable[SystemState]) -> str:
+    """One `json.dumps(state_to_json(s), sort_keys=True)` line per state,
+    joined from fragments memoised by identity: each distinct store,
+    per-object store, stack and stored value is encoded once per call.  The
+    caller holds every state until this returns, so no id is reused."""
+    keys: dict[str, str] = {}
+
+    def memoised(encode):
+        memo: dict[int, str] = {}
+        return lambda x: memo.get(id(x)) or memo.setdefault(id(x), encode(x))
+
+    def sorted_object(encode_value):
+        return lambda d: "{" + ", ".join([
+            (keys.get(k) or keys.setdefault(k, _encode(k) + ": ")) + encode_value(d[k])
+            for k in sorted(d)]) + "}"
+
+    value = memoised(lambda v: repr(v) if type(v) is int else _encode(v))
+    stack = memoised(lambda st: _encode([frame_to_json(f) for f in st]))
+    control = memoised(sorted_object(memoised(sorted_object(stack))))
+    data = memoised(sorted_object(memoised(sorted_object(value))))
+    events = memoised(lambda es: _encode({o: list(msgs) for o, msgs in es.items()}))
+    return "".join([f'{{"cs": {control(s.control_store)}, "ds": {data(s.data_store)}, '
+                    f'"es": {events(s.event_store)}}}\n' for s in states])
 
 
 def state_from_json(d: dict) -> SystemState:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import (ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding,
@@ -255,11 +255,14 @@ class MethodExecutionInstance:
     pc_map: dict[str, str]
     thread: str
 
+    @cached_property
+    def _node_of_pc(self) -> dict[str, str]:
+        """pc -> the first node name in `pc_map` that has it; built once per instance."""
+        return {pc: name for name, pc in reversed(self.pc_map.items())}
+
     def node_at(self, pc: str) -> Node | None:
-        for name, value in self.pc_map.items():
-            if value == pc:
-                return self.ad.node(name)
-        return None
+        name = self._node_of_pc.get(pc)
+        return None if name is None else self.ad.node(name)
 
     def to_json(self) -> dict:
         return {"caller": self.caller, "meth": self.meth, "params": list(self.params),
@@ -469,42 +472,47 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
     if len(incoming(ad, ad.node(entry.dst))) > 1:
         raise VariantError(f"entry node {entry.dst!r} has several incoming transitions; "
                            f"no state could count as initial")
-    locals_ = {p: 0 for p in inst.params}
-    frame = Frame.make(inst.callee, inst.meth, locals_, inst.pc_map[entry.dst], inst.caller)
-    state = SystemState(
-        data_store={inst.callee: dict(store)},
-        control_store={inst.callee: {inst.thread: (frame,)}},
-    )
-    states = [state]
+    callee, thread, pc_map = inst.callee, inst.thread, inst.pc_map
+    attrs = dict(store)
+    frame = Frame.make(callee, inst.meth, {p: 0 for p in inst.params}, pc_map[entry.dst],
+                       inst.caller)
+    data, control, events = {callee: attrs}, {callee: {thread: (frame,)}}, {}
+    states = [SystemState(data, control, events)]
+    # States share stores: one data store per attribute change, one control store per (pc, locals).
+    controls = {(frame.pc, frame.vars): control}
+    fixed: dict[str, str] = {}  # pc -> next pc of a node whose flow crosses no decision
     for _ in range(max_steps):
-        frame = top_frame(state, inst.callee, inst.thread)
         node = inst.node_at(frame.pc)
         if node is None:
             raise VariantError(f"frame pc {frame.pc!r} names no node")
         if node.kind is NodeKind.FINAL:
             return Trace(tuple(states), truncated=False)
 
-        attrs = state.attrs(inst.callee)
-        locals_ = frame.locals
+        vars_ = frame.vars
         if node.kind is NodeKind.ACTION:
             stmt = _effect(node.effect)
             if isinstance(stmt, SetAttr):
-                attrs[stmt.name] = eval_expr(stmt.expr, state.attrs(inst.callee), frame.locals)
+                attrs = {**attrs, stmt.name: eval_expr(stmt.expr, attrs, frame.locals)}
+                data = {callee: attrs}
             elif isinstance(stmt, SetLocal):
-                locals_ = dict(locals_)
-                locals_[stmt.name] = eval_expr(stmt.expr, state.attrs(inst.callee), frame.locals)
+                locals_ = frame.locals
+                locals_[stmt.name] = eval_expr(stmt.expr, attrs, locals_)
+                vars_ = tuple(sorted(locals_.items()))
         elif node.kind is not NodeKind.DECISIONMERGE:
             raise VariantError(f"pc rests on {node.kind.value} node {node.name!r}")
 
-        landing, _ = flow_walk(ad, node, attrs, locals_)
-        new_frame = frame.with_locals(locals_).with_pc(inst.pc_map[landing.name])
-        state = SystemState(
-            data_store={**{o: s for o, s in state.data_store.items() if o != inst.callee},
-                        inst.callee: attrs},
-            control_store={inst.callee: {inst.thread: (new_frame,)}},
-            event_store=state.event_store,
-        )
-        states.append(state)
+        pc = fixed.get(frame.pc)
+        if pc is None:
+            landing, path = flow_walk(ad, node, attrs, dict(vars_))
+            pc = pc_map[landing.name]
+            if len(path) == 1 and node.kind is NodeKind.ACTION:
+                fixed[frame.pc] = pc
+        control = controls.get((pc, vars_))
+        if control is None:
+            control = controls[pc, vars_] = {
+                callee: {thread: (Frame(callee, frame.mname, vars_, pc, frame.caller),)}}
+        frame = control[callee][thread][0]
+        states.append(SystemState(data, control, events))
     return Trace(tuple(states), truncated=True)
 
 

@@ -121,8 +121,9 @@ class ActionMethodsInstance:
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "ActionMethodsInstance":
         """Raises ValueError unless `meth`, `oid` and `thread_of` name exactly
-        the action nodes, `rrep` names every role and each thread of
-        `thread_of` is one of `threads`."""
+        the action nodes, `rrep` names every role, each thread of
+        `thread_of` is one of `threads`, no two actions share a method, no
+        two roles share an object and every `oid` object represents a role."""
         inst = ActionMethodsInstance(
             ad=ad, meth=dict(d["meth"]), oid=dict(d["oid"]), rrep=dict(d["rrep"]),
             threads=frozenset(d["threads"]), thread_of=dict(d["thread_of"]),
@@ -139,6 +140,14 @@ class ActionMethodsInstance:
         threads = sorted(set(inst.thread_of.values()) - inst.threads, key=str)
         if threads:
             raise ValueError(f"thread_of names threads not in threads: {threads}")
+        for key, names in (("meth", "actions one method"), ("rrep", "roles one object")):
+            values = list(getattr(inst, key).values())
+            shared = sorted({v for v in values if values.count(v) > 1}, key=str)
+            if shared:
+                raise ValueError(f"{key} gives several {names}: {shared}")
+        ghosts = sorted(set(inst.oid.values()) - set(inst.rrep.values()), key=str)
+        if ghosts:
+            raise ValueError(f"oid names objects that represent no role: {ghosts}")
         return inst
 
 

@@ -230,13 +230,29 @@ def _drop_role(params):
     params["rrep"].clear()
 
 
+def _ghost_oid(params):
+    params["oid"]["Evaluate"] = "obj:ghost"
+
+
+def _shared_meth(params):
+    params["meth"]["Evaluate"] = "m:CreateCert"
+
+
+def _shared_rrep(params):
+    params["rrep"]["Referee2"] = "obj:Referee1"
+
+
 @pytest.mark.parametrize("edit,reason", [
     (_drop_evaluate_meth,
      "meth does not name exactly the action nodes: missing ['Evaluate'], unknown []"),
     (_strand_evaluate, "thread_of names threads not in threads: ['th:nowhere']"),
     (_extra_oid, "oid does not name exactly the action nodes: missing [], unknown ['D1']"),
     (_drop_role, "rrep does not name the roles ['Referee1', 'Referee2', 'Student']"),
-], ids=["missing-meth", "unknown-thread", "non-action-oid", "missing-roles"])
+    (_ghost_oid, "oid names objects that represent no role: ['obj:ghost']"),
+    (_shared_meth, "meth gives several actions one method: ['m:CreateCert']"),
+    (_shared_rrep, "rrep gives several roles one object: ['obj:Referee1']"),
+], ids=["missing-meth", "unknown-thread", "non-action-oid", "missing-roles", "ghost-oid",
+        "shared-meth", "shared-rrep"])
 def test_v2_trace_header_maps_must_match_the_diagram(tmp_path, capsys, edit, reason):
     scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
     scenario.write_text(json.dumps({"seed": 2, "decisions": {"D1": "passed"}}))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from adsem.sysmodel import (
@@ -78,6 +80,26 @@ def test_set_attr_is_functional_override():
     s1 = s0.set_attr("obj:a", "x", 9)
     assert s0.attrs("obj:a") == {"x": 1, "y": 2}
     assert s1.attrs("obj:a") == {"x": 9, "y": 2}
+
+
+def test_updates_leave_the_source_unchanged_and_share_the_rest():
+    s0 = (SystemState(event_store={"obj:a": ("ping",)})
+          .set_attr("obj:a", "x", 1).set_attr("obj:b", "y", 2)
+          .push("obj:a", "th", frame("p1")).push("obj:b", "th", frame("p2")))
+    before = copy.deepcopy(s0)
+    updated = [s0.set_attr("obj:a", "x", 9), s0.set_attr("obj:c", "z", 3),
+               s0.with_stack("obj:a", "th2", (frame("p3"),)), s0.push("obj:a", "th", frame("p4")),
+               s0.pop("obj:a", "th")]
+    assert s0 == before
+    assert [s.attrs("obj:a")["x"] for s in updated] == [9, 1, 1, 1, 1]
+    assert updated[0].data_store["obj:b"] is s0.data_store["obj:b"]
+    assert updated[0].control_store is s0.control_store
+    for s in updated[2:]:
+        assert s.control_store["obj:b"] is s0.control_store["obj:b"]
+        assert s.data_store is s0.data_store
+        assert s.event_store is s0.event_store
+    assert updated[2].stack("obj:a", "th") == (frame("p1"),)
+    assert updated[4].stack("obj:a", "th") == ()
 
 
 # ---------------------------------------------------------------------------

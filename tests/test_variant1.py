@@ -301,7 +301,7 @@ def test_pc_jump_over_node_is_violation(fac):
     frame = top_frame(trace[1], inst.callee, inst.thread)
     assert frame.pc == inst.pc_map["MulRes"]
     skipped = trace[1].with_stack(inst.callee, inst.thread,
-                                  (frame.with_pc(inst.pc_map["DecN"]),))
+                                  (frame._replace(pc=inst.pc_map["DecN"]),))
     mutated = _mutate_state(trace, 1, skipped)
     binding = atomic_binding(inst)
     verdict = conforms(mutated, inst, binding)
