@@ -168,9 +168,12 @@ def _located(path: str, lineno: int | None = None):
 
 def _decode_lines(path: str, lines: list[tuple[int, str]], decode) -> list:
     decoded = []
-    for lineno, line in lines:
-        with _located(path, lineno):
+    try:
+        for lineno, line in lines:
             decoded.append(decode(json.loads(line)))
+    except Exception:
+        with _located(path, lineno):
+            raise
     return decoded
 
 

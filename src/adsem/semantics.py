@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition
 from .sysmodel import SystemState, Trace
@@ -109,7 +109,9 @@ Buffer = tuple[Token, ...]
 
 @dataclass(frozen=True)
 class VariationBinding:
-    """The bundle of open functions a variant supplies."""
+    """The bundle of open functions a variant supplies.  `changed(inst, s0, s1)` lists
+    the `layout` positions and node indices a pair may touch: any other position has
+    empty `cons` and `prod` and one buffer in both states, and any other node keeps its flag."""
     diagram_of: Callable[[object], ActivityDiagram]
     executing: Callable[[Node, object, SystemState], bool]
     elems: Callable[[PinType], TokenSet]
@@ -117,6 +119,7 @@ class VariationBinding:
     cons: Callable[[Transition, object, SystemState, SystemState], Buffer]
     prod: Callable[[Transition, object, SystemState, SystemState], Buffer]
     eval_guard: Callable[[str, object, SystemState], bool]
+    changed: Callable[[object, SystemState, SystemState], tuple[Iterable[int], Iterable[int]]]
 
 
 _Derived = TypeVar("_Derived")
@@ -177,15 +180,9 @@ def is_final_state(inst: object, s: SystemState, b: VariationBinding) -> bool:
 
 
 def _state_is(kind: NodeKind, inst: object, s: SystemState, b: VariationBinding) -> bool:
-    ad = b.diagram_of(inst)
-    return configuration_is(ad, kind, _buffered(ad, inst, s, b),
+    ad, transitions = b.diagram_of(inst), b.diagram_of(inst).layout.transitions
+    return configuration_is(ad, kind, lambda p: len(b.buf_state(transitions[p], inst, s)) != 0,
                             lambda i: b.executing(ad.nodes[i], inst, s))
-
-
-def _buffered(ad: ActivityDiagram, inst: object, s: SystemState,
-              b: VariationBinding) -> Callable[[int], bool]:
-    transitions = ad.layout.transitions
-    return lambda p: len(b.buf_state(transitions[p], inst, s)) != 0
 
 
 def configuration_is(ad: ActivityDiagram, kind: NodeKind, buffered: Callable[[int], bool],
@@ -214,20 +211,6 @@ def _busy(ad: ActivityDiagram, kind: NodeKind, buffered: Callable[[int], bool],
 # ---------------------------------------------------------------------------
 # Step predicates
 # ---------------------------------------------------------------------------
-
-def _counts(ad: ActivityDiagram, inst: object, s0: SystemState, s1: SystemState,
-            b: VariationBinding) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The tokens the pair consumed and produced on each transition, by its
-    position in `ad.layout`: `cons` and `prod` once per transition."""
-    transitions = ad.layout.transitions
-    return (tuple(len(b.cons(t, inst, s0, s1)) for t in transitions),
-            tuple(len(b.prod(t, inst, s0, s1)) for t in transitions))
-
-
-def _flags(ad: ActivityDiagram, inst: object, s: SystemState,
-           b: VariationBinding) -> tuple[bool, ...]:
-    return tuple(b.executing(n, inst, s) for n in ad.nodes)
-
 
 # The clauses of a permitted step, over one node's counts: `ins` consumed
 # per incoming and `outs` produced per outgoing transition, and the
@@ -280,9 +263,9 @@ def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: Varia
     i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
     if i is None:
         raise DiagramError(f"unknown node {n.name!r}")
-    consumed, produced = _counts(ad, inst, s0, s1, b)
-    outs = ad.layout.outs[i]
-    return ([consumed[p] for p in ad.layout.ins[i]], [produced[p] for p in outs],
+    transitions, outs = ad.layout.transitions, ad.layout.outs[i]
+    return ([len(b.cons(transitions[p], inst, s0, s1)) for p in ad.layout.ins[i]],
+            [len(b.prod(transitions[p], inst, s0, s1)) for p in outs],
             b.executing(n, inst, s0), b.executing(n, inst, s1), outs,
             _guard_holds(ad, inst, s1, b))
 
@@ -387,38 +370,54 @@ _STEP_PREDICATE = {
 def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial
     state, then require every later step to be allowed for every node and
-    finality to persist.  Each pair is judged from one `_counts`; the
-    flags and finality of a pair's second state carry over to the next."""
+    finality to persist.  A pair is judged, in declaration order, at the
+    nodes next to what `b.changed` lists, for every other node stutters."""
     ad = b.diagram_of(inst)
-    start = None
-    for i in range(len(trace)):
-        if is_initial_state(inst, trace[i], b):
-            start = i
-            break
+    start = next((i for i in range(len(trace)) if is_initial_state(inst, trace[i], b)), None)
     if start is None:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
-    nodes = tuple(zip(ad.nodes, ad.layout.ins, ad.layout.outs))
+    nodes, transitions, ins, outs = ad.nodes, ad.layout.transitions, ad.layout.ins, ad.layout.outs
+    near: list[list[int]] = [[] for _ in transitions]  # position -> indices of its end nodes
+    for i in range(len(nodes)):
+        for p in {*ins[i], *outs[i]}:
+            near[p].append(i)
     s0 = trace[start]
-    flags0 = _flags(ad, inst, s0, b)
-    final0 = configuration_is(ad, NodeKind.FINAL, _buffered(ad, inst, s0, b), flags0.__getitem__)
+    flags = [b.executing(n, inst, s0) for n in nodes]
+    buffered = [len(b.buf_state(t, inst, s0)) != 0 for t in transitions]
+    busy, full = set(), set()  # the final clause: busy non-final nodes, filled final nodes
+
+    def update(i: int) -> None:
+        filled = any(buffered[p] for p in ins[i])
+        if nodes[i].kind is NodeKind.FINAL:
+            (full.add if filled else full.discard)(i)
+        else:
+            (busy.add if filled or flags[i] else busy.discard)(i)
+    for i in range(len(nodes)):
+        update(i)
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
-        consumed, produced = _counts(ad, inst, s0, s1, b)
-        flags1 = _flags(ad, inst, s1, b)
-        holds = _guard_holds(ad, inst, s1, b)
-        for i, (n, ins, outs) in enumerate(nodes):
-            if not _allows(n.kind, [consumed[p] for p in ins], [produced[p] for p in outs],
-                           flags0[i], flags1[i], outs, holds):
+        positions, moved = b.changed(inst, s0, s1)
+        consumed = {p: len(b.cons(transitions[p], inst, s0, s1)) for p in positions}
+        produced = {p: len(b.prod(transitions[p], inst, s0, s1)) for p in positions}
+        flags1 = {i: b.executing(nodes[i], inst, s1) for i in moved}
+        final0 = not busy and full
+        for p in consumed:
+            buffered[p] = len(b.buf_state(transitions[p], inst, s1)) != 0
+        for i in sorted({i for p in consumed for i in near[p]}.union(flags1)):
+            n, f1 = nodes[i], flags1.get(i, flags[i])
+            if not _allows(n.kind, [consumed.get(p, 0) for p in ins[i]],
+                           [produced.get(p, 0) for p in outs[i]], flags[i], f1, outs[i],
+                           _guard_holds(ad, inst, s1, b)):
                 return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
-        buffered1 = _buffered(ad, inst, s1, b)
-        final1 = configuration_is(ad, NodeKind.FINAL, buffered1, flags1.__getitem__)
-        if final0 and not final1:
+            flags[i] = f1
+            update(i)
+        if final0 and (busy or not full):
             # a final node exists, for s0 was final; blame a busy node before it
-            blamed = (_busy(ad, NodeKind.FINAL, buffered1, flags1.__getitem__)
-                      or next(n for n in ad.nodes if n.kind is NodeKind.FINAL))
+            blamed = (_busy(ad, NodeKind.FINAL, buffered.__getitem__, flags.__getitem__)
+                      or next(n for n in nodes if n.kind is NodeKind.FINAL))
             return Verdict(VerdictKind.VIOLATED, j, blamed.name, "final-persistence")
-        s0, flags0, final0 = s1, flags1, final1
+        s0 = s1
     if trace.truncated:
         return Verdict(VerdictKind.SATISFIED_SO_FAR)
     return Verdict(VerdictKind.SATISFIED)
@@ -454,7 +453,7 @@ def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
     return before, after
 
 
-def fifo_binding(diagram_of, executing, buf_state, eval_guard) -> VariationBinding:
+def fifo_binding(diagram_of, executing, buf_state, eval_guard, changed) -> VariationBinding:
     """A binding from the open functions of the same names, with the default
     pin-type interpretation, whose buffers obey the FIFO law: `cons` and
     `prod` are the `fifo_delta` of a transition's buffer in the two states."""
@@ -465,4 +464,4 @@ def fifo_binding(diagram_of, executing, buf_state, eval_guard) -> VariationBindi
         return fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))[1]
 
     return VariationBinding(diagram_of, executing, admissible_tokens, buf_state, cons, prod,
-                            eval_guard)
+                            eval_guard, changed)

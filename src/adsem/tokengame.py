@@ -543,11 +543,21 @@ def lift_config(ad: ActivityDiagram, c: Configuration) -> SystemState:
 
 
 def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
+    position = _view(ad).position
+    node_index = {n.name: i for i, n in enumerate(ad.nodes)}
+
+    def changed(inst, s0: SystemState, s1: SystemState) -> tuple[list[int], list[int]]:
+        """The buffers and flags whose values differ; a lifted state holds them all."""
+        b0, b1, f0, f1 = (s.data_store.get(o, {}) for o in (BUFFER_OID, FLAGS_OID) for s in (s0, s1))
+        return ([position[k] for k, toks in b1.items() if b0.get(k, ()) != toks],
+                [node_index[name] for name, f in f1.items() if f0.get(name, False) != f])
+
     return fifo_binding(
         diagram_of=lambda inst: ad,
         executing=lambda n, inst, s: bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False)),
         buf_state=lambda t, inst, s: s.data_store.get(BUFFER_OID, {}).get(t.key, ()),
         eval_guard=lambda guard, inst, s: True,
+        changed=changed,
     )
 
 

@@ -270,9 +270,17 @@ class MethodExecutionInstance:
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "MethodExecutionInstance":
+        """Raises ValueError unless `pc_map` gives each node of `ad` a pc of its own."""
+        pc_map, names = dict(d["pc_map"]), {n.name for n in ad.nodes}
+        pcs = list(pc_map.values())
+        shared = sorted({pc for pc in pcs if pcs.count(pc) > 1}, key=str)
+        if pc_map.keys() != names or shared:
+            raise ValueError(f"pc_map does not give each node a pc of its own: missing "
+                             f"{sorted(names - pc_map.keys())}, unknown "
+                             f"{sorted(pc_map.keys() - names)}, shared {shared}")
         return MethodExecutionInstance(
             ad=ad, caller=d["caller"], meth=d["meth"], params=tuple(d.get("params", ())),
-            callee=d["callee"], pc_map=dict(d["pc_map"]), thread=d["thread"])
+            callee=d["callee"], pc_map=pc_map, thread=d["thread"])
 
 
 def method_instance(ad: ActivityDiagram) -> MethodExecutionInstance:
@@ -554,6 +562,10 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     and consumption/production is derived from the pc movement, once per
     state pair."""
     ad = inst.ad
+    at_pc: dict[str, list[int]] = {}  # pc -> positions whose buffer holds the token there
+    for p, t in enumerate(ad.layout.transitions):
+        at_pc.setdefault(inst.pc_map.get(t.dst), []).append(p)
+    position = {t.key: p for p, t in enumerate(ad.layout.transitions)}
 
     @remember_pair
     def movement(s0: SystemState, s1: SystemState) -> tuple[object, object, frozenset[str]]:
@@ -578,6 +590,11 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
             return (CONTROL_TOKEN,)
         return (CONTROL_TOKEN,) if t.key in crossed else ()
 
+    def changed(_inst, s0: SystemState, s1: SystemState) -> tuple[list[int], tuple]:
+        """The positions into the old and the new pc's node and those the pc crossed."""
+        pc0, pc1, crossed = movement(s0, s1)
+        return at_pc.get(pc0, []) + at_pc.get(pc1, []) + [position[k] for k in crossed], ()
+
     return VariationBinding(
         diagram_of=lambda _inst: ad,
         executing=lambda n, _inst, s: False,
@@ -586,6 +603,7 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
         cons=lambda t, _inst, s0, s1: moved(t, s0, s1, produced_side=False),
         prod=lambda t, _inst, s0, s1: moved(t, s0, s1, produced_side=True),
         eval_guard=lambda g, _inst, s: True,
+        changed=changed,
     )
 
 

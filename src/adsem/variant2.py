@@ -306,6 +306,15 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
     once."""
     mailboxes = remember_states(lambda s: {})
     running = remember_states(lambda s: _running_methods(inst, s))
+    boxes = [(p, MAILBOX_PREFIX + t.key) for p, t in enumerate(inst.ad.layout.transitions)]
+    runs_as = {(inst.oid[n.name], inst.meth[n.name]): i  # the node each method runs
+               for i, n in enumerate(inst.ad.nodes) if n.name in inst.meth}
+
+    def changed(_inst, s0, s1):
+        """The mailboxes whose raw text differs and the nodes that started or stopped."""
+        return ([p for p, box in boxes if s0.data_store.get(box, {}).get(MAILBOX_VAR, "[]")
+                 != s1.data_store.get(box, {}).get(MAILBOX_VAR, "[]")],
+                [runs_as[key] for key in running(s0) ^ running(s1) if key in runs_as])
 
     def buf_state(t, _inst, s):
         decoded = mailboxes(s)
@@ -320,6 +329,7 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
         executing=lambda n, _inst, s: _runs(n, inst, running(s)),
         buf_state=buf_state,
         eval_guard=lambda g, _inst, s: evaluate_guard(g, inst, s),
+        changed=changed,
     )
 
 

@@ -91,6 +91,26 @@ def test_run_v1_check_trace_pipeline(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "satisfied"
 
 
+@pytest.mark.parametrize("edit,reason", [
+    (lambda pc_map: {**pc_map, "ghost": "pc:zzz"}, "missing [], unknown ['ghost'], shared []"),
+    (lambda pc_map: {**pc_map, "DecN": "pc:MulRes"},
+     "missing [], unknown [], shared ['pc:MulRes']"),
+    (lambda pc_map: {"ghost": "pc:MulRes", **pc_map},
+     "missing [], unknown ['ghost'], shared ['pc:MulRes']"),
+], ids=["extra-node", "shared-pc", "extra-node-first"])
+def test_v1_trace_header_pc_map_must_match_the_diagram(tmp_path, capsys, edit, reason):
+    trace = tmp_path / "fac.jsonl"
+    run(capsys, "run-v1", FAC, "n=3", "--trace", str(trace))
+    header, *states = trace.read_text().splitlines()
+    header = json.loads(header)
+    header["params"]["pc_map"] = edit(header["params"]["pc_map"])
+    trace.write_text("\n".join([json.dumps(header), *states]) + "\n")
+    code = main(["check-trace", FAC, str(trace), "--variant", "v1"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", f"error: {trace}:1: pc_map does not give each node a pc of its own: {reason}\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate / check-trace on token runs
 # ---------------------------------------------------------------------------
