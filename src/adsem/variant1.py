@@ -562,7 +562,7 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     and consumption/production is derived from the pc movement, once per
     state pair."""
     ad = inst.ad
-    at_pc: dict[str, list[int]] = {}  # pc -> positions whose buffer holds the token there
+    at_pc: dict[str | None, list[int]] = {}  # pc -> positions whose buffer holds the token there
     for p, t in enumerate(ad.layout.transitions):
         at_pc.setdefault(inst.pc_map.get(t.dst), []).append(p)
     position = {t.key: p for p, t in enumerate(ad.layout.transitions)}

@@ -307,7 +307,7 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
     mailboxes = remember_states(lambda s: {})
     running = remember_states(lambda s: _running_methods(inst, s))
     boxes = [(p, MAILBOX_PREFIX + t.key) for p, t in enumerate(inst.ad.layout.transitions)]
-    runs_as = {(inst.oid[n.name], inst.meth[n.name]): i  # the node each method runs
+    runs_as = {(inst.oid[n.name], inst.meth[n.name]): i  # no two actions share a method
                for i, n in enumerate(inst.ad.nodes) if n.name in inst.meth}
 
     def changed(_inst, s0, s1):
