@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition
 from .sysmodel import SystemState, Trace
@@ -24,10 +24,10 @@ from .sysmodel import SystemState, Trace
 # Tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A unit of flow: the control token (type_name None) or a typed
-    data token with an opaque payload."""
+    data token with an opaque payload.  A tuple, so that buffers and
+    configurations hash and compare in C."""
     type_name: str | None = None
     payload: object = None
 
@@ -305,14 +305,10 @@ def finishes_action(n: Node, inst: object, s0: SystemState, s1: SystemState,
 def fires_instantly(n: Node, inst: object, s0: SystemState, s1: SystemState,
                     b: VariationBinding) -> bool:
     """The whole reaction in one step: one token consumed per incoming
-    and one produced per outgoing transition, the flag unchanged."""
+    and one produced per outgoing transition, the flag unchanged.  A
+    fork/join reacts by the same rule."""
     ins, outs, f0, f1, _, _ = _node_step(n, inst, s0, s1, b)
     return _instant(ins, outs, f0, f1)
-
-
-# A fork/join reacts instantaneously with exactly the same token-count
-# and flag rule as a one-step action; keep a distinct name for call sites.
-fires_forkjoin = fires_instantly
 
 
 def fires_decision(n: Node, inst: object, s0: SystemState, s1: SystemState,

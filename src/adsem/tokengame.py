@@ -173,35 +173,60 @@ class Step(NamedTuple):
     prod: tuple[int, ...]  # positions it produces to
     choices: frozenset
     label: str
-
-    @staticmethod
-    def of(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...]) -> "Step":
-        return Step(choice, cons, prod, frozenset((choice,)), choice.label())
+    reach: tuple[int, ...]  # the nodes whose enabled steps it can change
+    guard: str | None = None  # a decision branch's, judged at expansion
 
 
 class _NodeView:
-    """A node's adjacency as buffer positions (in the `Configuration`
-    layout), and the steps it can take."""
+    """A node's inputs and flag as positions in the `Configuration` layout,
+    and the steps it can take."""
 
-    def __init__(self, ad: ActivityDiagram, view: _View, n: Node,
+    def __init__(self, ad: ActivityDiagram, view: _View, index: int, n: Node,
                  ins: tuple[int, ...], outs: tuple[int, ...]):
-        self.node = n
         self.flag = view.flag_position.get(n.name)
-        self.ins, self.outs = ins, outs
+        self.ins = ins
+
+        def step(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...],
+                 guard: str | None = None) -> Step:
+            # the readers of what it consumes and produces, and its own node,
+            # whose flag start and finish flip
+            reach = dict.fromkeys([index, *(view.reader[p] for p in cons + prod if p in view.reader)])
+            return Step(choice, cons, prod, frozenset((choice,)), choice.label(), tuple(reach), guard)
+
         shapes = {NodeKind.ACTION: (("start", ins, ()), ("finish", (), outs), ("instant", ins, outs)),
                   NodeKind.FORKJOIN: (("forkjoin", ins, outs),)}
-        self.steps: dict[str, Step] = {kind: Step.of(StepChoice(n.name, kind), cons, prod)
-                                       for kind, cons, prod in shapes.get(n.kind, ())}
-        # decisions: (input position, guard, step) per input x output pair
-        self.branches: list[tuple[int, str, Step]] = [
-            (view.position[t_in.key], ad.guard(t_out.src, t_out.out_pin),
-             Step.of(StepChoice(n.name, "decision", t_in.key, t_out.key),
-                     (view.position[t_in.key],), (view.position[t_out.key],)))
+        self.steps: dict[str, tuple[Step]] = {kind: (step(StepChoice(n.name, kind), cons, prod),)
+                                              for kind, cons, prod in shapes.get(n.kind, ())}
+        # a decision's steps, one per input x output pair
+        self.branches: list[Step] = [
+            step(StepChoice(n.name, "decision", t_in.key, t_out.key), (view.position[t_in.key],),
+                 (view.position[t_out.key],), ad.guard(t_out.src, t_out.out_pin))
             for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
     def executing(self, c: Configuration) -> bool:
         return self.flag is not None and c.flags[self.flag][1]
+
+    def enabled(self, c: Configuration, action_mode: str) -> tuple[Step, ...]:
+        """The non-stutter steps that token presence and the flag allow;
+        initial and final nodes only stutter."""
+        buffers = c.buffers
+        if self.branches:
+            return tuple(step for step in self.branches if buffers[step.cons[0]][1])
+        if self.flag is None:
+            steps = self.steps.get("forkjoin", ())
+        elif action_mode == INSTANT:
+            steps = self.steps["instant"]
+        elif action_mode == TWO_PHASE:
+            if c.flags[self.flag][1]:
+                return self.steps["finish"]
+            steps = self.steps["start"]
+        else:
+            raise TokenGameError(f"unknown action mode {action_mode!r}")
+        for p in self.ins:
+            if not buffers[p][1]:
+                return ()
+        return steps
 
 
 class _View:
@@ -216,11 +241,31 @@ class _View:
         self.key_order = [p for _, p in sorted(self.position.items())]
         self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
-        self.nodes = [_NodeView(ad, self, n, ins, outs)
-                      for n, ins, outs in zip(ad.nodes, layout.ins, layout.outs)]
+        self.reader = {p: i for i, ins in enumerate(layout.ins) for p in ins}
+        self.nodes = [_NodeView(ad, self, i, n, ins, outs)
+                      for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs))]
         self.tokens: dict[tuple[int, int], Token] = {}
         self.fragments: dict[tuple[str, Buffer], str] = {}
         self.exec_json: dict[tuple[tuple[str, bool], ...], str] = {}
+
+    def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
+        """The enabled set of `c`: each node's non-stutter steps by node
+        index, for decisions before their guards are judged."""
+        return {i: steps for i, nv in enumerate(self.nodes) if (steps := nv.enabled(c, action_mode))}
+
+    def carry(self, enabled: dict[int, tuple[Step, ...]], selection: Sequence[Step],
+              c1: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
+        """`scan(c1)` for the configuration that `selection` made from one
+        whose enabled set is `enabled`: only the nodes it reaches change."""
+        enabled = enabled.copy()
+        for step in selection:
+            for i in step.reach:
+                steps = self.nodes[i].enabled(c1, action_mode)
+                if steps:
+                    enabled[i] = steps
+                else:
+                    enabled.pop(i, None)
+        return enabled
 
     def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:
         """`representative_token`, one object per (position, index), so that
@@ -255,45 +300,12 @@ def _view(ad: ActivityDiagram) -> _View:
         return view
 
 
-def _node_choices(view: _View, c: Configuration, guards: GuardOracle,
-                  action_mode: str) -> dict[str, list[Step]]:
-    """Enabled non-stutter steps per node."""
-    buffers = c.buffers
-    choices: dict[str, list[Step]] = {}
-    for nv in view.nodes:
-        kind = nv.node.kind
-        opts: list[Step] = []
-        if kind is NodeKind.ACTION:
-            inputs_ready = all(buffers[p][1] for p in nv.ins)
-            if action_mode == INSTANT:
-                if inputs_ready:
-                    opts.append(nv.steps["instant"])
-            elif action_mode == TWO_PHASE:
-                if nv.executing(c):
-                    opts.append(nv.steps["finish"])
-                elif inputs_ready:
-                    opts.append(nv.steps["start"])
-            else:
-                raise TokenGameError(f"unknown action mode {action_mode!r}")
-        elif kind is NodeKind.FORKJOIN:
-            if all(buffers[p][1] for p in nv.ins):
-                opts.append(nv.steps["forkjoin"])
-        elif kind is NodeKind.DECISIONMERGE:
-            for p_in, guard, step in nv.branches:
-                if buffers[p_in][1] and guards.decide(guard, c) in (TRUE, EITHER):
-                    opts.append(step)
-        # initial and final nodes only stutter
-        if opts:
-            choices[nv.node.name] = opts
-    return choices
-
-
 def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
            steps: Iterable[Step]) -> Configuration:
     buffers = list(c.buffers)
     flags = list(c.flags)
     consumed: dict[int, Token] = {}
-    for choice, cons, _, _, _ in steps:
+    for choice, cons, *_ in steps:
         for p in cons:
             key, buf = buffers[p]
             if not buf:
@@ -302,7 +314,7 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
             buffers[p] = (key, buf[1:])
         if choice.kind in ("start", "finish"):
             flags[view.flag_position[choice.node]] = (choice.node, choice.kind == "start")
-    for choice, cons, prod, _, _ in steps:
+    for choice, cons, prod, *_ in steps:
         for p in prod:
             key, buf = buffers[p]
             tok = view.token(ad, p, len(buf))
@@ -317,23 +329,24 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
     return Configuration(tuple(buffers), tuple(flags))
 
 
-def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
-               guards: GuardOracle | None = None,
-               action_mode: str = INSTANT) -> list[tuple[frozenset, Configuration]]:
-    """All permitted next configurations with the choices that reach them.
-
-    Interleaving: exactly one node takes a non-stutter step.  Concurrent:
-    any nonempty set of nodes whose consumed and produced transition sets
-    are pairwise disjoint fires simultaneously.
-    """
-    view = _view(ad)
-    per_node = _node_choices(view, c, guards or ExploreAllBranches(), action_mode)
+def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
+            enabled: dict[int, tuple[Step, ...]], mode: str,
+            guards: GuardOracle) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
+    """`successors` of `c`, whose enabled set is `enabled`, each with the
+    steps that made it."""
+    pools = []
+    for steps in enabled.values():
+        if steps[0].guard is not None:  # a decision's branches
+            steps = [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
+            if not steps:
+                continue
+        pools.append(steps)
     if mode == INTERLEAVING:
-        picks = [(step,) for opts in per_node.values() for step in opts]
+        picks = [(step,) for steps in pools for step in steps]
     elif mode == CONCURRENT:
-        pools = [[None] + per_node[name] for name in sorted(per_node)]
         picks = (tuple(step for step in combo if step is not None)  # the first picks nothing
-                 for combo in itertools.islice(itertools.product(*pools), 1, None))
+                 for combo in itertools.islice(itertools.product(*([None, *steps] for steps in pools)),
+                                               1, None))
     else:
         raise TokenGameError(f"unknown mode {mode!r}")
 
@@ -347,11 +360,27 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
         else:
             choices = frozenset(step.choice for step in selection)
             labels = tuple(sorted(step.label for step in selection))
-        results.append((choices, labels, _apply(ad, view, c, selection)))
+        results.append((choices, labels, selection, _apply(ad, view, c, selection)))
     # the order of canonical(), with the labels breaking ties
     if len(results) > 1:
-        results.sort(key=lambda r: (view.order_key(r[2]), r[1]))
-    return [(choices, c1) for choices, _, c1 in results]
+        results.sort(key=lambda r: (view.order_key(r[3]), r[1]))
+    return [(choices, selection, c1) for choices, _, selection, c1 in results]
+
+
+_EXPLORE_ALL = ExploreAllBranches()
+
+
+def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
+               guards: GuardOracle | None = None,
+               action_mode: str = INSTANT) -> list[tuple[frozenset, Configuration]]:
+    """All permitted next configurations with the choices that reach them,
+    sorted by `canonical()`, the step labels breaking ties.  Interleaving:
+    exactly one node takes a non-stutter step.  Concurrent: any nonempty
+    set of nodes whose consumed and produced transition sets are pairwise
+    disjoint fires simultaneously."""
+    view = _view(ad)
+    return [(choices, c1) for choices, _, c1
+            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +404,40 @@ class ReachabilityResult:
     configs: list[Configuration]
     edges: list[tuple[Configuration, frozenset, Configuration]]
     truncated: bool
+    dead_ends: list[Configuration]  # expanded to no successor at all, before any bound
 
 
 def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
               guards: GuardOracle | None = None, action_mode: str = INSTANT,
               bound: int = DEFAULT_BOUND) -> ReachabilityResult:
     """BFS closure of `successors` from the initial configuration, up to
-    `bound` distinct configurations."""
+    `bound` distinct configurations.  Each queued configuration carries its
+    enabled set, made from its parent's when it is first reached."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
+    view, guards = _view(ad), guards or _EXPLORE_ALL
     start = initial_config(ad)
     visited: dict[Configuration, None] = {start: None}
     order = [start]
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
+    dead_ends: list[Configuration] = []
     truncated = False
-    queue = deque([start])
+    queue = deque([(start, view.scan(start, action_mode))])
     while queue:
-        c = queue.popleft()
-        for choices, c1 in successors(ad, c, mode, guards, action_mode):
+        c, enabled = queue.popleft()
+        succ = _expand(ad, view, c, enabled, mode, guards)
+        if not succ:
+            dead_ends.append(c)
+        for choices, selection, c1 in succ:
             if c1 not in visited:
                 if len(visited) >= bound:
                     truncated = True
                     continue
                 visited[c1] = None
                 order.append(c1)
-                queue.append(c1)
+                queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
             edges.append((c, choices, c1))
-    return ReachabilityResult(start, order, edges, truncated)
+    return ReachabilityResult(start, order, edges, truncated, dead_ends)
 
 
 @dataclass
@@ -427,11 +463,10 @@ class AnalysisReport:
 
 
 def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
-    """Deadlocks (maximal non-final configurations), reachability of each
-    final input, branch coverage per decision output pin, and nodes that
-    never fired."""
-    sources = {c for c, _, _ in result.edges}
-    deadlocks = [c for c in result.configs if c not in sources and not config_is_final(ad, c)]
+    """Deadlocks (non-final configurations with no successor; one whose
+    successors a bound cut is not one), reachability of each final input,
+    branch coverage per decision output pin, and nodes that never fired."""
+    deadlocks = [c for c in result.dead_ends if not config_is_final(ad, c)]
 
     view = _view(ad)
     final_reach: dict[str, bool] = {}
@@ -487,38 +522,45 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
     with no successors, depth-first up to `max_len` states; longer runs
     are cut and dropped."""
     out: list[Run] = []
+    view = _view(ad)
 
-    def explore(configs: tuple[Configuration, ...], choices: tuple[frozenset, ...]) -> None:
+    def explore(configs: tuple[Configuration, ...], choices: tuple[frozenset, ...],
+                enabled: dict[int, tuple[Step, ...]]) -> None:
         if len(out) >= max_runs:
             return
-        succ = successors(ad, configs[-1], mode, action_mode=action_mode)
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)
         if not succ:
             out.append(Run(configs, choices))
             return
         if len(configs) >= max_len:
             return
-        for chs, c1 in succ:
-            explore(configs + (c1,), choices + (chs,))
+        for chs, selection, c1 in succ:
+            explore(configs + (c1,), choices + (chs,), view.carry(enabled, selection, c1, action_mode))
 
-    explore((initial_config(ad),), ())
+    start = initial_config(ad)
+    explore((start,), (), view.scan(start, action_mode))
     return out
 
 
 def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
                action_mode: str = INSTANT, max_len: int = 200) -> tuple[Run, bool]:
-    """One seeded run; the flag reports whether it was cut before dying out."""
-    rng = random.Random(seed)
+    """One seeded run of at most `max_len` configurations; the flag reports
+    whether it was cut before dying out."""
+    if max_len < 1:
+        raise TokenGameError("bound must be >= 1")
+    rng, view = random.Random(seed), _view(ad)
     configs: tuple[Configuration, ...] = (initial_config(ad),)
+    enabled = view.scan(configs[0], action_mode)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = successors(ad, configs[-1], mode, action_mode=action_mode)
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)
         if not succ:
             return Run(configs, choices), False
-        chs, c1 = succ[rng.randrange(len(succ))]
+        chs, selection, c1 = succ[rng.randrange(len(succ))]
+        enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)
-    succ = successors(ad, configs[-1], mode, action_mode=action_mode)
-    return Run(configs, choices), bool(succ)
+    return Run(configs, choices), bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL))
 
 
 # ---------------------------------------------------------------------------

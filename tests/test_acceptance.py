@@ -23,7 +23,6 @@ from adsem.semantics import (
     conforms,
     finishes_action,
     fires_decision,
-    fires_forkjoin,
     fires_instantly,
     is_final_state,
     is_initial_state,
@@ -201,19 +200,19 @@ def test_c1_predicate_unit_suite(grade, fac, minimal):
              states(grade, {k["start"]: [CT]}), False),
         ],
         "stepForkJoin": [
-            (node_pred(fires_forkjoin, "F1"),
+            (node_pred(fires_instantly, "F1"),
              states(grade, {k["file"]: [TH]}, {k["f1"]: [TH], k["f2"]: [TH]}), True),
-            (node_pred(fires_forkjoin, "J1"),
+            (node_pred(fires_instantly, "J1"),
              states(grade, {k["r1"]: [R1], k["r2"]: [R2]},
                     {k["j1"]: [R1], k["j2"]: [R2]}), True),
-            (node_pred(fires_forkjoin, "J1"),
+            (node_pred(fires_instantly, "J1"),
              states(grade, {k["r1"]: [R1], k["r2"]: [R2], k["p"]: [CT]},
                     {k["j1"]: [R1], k["j2"]: [R2], k["p"]: [CT]}), True),
-            (node_pred(fires_forkjoin, "J1"),
+            (node_pred(fires_instantly, "J1"),
              states(grade, {k["r1"]: [R1]}, {k["j1"]: [R1], k["j2"]: [R2]}), False),
-            (node_pred(fires_forkjoin, "F1"),
+            (node_pred(fires_instantly, "F1"),
              states(grade, {k["file"]: [TH]}, {k["f1"]: [TH]}), False),
-            (node_pred(fires_forkjoin, "F1"),
+            (node_pred(fires_instantly, "F1"),
              states(grade, None, {k["f1"]: [TH], k["f2"]: [TH]}), False),
         ],
         "stepDecisionMerge": [

@@ -152,6 +152,14 @@ def test_check_trace_rejects_a_one_step_action_that_flips_its_flag(tmp_path, cap
                                "predicate": "step:action"}
 
 
+@pytest.mark.parametrize("command", ["simulate", "reach"])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_a_bound_below_one_is_a_usage_error(capsys, command, bound):
+    code = main([command, GRADE, "--bound", bound])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: bound must be >= 1\n")
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     monkeypatch.setenv("ADSEM_SEED", "9")
@@ -309,6 +317,17 @@ def test_reach_report_and_dot(tmp_path, capsys):
     assert payload["deadlocks"] == []
     assert payload["decision_coverage"] == {"D1.p": True, "D1.f": True}
     assert dot.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("bound,configurations", [("1", 1), ("3", 3)])
+def test_a_truncated_reach_reports_no_false_deadlock(capsys, bound, configurations):
+    # FileThesis is enabled in the initial configuration; the bound only cuts
+    # the configurations its steps lead to
+    code, out = run(capsys, "reach", GRADE, "--bound", bound)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["configurations"], payload["truncated"], payload["deadlocks"]) == \
+        (configurations, True, [])
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,10 @@ def test_analyze_starved_join(split_join):
     # with both branches explored there are two starvation states
     both = analyze(split_join, reachable(split_join))
     assert len(both.deadlocks) == 2
+    # under a bound, a starvation state it expanded is still a deadlock, and
+    # the start, whose successors it cut, is not one
+    cut = [analyze(split_join, reachable(split_join, bound=b)) for b in (1, 2)]
+    assert [(r.truncated, r.deadlocks) for r in cut] == [(True, []), (True, both.deadlocks[:1])]
 
 
 def test_analyze_never_fired():
