@@ -201,10 +201,13 @@ def _cmd_check_trace(args) -> int:
             else:
                 inst = variant2.ActionMethodsInstance.from_json(ad, header["params"])
                 binding = variant2.methods_binding(inst)
+            truncated = header.get("truncated", False)
+            if type(truncated) is not bool:
+                raise ValueError(f"truncated is not true or false: {truncated!r}")
         states = tuple(_decode_lines(args.trace, lines[1:], sysmodel.state_from_json))
         if not states:
             raise CliError("trace file has a header but no states")
-        trace = sysmodel.Trace(states, truncated=bool(header.get("truncated", False)))
+        trace = sysmodel.Trace(states, truncated=truncated)
 
     verdict = semantics.conforms(trace, inst, binding)
     _emit(verdict.to_json(), args.human)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition
 from .sysmodel import SystemState, Trace
@@ -109,9 +109,10 @@ Buffer = tuple[Token, ...]
 
 @dataclass(frozen=True)
 class VariationBinding:
-    """The bundle of open functions a variant supplies.  `changed(inst, s0, s1)` lists
-    the `layout` positions and node indices a pair may touch: any other position has
-    empty `cons` and `prod` and one buffer in both states, and any other node keeps its flag."""
+    """The bundle of open functions a variant supplies.  `delta(inst, s0, s1)` maps each
+    `layout` position a pair may touch to `(len(cons), len(prod), bool(buf_state(s1)))`, and
+    each node whose flag may differ to `executing(s1)`: any other position has empty `cons`
+    and `prod` and one buffer in both states, and any other node keeps its flag."""
     diagram_of: Callable[[object], ActivityDiagram]
     executing: Callable[[Node, object, SystemState], bool]
     elems: Callable[[PinType], TokenSet]
@@ -119,24 +120,10 @@ class VariationBinding:
     cons: Callable[[Transition, object, SystemState, SystemState], Buffer]
     prod: Callable[[Transition, object, SystemState, SystemState], Buffer]
     eval_guard: Callable[[str, object, SystemState], bool]
-    changed: Callable[[object, SystemState, SystemState], tuple[Iterable[int], Iterable[int]]]
+    delta: Callable[[object, SystemState, SystemState], tuple[dict, dict[int, bool]]]
 
 
 _Derived = TypeVar("_Derived")
-
-
-def remember_pair(derive: Callable[[SystemState, SystemState], _Derived]
-                  ) -> Callable[[SystemState, SystemState], _Derived]:
-    """`derive(s0, s1)`, remembered for the most recent pair only (states
-    match by identity), so that a binding's `cons` and `prod` of one pair
-    share one derivation and nothing grows with the trace."""
-    last: list = [None, None, None]
-
-    def remembered(s0: SystemState, s1: SystemState) -> _Derived:
-        if last[0] is not s0 or last[1] is not s1:
-            last[:] = [s0, s1, derive(s0, s1)]
-        return last[2]
-    return remembered
 
 
 def remember_states(derive: Callable[[SystemState], _Derived]
@@ -364,20 +351,23 @@ _STEP_PREDICATE = {
 
 
 def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
-    """Check a trace against the diagram instance: find the first initial
-    state, then require every later step to be allowed for every node and
-    finality to persist.  A pair is judged, in declaration order, at the
-    nodes next to what `b.changed` lists, for every other node stutters."""
+    """Check a trace against the diagram instance: find the first initial state, then
+    require every later step to be allowed for every node and finality to persist.  A
+    pair is judged from its `b.delta`, in declaration order, at the readers of what it
+    consumed, the writers of what it produced and the nodes it lists."""
     ad = b.diagram_of(inst)
     start = next((i for i in range(len(trace)) if is_initial_state(inst, trace[i], b)), None)
     if start is None:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
     nodes, transitions, ins, outs = ad.nodes, ad.layout.transitions, ad.layout.ins, ad.layout.outs
-    near: list[list[int]] = [[] for _ in transitions]  # position -> indices of its end nodes
+    readers: list[list[int]] = [[] for _ in transitions]  # position -> the nodes it enters
+    writers: list[list[int]] = [[] for _ in transitions]  # position -> the nodes it leaves
     for i in range(len(nodes)):
-        for p in {*ins[i], *outs[i]}:
-            near[p].append(i)
+        for p in ins[i]:
+            readers[p].append(i)
+        for p in outs[i]:
+            writers[p].append(i)
     s0 = trace[start]
     flags = [b.executing(n, inst, s0) for n in nodes]
     buffered = [len(b.buf_state(t, inst, s0)) != 0 for t in transitions]
@@ -393,20 +383,20 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         update(i)
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
-        positions, moved = b.changed(inst, s0, s1)
-        consumed = {p: len(b.cons(transitions[p], inst, s0, s1)) for p in positions}
-        produced = {p: len(b.prod(transitions[p], inst, s0, s1)) for p in positions}
-        flags1 = {i: b.executing(nodes[i], inst, s1) for i in moved}
+        moves, moved = b.delta(inst, s0, s1)
         final0 = not busy and full
-        for p in consumed:
-            buffered[p] = len(b.buf_state(transitions[p], inst, s1)) != 0
-        for i in sorted({i for p in consumed for i in near[p]}.union(flags1)):
-            n, f1 = nodes[i], flags1.get(i, flags[i])
-            if not _allows(n.kind, [consumed.get(p, 0) for p in ins[i]],
-                           [produced.get(p, 0) for p in outs[i]], flags[i], f1, outs[i],
-                           _guard_holds(ad, inst, s1, b)):
+        judged = set(moved)
+        for p, (consumed, produced, filled) in moves.items():
+            buffered[p] = filled
+            judged.update(readers[p] if consumed else (), writers[p] if produced else ())
+        for i in sorted(judged):
+            n = nodes[i]
+            if not _allows(n.kind, [moves[p][0] if p in moves else 0 for p in ins[i]],
+                           [moves[p][1] if p in moves else 0 for p in outs[i]], flags[i],
+                           moved.get(i, flags[i]), outs[i], _guard_holds(ad, inst, s1, b)):
                 return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
-            flags[i] = f1
+        for i in {i for p in moves for i in readers[p]}.union(moved):
+            flags[i] = moved.get(i, flags[i])
             update(i)
         if final0 and (busy or not full):
             # a final node exists, for s0 was final; blame a busy node before it
@@ -449,15 +439,25 @@ def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
     return before, after
 
 
-def fifo_binding(diagram_of, executing, buf_state, eval_guard, changed) -> VariationBinding:
+def fifo_binding(diagram_of, executing, buf_state, eval_guard, touched) -> VariationBinding:
     """A binding from the open functions of the same names, with the default
     pin-type interpretation, whose buffers obey the FIFO law: `cons` and
-    `prod` are the `fifo_delta` of a transition's buffer in the two states."""
+    `prod` are the `fifo_delta` of a transition's buffer in the two states,
+    and `delta` takes it at the positions `touched(inst, s0, s1)` lists."""
     def cons(t: Transition, inst: object, s0: SystemState, s1: SystemState) -> Buffer:
         return fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))[0]
 
     def prod(t: Transition, inst: object, s0: SystemState, s1: SystemState) -> Buffer:
         return fifo_delta(buf_state(t, inst, s0), buf_state(t, inst, s1))[1]
 
+    def delta(inst: object, s0: SystemState, s1: SystemState) -> tuple[dict, dict[int, bool]]:
+        ad, (positions, nodes), moves = diagram_of(inst), touched(inst, s0, s1), {}
+        for p in positions:
+            t = ad.layout.transitions[p]
+            before, after = buf_state(t, inst, s0), buf_state(t, inst, s1)
+            consumed, produced = fifo_delta(before, after)
+            moves[p] = (len(consumed), len(produced), len(after) != 0)
+        return moves, {i: executing(ad.nodes[i], inst, s1) for i in nodes}
+
     return VariationBinding(diagram_of, executing, admissible_tokens, buf_state, cons, prod,
-                            eval_guard, changed)
+                            eval_guard, delta)

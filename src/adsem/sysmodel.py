@@ -156,7 +156,12 @@ def frame_to_json(f: Frame) -> dict:
 
 
 def frame_from_json(d: dict) -> Frame:
-    return Frame.make(d["callee"], d["m"], d.get("vars", {}), d["pc"], d["caller"])
+    """Raises ValueError unless `callee`, `m`, `pc` and `caller` are strings."""
+    callee, mname, pc, caller = d["callee"], d["m"], d["pc"], d["caller"]
+    if not (type(callee) is type(mname) is type(pc) is type(caller) is str):
+        bad = {k: d[k] for k in ("callee", "m", "pc", "caller") if type(d[k]) is not str}
+        raise ValueError(f"frame fields are not strings: {bad}")
+    return Frame.make(callee, mname, d.get("vars", {}), pc, caller)
 
 
 def state_to_json(s: SystemState) -> dict:

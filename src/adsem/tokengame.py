@@ -86,7 +86,11 @@ class Configuration:
     def from_json(ad: ActivityDiagram, d: dict) -> "Configuration":
         buffers = {k: [Token.from_json(tok) for tok in toks]
                    for k, toks in d.get("buffers", {}).items()}
-        return Configuration.make(ad, buffers, d.get("exec", {}))
+        flags = dict(d.get("exec", {}))
+        bad = {name: v for name, v in flags.items() if type(v) is not bool}
+        if bad:
+            raise TokenGameError(f"exec flags are not all true or false: {bad}")
+        return Configuration.make(ad, buffers, flags)
 
     def canonical(self) -> str:
         return _dumps(self.to_json())
@@ -588,7 +592,7 @@ def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
     position = _view(ad).position
     node_index = {n.name: i for i, n in enumerate(ad.nodes)}
 
-    def changed(inst, s0: SystemState, s1: SystemState) -> tuple[list[int], list[int]]:
+    def touched(inst, s0: SystemState, s1: SystemState) -> tuple[list[int], list[int]]:
         """The buffers and flags whose values differ; a lifted state holds them all."""
         b0, b1, f0, f1 = (s.data_store.get(o, {}) for o in (BUFFER_OID, FLAGS_OID) for s in (s0, s1))
         return ([position[k] for k, toks in b1.items() if b0.get(k, ()) != toks],
@@ -599,7 +603,7 @@ def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
         executing=lambda n, inst, s: bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False)),
         buf_state=lambda t, inst, s: s.data_store.get(BUFFER_OID, {}).get(t.key, ()),
         eval_guard=lambda guard, inst, s: True,
-        changed=changed,
+        touched=touched,
     )
 
 

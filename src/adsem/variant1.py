@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
-from .semantics import (ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding,
-                        remember_pair)
+from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
 from .sysmodel import Frame, SystemState, Trace, Value, advance_pc, top_frame
 
 
@@ -270,7 +269,8 @@ class MethodExecutionInstance:
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "MethodExecutionInstance":
-        """Raises ValueError unless `pc_map` gives each node of `ad` a pc of its own."""
+        """Raises ValueError unless `pc_map` gives each node of `ad` a pc of its own
+        and `caller`, `meth`, `callee` and `thread` are strings."""
         pc_map, names = dict(d["pc_map"]), {n.name for n in ad.nodes}
         pcs = list(pc_map.values())
         shared = sorted({pc for pc in pcs if pcs.count(pc) > 1}, key=str)
@@ -278,6 +278,9 @@ class MethodExecutionInstance:
             raise ValueError(f"pc_map does not give each node a pc of its own: missing "
                              f"{sorted(names - pc_map.keys())}, unknown "
                              f"{sorted(pc_map.keys() - names)}, shared {shared}")
+        bad = {k: d[k] for k in ("caller", "meth", "callee", "thread") if type(d[k]) is not str}
+        if bad:
+            raise ValueError(f"instance fields are not strings: {bad}")
         return MethodExecutionInstance(
             ad=ad, caller=d["caller"], meth=d["meth"], params=tuple(d.get("params", ())),
             callee=d["callee"], pc_map=pc_map, thread=d["thread"])
@@ -559,51 +562,61 @@ _NO_FRAME = object()  # the pc of an empty stack: equal to no pc of the instance
 def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     """All executions are instantaneous: nothing ever reports executing,
     guards always evaluate true (branching lives in the guard's effect),
-    and consumption/production is derived from the pc movement, once per
-    state pair."""
+    and consumption/production is derived from the pc movement; `delta`
+    derives it once per state pair and is built once per distinct movement."""
     ad = inst.ad
+    ts = ad.layout.transitions
     at_pc: dict[str | None, list[int]] = {}  # pc -> positions whose buffer holds the token there
-    for p, t in enumerate(ad.layout.transitions):
+    for p, t in enumerate(ts):
         at_pc.setdefault(inst.pc_map.get(t.dst), []).append(p)
-    position = {t.key: p for p, t in enumerate(ad.layout.transitions)}
+    position = {t.key: p for p, t in enumerate(ts)}
+    into_decisions = frozenset(t.key for t in ts if ad.node(t.dst).kind is NodeKind.DECISIONMERGE)
+    # the pcs of the nodes whose flow may cross a decision; from any other pc none is crossed
+    walks = {inst.pc_map.get(n.name) for n in ad.nodes if n.kind is NodeKind.DECISIONMERGE
+             or any(t.key in into_decisions for t in outgoing(ad, n))}
 
-    @remember_pair
     def movement(s0: SystemState, s1: SystemState) -> tuple[object, object, frozenset[str]]:
         """The pc before and after (`_NO_FRAME` without a frame) and the keys
         of the transitions into decisions that the pc crossed."""
         f0 = top_frame(s0, inst.callee, inst.thread)
         f1 = top_frame(s1, inst.callee, inst.thread)
-        move = _movement(inst, s0, s1)
-        crossed = frozenset() if move is None else frozenset(
-            p.key for p in move[2] if ad.node(p.dst).kind is NodeKind.DECISIONMERGE)
-        return (_NO_FRAME if f0 is None else f0.pc, _NO_FRAME if f1 is None else f1.pc, crossed)
+        pc0, pc1 = _NO_FRAME if f0 is None else f0.pc, _NO_FRAME if f1 is None else f1.pc
+        move = _movement(inst, s0, s1) if pc0 in walks else None
+        crossed = frozenset(t.key for t in move[2]) & into_decisions if move else frozenset()
+        return pc0, pc1, crossed
 
-    def moved(t: Transition, s0: SystemState, s1: SystemState,
+    def moved(t: Transition, move: tuple[object, object, frozenset[str]],
               produced_side: bool) -> tuple[Token, ...]:
         """The control token sits on t when the pc names t's destination
         (see `pc_buffer_state`): it arrives or leaves with the pc, or passes
         through t into a decision the pc crossed."""
-        pc0, pc1, crossed = movement(s0, s1)
+        pc0, pc1, crossed = move
         at = inst.pc_map.get(t.dst)
         before, after = pc0 == at, pc1 == at
         if (after and not before) if produced_side else (before and not after):
             return (CONTROL_TOKEN,)
         return (CONTROL_TOKEN,) if t.key in crossed else ()
 
-    def changed(_inst, s0: SystemState, s1: SystemState) -> tuple[list[int], tuple]:
-        """The positions into the old and the new pc's node and those the pc crossed."""
-        pc0, pc1, crossed = movement(s0, s1)
-        return at_pc.get(pc0, []) + at_pc.get(pc1, []) + [position[k] for k in crossed], ()
+    @cache
+    def delta_of(move: tuple[object, object, frozenset[str]]) -> tuple[dict, dict]:
+        """The transitions into the node of the old and of the new pc and those the pc
+        crossed (none when the pc stays), and no nodes, as nothing executes; pairs
+        with one movement share the result, so no caller may change it."""
+        pc0, pc1, crossed = move
+        listed = [] if pc0 == pc1 else (at_pc.get(pc0, []) + at_pc.get(pc1, [])
+                                        + [position[k] for k in crossed])
+        return {p: (len(moved(ts[p], move, False)), len(moved(ts[p], move, True)),
+                    pc1 == inst.pc_map.get(ts[p].dst)) for p in listed}, {}
 
     return VariationBinding(
         diagram_of=lambda _inst: ad,
         executing=lambda n, _inst, s: False,
         elems=token_domain_v1,
         buf_state=lambda t, _inst, s: pc_buffer_state(t, inst, s),
-        cons=lambda t, _inst, s0, s1: moved(t, s0, s1, produced_side=False),
-        prod=lambda t, _inst, s0, s1: moved(t, s0, s1, produced_side=True),
+        cons=lambda t, _inst, s0, s1: moved(t, movement(s0, s1), produced_side=False),
+        prod=lambda t, _inst, s0, s1: moved(t, movement(s0, s1), produced_side=True),
         eval_guard=lambda g, _inst, s: True,
-        changed=changed,
+        delta=lambda _inst, s0, s1: delta_of(movement(s0, s1)),
     )
 
 

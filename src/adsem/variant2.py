@@ -310,7 +310,7 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
     runs_as = {(inst.oid[n.name], inst.meth[n.name]): i  # no two actions share a method
                for i, n in enumerate(inst.ad.nodes) if n.name in inst.meth}
 
-    def changed(_inst, s0, s1):
+    def touched(_inst, s0, s1):
         """The mailboxes whose raw text differs and the nodes that started or stopped."""
         return ([p for p, box in boxes if s0.data_store.get(box, {}).get(MAILBOX_VAR, "[]")
                  != s1.data_store.get(box, {}).get(MAILBOX_VAR, "[]")],
@@ -329,7 +329,7 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
         executing=lambda n, _inst, s: _runs(n, inst, running(s)),
         buf_state=buf_state,
         eval_guard=lambda g, _inst, s: evaluate_guard(g, inst, s),
-        changed=changed,
+        touched=touched,
     )
 
 

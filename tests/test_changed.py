@@ -1,15 +1,16 @@
-"""`VariationBinding.changed` against what the binding's other fields say,
+"""`VariationBinding.delta` against what the binding's other fields say,
 and `conforms` against a full scan of every node on every pair.
 
 Hypothesis draws a recorded trace of `golden/verdicts/` (variant 1,
 variant 2 and token runs of every diagram and mode there) and applies up
 to three mutations of `test_cli_golden_verdicts` to it.  On each pair of
-states, `changed` must list every position whose `cons` or `prod` is
-non-empty or whose buffer differs, and every node whose flag differs.
-`conforms` judges a pair only at the nodes next to what `changed` lists;
-`full_scan` is the loop it replaced, which judges every node and reads
-every buffer and flag of every state, and the two must give the same
-verdict, or raise the same error.
+states, `delta` must give each position it lists the `cons` and `prod`
+counts and the filled bit of the second buffer, and each node it lists
+the flag in the second state; any other position has no counts and one
+buffer in both states, and any other node keeps its flag.  `conforms`
+judges a pair from `delta` alone; `full_scan` is the loop it replaced,
+which judges every node and reads every buffer and flag of every state,
+and the two must give the same verdict, or raise the same error.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import json
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adsem import diagram, tokengame, variant1
 from adsem.diagram import NodeKind
-from adsem.semantics import (_STEP_PREDICATE, Verdict, VerdictKind, _allows, _busy,
+from adsem.semantics import (_STEP_PREDICATE, CONTROL_TOKEN, Verdict, VerdictKind, _allows, _busy,
                              _guard_holds, configuration_is, conforms, is_initial_state)
 
 from .test_cli_golden_verdicts import bases, decoded, golden_path, mutate
@@ -92,22 +94,27 @@ def traces(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(traces())
-def test_changed_lists_every_position_and_flag_a_pair_touches(case):
+def test_delta_gives_the_counts_buffers_and_flags_of_every_pair(case):
     inst, b, trace = case
     ad = b.diagram_of(inst)
+    transitions = ad.layout.transitions
     pairs = [(trace[j], trace[j + 1]) for j in range(len(trace) - 1)]
     for s0, s1 in pairs + [(s1, s0) for s0, s1 in pairs] + [(trace[0], trace[len(trace) - 1])]:
         try:
-            touched = [p for p, t in enumerate(ad.layout.transitions)
-                       if b.cons(t, inst, s0, s1) or b.prod(t, inst, s0, s1)
-                       or b.buf_state(t, inst, s0) != b.buf_state(t, inst, s1)]
-            flipped = [i for i, n in enumerate(ad.nodes)
-                       if b.executing(n, inst, s0) != b.executing(n, inst, s1)]
+            counts = [(len(b.cons(t, inst, s0, s1)), len(b.prod(t, inst, s0, s1)),
+                       bool(b.buf_state(t, inst, s1))) for t in transitions]
+            kept = [b.buf_state(t, inst, s0) == b.buf_state(t, inst, s1) for t in transitions]
+            flags0, flags1 = ([b.executing(n, inst, s) for n in ad.nodes] for s in (s0, s1))
         except Exception:  # a state the binding cannot read
             continue
-        positions, nodes = b.changed(inst, s0, s1)
-        assert set(touched) <= set(positions)
-        assert set(flipped) <= set(nodes)
+        moves, flags = b.delta(inst, s0, s1)
+        for p in range(len(transitions)):
+            if p in moves:
+                assert moves[p] == counts[p]
+            else:
+                assert counts[p][:2] == (0, 0) and kept[p]
+        for i in range(len(ad.nodes)):
+            assert flags[i] == flags1[i] if i in flags else flags0[i] == flags1[i]
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,3 +122,31 @@ def test_changed_lists_every_position_and_flag_a_pair_touches(case):
 def test_conforms_agrees_with_a_full_scan(case):
     inst, b, trace = case
     assert outcome(conforms, trace, inst, b) == outcome(full_scan, trace, inst, b)
+
+
+def test_finality_reached_by_a_token_and_lost_by_a_start_is_blamed_on_the_starter():
+    # the token that makes the state final reaches the final node through a
+    # buffer, not a flag, and the action that then starts has no inputs
+    ad = diagram.parse("activity LateOrphan { initial i; action A; action X; final f; "
+                       "i -> A; A -> f; X -> f; }")
+    into_a, into_f = "i._o1->A._i1", "A._o1->f._i1"
+    run = [tokengame.Configuration.make(ad, buffers, flags) for buffers, flags in [
+        ({into_a: [CONTROL_TOKEN]}, {}), ({}, {"A": True}), ({into_f: [CONTROL_TOKEN]}, {}),
+        ({into_f: [CONTROL_TOKEN]}, {"X": True})]]
+    inst, b, trace = tokengame.as_binding(ad, run, action_mode=tokengame.TWO_PHASE)
+    expected = Verdict(VerdictKind.VIOLATED, 2, "X", "final-persistence")
+    assert conforms(trace, inst, b) == full_scan(trace, inst, b) == expected
+
+
+def test_v1_walks_the_flow_at_most_once_per_pair_that_crosses_a_decision(fac, monkeypatch):
+    ad, inst = fac, variant1.method_instance(fac)
+    trace = variant1.run_method(ad, inst, {"n": 100})
+    into_decisions = [t for t in ad.layout.transitions
+                      if ad.node(t.dst).kind is NodeKind.DECISIONMERGE]
+    b = variant1.atomic_binding(inst)
+    crossing = sum(any(b.cons(t, inst, trace[j], trace[j + 1]) for t in into_decisions)
+                   for j in range(len(trace) - 1))
+    walks, walk = [], variant1.flow_walk
+    monkeypatch.setattr(variant1, "flow_walk", lambda *args: walks.append(args) or walk(*args))
+    assert conforms(trace, inst, variant1.atomic_binding(inst)).kind is VerdictKind.SATISFIED
+    assert 0 < len(walks) <= crossing < len(trace) - 1

@@ -374,6 +374,60 @@ def test_bad_token_trace_line_is_located(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {out_file}:2: {reason}\n"
 
 
+def _recorded(tmp_path, capsys, variant) -> tuple[str, Path, list[dict]]:
+    """The diagram, the file and the decoded lines of a `run-v1` trace of fac
+    n=3 or a `run-v2` trace of grade_thesis."""
+    trace = tmp_path / "trace.jsonl"
+    if variant == "v1":
+        ad = FAC
+        run(capsys, "run-v1", FAC, "n=3", "--trace", str(trace))
+    else:
+        ad, scenario = GRADE, tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"seed": 2, "decisions": {"D1": "passed"}}))
+        run(capsys, "run-v2", GRADE, str(scenario), "--trace", str(trace))
+    return ad, trace, [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _first_frame(state: dict) -> dict:
+    return next(f for stacks in state["cs"].values() for stack in stacks.values() for f in stack)
+
+
+@pytest.mark.parametrize("variant,edit,line,reason", [
+    ("v1", lambda lines: _first_frame(lines[2]).update(pc=["x"]), 3,
+     "frame fields are not strings: {'pc': ['x']}"),
+    ("v2", lambda lines: _first_frame(lines[2]).update(m=["x"]), 3,
+     "frame fields are not strings: {'m': ['x']}"),
+    ("v1", lambda lines: lines[0]["params"].update(callee=5), 1,
+     "instance fields are not strings: {'callee': 5}"),
+    ("v1", lambda lines: lines[0].update(truncated="no"), 1,
+     "truncated is not true or false: 'no'"),
+    ("v2", lambda lines: lines[0].update(truncated=1), 1, "truncated is not true or false: 1"),
+], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
+        "v2-int-truncated"])
+def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
+                                                         line, reason):
+    ad, trace, lines = _recorded(tmp_path, capsys, variant)
+    edit(lines)
+    trace.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    code = main(["check-trace", ad, str(trace), "--variant", variant])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:{line}: {reason}\n")
+
+
+@pytest.mark.parametrize("flag", ["false", "yes", 1])
+def test_a_token_trace_flag_that_is_not_a_boolean_is_located(tmp_path, capsys, flag):
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--actions", "twoPhase", "--seed", "1", "--out", str(out_file))
+    configs = [json.loads(line) for line in out_file.read_text().splitlines()]
+    configs[0]["exec"]["CreateCert"] = flag
+    out_file.write_text("".join(json.dumps(c) + "\n" for c in configs))
+    code = main(["check-trace", GRADE, str(out_file), "--variant", "token",
+                 "--actions", "twoPhase"])
+    assert code == 3
+    reason = f"exec flags are not all true or false: {{'CreateCert': {flag!r}}}"
+    assert capsys.readouterr() == ("", f"error: {out_file}:1: {reason}\n")
+
+
 def test_token_trace_naming_unknown_action_exits_three(tmp_path, capsys):
     out_file = tmp_path / "run.jsonl"
     run(capsys, "simulate", GRADE, "--out", str(out_file))
