@@ -14,7 +14,6 @@ checker can audit everything this module generates.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from collections import deque
@@ -178,6 +177,8 @@ class Step(NamedTuple):
     choices: frozenset
     label: str
     reach: tuple[int, ...]  # the nodes whose enabled steps it can change
+    touches: frozenset[int]  # cons and prod, which no other step of a selection may touch
+    flag: int | None  # the flag position that start and finish flip
     guard: str | None = None  # a decision branch's, judged at expansion
 
 
@@ -191,21 +192,28 @@ class _NodeView:
         self.ins = ins
 
         def step(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...],
-                 guard: str | None = None) -> Step:
+                 guard: str | None = None) -> tuple[Step, ...]:
+            # none if it consumes from a transition it produces to: it never fires
+            touches = frozenset(cons + prod)
+            if len(touches) < len(cons) + len(prod):
+                return ()
             # the readers of what it consumes and produces, and its own node,
             # whose flag start and finish flip
-            reach = dict.fromkeys([index, *(view.reader[p] for p in cons + prod if p in view.reader)])
-            return Step(choice, cons, prod, frozenset((choice,)), choice.label(), tuple(reach), guard)
+            reach = dict.fromkeys([index, *(view.reader[p] for p in touches if p in view.reader)])
+            flag = self.flag if choice.kind in ("start", "finish") else None
+            return (Step(choice, cons, prod, frozenset((choice,)), choice.label(), tuple(reach),
+                         touches, flag, guard),)
 
         shapes = {NodeKind.ACTION: (("start", ins, ()), ("finish", (), outs), ("instant", ins, outs)),
                   NodeKind.FORKJOIN: (("forkjoin", ins, outs),)}
-        self.steps: dict[str, tuple[Step]] = {kind: (step(StepChoice(n.name, kind), cons, prod),)
-                                              for kind, cons, prod in shapes.get(n.kind, ())}
+        self.steps: dict[str, tuple[Step, ...]] = {kind: step(StepChoice(n.name, kind), cons, prod)
+                                                   for kind, cons, prod in shapes.get(n.kind, ())}
         # a decision's steps, one per input x output pair
         self.branches: list[Step] = [
-            step(StepChoice(n.name, "decision", t_in.key, t_out.key), (view.position[t_in.key],),
-                 (view.position[t_out.key],), ad.guard(t_out.src, t_out.out_pin))
-            for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
+            branch for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
+            for branch in step(StepChoice(n.name, "decision", t_in.key, t_out.key),
+                               (view.position[t_in.key],), (view.position[t_out.key],),
+                               ad.guard(t_out.src, t_out.out_pin))
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
     def executing(self, c: Configuration) -> bool:
@@ -278,20 +286,25 @@ class _View:
             (p, index), representative_token(ad, ad.layout.transitions[p], index))
 
     def order_key(self, c: Configuration) -> str:
-        """`c.canonical()`, joined from memoised JSON fragments: one per
-        nonempty buffer, in key order, and one for the flags."""
-        frags, execs = self.fragments, self.exec_json
-        parts = []
-        try:
-            for p in self.key_order:
-                pair = c.buffers[p]
-                if pair[1]:
-                    parts.append(frags.get(pair) or frags.setdefault(
-                        pair, _dumps({pair[0]: [tok.to_json() for tok in pair[1]]})[1:-1]))
-        except TypeError:  # unhashable: a payload read from a file may be a list
-            return c.canonical()
-        flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(c.flags)))
-        return '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
+        """`c.canonical()`, made once per configuration and kept on it, as its
+        hash is: joined from memoised JSON fragments, one per nonempty
+        buffer, in key order, and one for the flags."""
+        key = c.__dict__.get("_key")
+        if key is None:
+            frags, execs = self.fragments, self.exec_json
+            parts = []
+            try:
+                for p in self.key_order:
+                    pair = c.buffers[p]
+                    if pair[1]:
+                        parts.append(frags.get(pair) or frags.setdefault(
+                            pair, _dumps({pair[0]: [tok.to_json() for tok in pair[1]]})[1:-1]))
+                flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(c.flags)))
+                key = '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
+            except TypeError:  # unhashable: a payload read from a file may be a list
+                key = c.canonical()
+            c.__dict__["_key"] = key
+        return key
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -304,71 +317,69 @@ def _view(ad: ActivityDiagram) -> _View:
         return view
 
 
-def _apply(ad: ActivityDiagram, view: _View, c: Configuration,
-           steps: Iterable[Step]) -> Configuration:
+def _apply(ad: ActivityDiagram, view: _View, c: Configuration, step: Step) -> Configuration:
+    """`c` after one of its enabled steps."""
     buffers = list(c.buffers)
-    flags = list(c.flags)
-    consumed: dict[int, Token] = {}
-    for choice, cons, *_ in steps:
-        for p in cons:
-            key, buf = buffers[p]
-            if not buf:
-                raise TokenGameError(f"consume from empty buffer {key}")
-            consumed[p] = buf[0]
-            buffers[p] = (key, buf[1:])
-        if choice.kind in ("start", "finish"):
-            flags[view.flag_position[choice.node]] = (choice.node, choice.kind == "start")
-    for choice, cons, prod, *_ in steps:
-        for p in prod:
-            key, buf = buffers[p]
-            tok = view.token(ad, p, len(buf))
-            if choice.kind == "decision":
-                t = view.by_key[key]
-                candidate = consumed[cons[0]]
-                out_set = admissible_tokens(ad.pin_type(t.src, t.out_pin))
-                in_set = admissible_tokens(ad.pin_type(t.dst, t.in_pin))
-                if candidate in out_set and candidate in in_set:
-                    tok = candidate
+    for p in step.cons:
+        buffers[p] = (buffers[p][0], buffers[p][1][1:])
+    for p in step.prod:
+        key, buf = buffers[p]
+        buffers[p] = (key, buf + (view.token(ad, p, len(buf)),))
+    if step.choice.kind == "decision":  # its one production passes on what it consumed, if admitted
+        tok, t = c.buffers[step.cons[0]][1][0], view.by_key[key]
+        if (tok in admissible_tokens(ad.pin_type(t.src, t.out_pin))
+                and tok in admissible_tokens(ad.pin_type(t.dst, t.in_pin))):
             buffers[p] = (key, buf + (tok,))
-    return Configuration(tuple(buffers), tuple(flags))
+    f = step.flag
+    return Configuration(tuple(buffers), c.flags if f is None else (
+        *c.flags[:f], (step.choice.node, step.choice.kind == "start"), *c.flags[f + 1:]))
+
+
+def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
+    """`c` with what `step` wrote into `c1`, its successor of a configuration
+    that agrees with `c` at every position and flag the step touches."""
+    buffers = list(c.buffers)
+    for p in step.touches:
+        buffers[p] = c1.buffers[p]
+    f = step.flag
+    return Configuration(tuple(buffers),
+                         c.flags if f is None else (*c.flags[:f], c1.flags[f], *c.flags[f + 1:]))
 
 
 def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
-            enabled: dict[int, tuple[Step, ...]], mode: str,
-            guards: GuardOracle) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
+            enabled: dict[int, tuple[Step, ...]], mode: str, guards: GuardOracle,
+            visited: Mapping[Configuration, Configuration]
+            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
     """`successors` of `c`, whose enabled set is `enabled`, each with the
-    steps that made it."""
-    pools = []
-    for steps in enabled.values():
-        if steps[0].guard is not None:  # a decision's branches
-            steps = [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
-            if not steps:
-                continue
-        pools.append(steps)
+    steps that made it.  Each step is applied to `c` once; a concurrent
+    selection is patched together from its steps' single results, at the
+    positions and flag each touches.  A successor found in `visited` is
+    replaced by the instance kept there, so a revisited configuration costs
+    a hash, an equality and its kept order key."""
+    # each node's steps; of a decision's branches, those whose guards may hold
+    pools = [steps if steps[0].guard is None else
+             [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
+             for steps in enabled.values()]
     if mode == INTERLEAVING:
-        picks = [(step,) for steps in pools for step in steps]
+        results = [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
     elif mode == CONCURRENT:
-        picks = (tuple(step for step in combo if step is not None)  # the first picks nothing
-                 for combo in itertools.islice(itertools.product(*([None, *steps] for steps in pools)),
-                                               1, None))
+        # at most one step per node and no two touching one position; the nodes
+        # in label order (a name holds no ":"), so each selection's labels come sorted
+        grown = [((), frozenset(), frozenset(), c)]
+        for steps in sorted(filter(None, pools), key=lambda steps: steps[0].label):
+            singles = [(step, _apply(ad, view, c, step)) for step in steps]
+            grown += [(selection + (step,), touched | step.touches, choices | step.choices,
+                       _patch(c0, step, c1) if selection else c1)
+                      for selection, touched, choices, c0 in grown
+                      for step, c1 in singles if touched.isdisjoint(step.touches)]
+        results = [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
     else:
         raise TokenGameError(f"unknown mode {mode!r}")
-
-    results = []
-    for selection in picks:
-        consumed = [p for step in selection for p in step.cons]
-        if any(p in consumed for step in selection for p in step.prod):
-            continue
-        if len(selection) == 1:
-            choices, labels = selection[0].choices, (selection[0].label,)
-        else:
-            choices = frozenset(step.choice for step in selection)
-            labels = tuple(sorted(step.label for step in selection))
-        results.append((choices, labels, selection, _apply(ad, view, c, selection)))
-    # the order of canonical(), with the labels breaking ties
-    if len(results) > 1:
-        results.sort(key=lambda r: (view.order_key(r[3]), r[1]))
-    return [(choices, selection, c1) for choices, _, selection, c1 in results]
+    if visited:  # an empty one is not asked: a configuration read from a file may be unhashable
+        results = [(choices, selection, visited.get(c1, c1)) for choices, selection, c1 in results]
+    if len(results) > 1:  # the order of canonical(), with the labels breaking ties
+        results.sort(key=lambda r: (view.order_key(r[2]), tuple(step.label for step in r[1])))
+    return results
 
 
 _EXPLORE_ALL = ExploreAllBranches()
@@ -384,7 +395,7 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     disjoint fires simultaneously."""
     view = _view(ad)
     return [(choices, c1) for choices, _, c1
-            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL)]
+            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL, {})]
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +427,22 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
               bound: int = DEFAULT_BOUND) -> ReachabilityResult:
     """BFS closure of `successors` from the initial configuration, up to
     `bound` distinct configurations.  Each queued configuration carries its
-    enabled set, made from its parent's when it is first reached."""
+    enabled set, made from its parent's when it is first reached.  A new
+    configuration costs its steps, a hash and an order key; a revisited one
+    costs a hash, an equality and the key kept on its first instance, which
+    `_expand` swaps in from `visited`."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
     view, guards = _view(ad), guards or _EXPLORE_ALL
     start = initial_config(ad)
-    visited: dict[Configuration, None] = {start: None}
-    order = [start]
+    visited = {start: start}  # in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
     truncated = False
     queue = deque([(start, view.scan(start, action_mode))])
     while queue:
         c, enabled = queue.popleft()
-        succ = _expand(ad, view, c, enabled, mode, guards)
+        succ = _expand(ad, view, c, enabled, mode, guards, visited)
         if not succ:
             dead_ends.append(c)
         for choices, selection, c1 in succ:
@@ -437,11 +450,10 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
                 if len(visited) >= bound:
                     truncated = True
                     continue
-                visited[c1] = None
-                order.append(c1)
+                visited[c1] = c1
                 queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
             edges.append((c, choices, c1))
-    return ReachabilityResult(start, order, edges, truncated, dead_ends)
+    return ReachabilityResult(start, list(visited), edges, truncated, dead_ends)
 
 
 @dataclass
@@ -532,7 +544,7 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
                 enabled: dict[int, tuple[Step, ...]]) -> None:
         if len(out) >= max_runs:
             return
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {})
         if not succ:
             out.append(Run(configs, choices))
             return
@@ -557,14 +569,14 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     enabled = view.scan(configs[0], action_mode)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {})
         if not succ:
             return Run(configs, choices), False
         chs, selection, c1 = succ[rng.randrange(len(succ))]
         enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)
-    return Run(configs, choices), bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL))
+    return Run(configs, choices), bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ def expansions(monkeypatch):
     seen = []
     expand = tokengame._expand
 
-    def recording(ad, view, c, enabled, mode, guards):
+    def recording(ad, view, c, enabled, mode, guards, visited):
         seen.append((ad, c, enabled))
-        return expand(ad, view, c, enabled, mode, guards)
+        return expand(ad, view, c, enabled, mode, guards, visited)
 
     monkeypatch.setattr(tokengame, "_expand", recording)
     return seen

@@ -17,6 +17,8 @@ from adsem.tokengame import (
     INTERLEAVING,
     TWO_PHASE,
     Configuration,
+    StepChoice,
+    _View,
     _view,
     initial_config,
     reachable,
@@ -68,12 +70,51 @@ DIAGRAMS = list(diagrams())
 @pytest.mark.parametrize("mode,actions", MODES)
 @pytest.mark.parametrize("name,ad", DIAGRAMS + [("prefixed", parse(PREFIXED))],
                          ids=[name for name, _ in DIAGRAMS] + ["prefixed"])
-def test_order_key_is_canonical(name, ad, mode, actions):
+def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
+    kept = []  # each key read back from a configuration that already had one
+    order_key = _View.order_key
+
+    def recording(view, c):
+        had_key = "_key" in c.__dict__
+        key = order_key(view, c)
+        if had_key:
+            kept.append((c, key))
+        return key
+
+    monkeypatch.setattr(_View, "order_key", recording)
     view = _view(ad)
     result = reachable(ad, mode=mode, action_mode=actions)
     assert not result.truncated
+    # a revisited configuration is the instance first reached, with its key
+    instances = {id(c) for c in result.configs}
+    assert all(id(c1) in instances for _, _, c1 in result.edges)
+    hits = len(result.edges) - (len(result.configs) - 1)
+    assert kept or hits < 10
+    for c, key in kept:
+        assert key == c.canonical()
     for c in result.configs:
         assert view.order_key(c) == c.canonical()
+
+
+SMALL = [(name, ad) for name, ad in DIAGRAMS + [("prefixed", parse(PREFIXED))]
+         if name not in {f"fork{k}x{c}" for k, c in FAMILIES if k > 3 or c > 2}]
+
+
+@pytest.mark.parametrize("actions", (INSTANT, TWO_PHASE))
+@pytest.mark.parametrize("name,ad", SMALL, ids=[name for name, _ in SMALL])
+def test_a_concurrent_edge_is_its_steps_taken_one_at_a_time(name, ad, actions):
+    """Concurrent successors are patched together from single steps; here
+    each edge is rebuilt by interleaving its steps, in label order, through
+    the public `successors`."""
+    result = reachable(ad, mode=CONCURRENT, action_mode=actions)
+    assert not result.truncated
+    assert any(len(choices) > 1 for _, choices, _ in result.edges) or not name.startswith("fork")
+    for c0, choices, c1 in result.edges:
+        c = c0
+        for choice in sorted(choices, key=StepChoice.label):
+            (c,) = [c2 for chs, c2 in successors(ad, c, INTERLEAVING, action_mode=actions)
+                    if chs == {choice}]
+        assert c == c1
 
 
 def test_prefixed_diagram_is_valid_and_reaches_multi_token_data_buffers():
