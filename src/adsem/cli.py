@@ -194,7 +194,7 @@ def _cmd_check_trace(args) -> int:
         with _located(args.trace, lines[0][0]):
             header = json.loads(lines[0][1])
             if header.get("variant") not in (args.variant, None):
-                raise CliError(f"trace was recorded for variant {header.get('variant')!r}")
+                raise ValueError(f"trace was recorded for variant {header.get('variant')!r}")
             if args.variant == "v1":
                 inst = variant1.MethodExecutionInstance.from_json(ad, header["params"])
                 binding = variant1.atomic_binding(inst)
@@ -209,7 +209,12 @@ def _cmd_check_trace(args) -> int:
             raise CliError("trace file has a header but no states")
         trace = sysmodel.Trace(states, truncated=truncated)
 
-    verdict = semantics.conforms(trace, inst, binding)
+    try:
+        verdict = semantics.conforms(trace, inst, binding)
+    except semantics.StateError as e:
+        index, reason = e.args
+        state_lines = lines if args.variant == "token" else lines[1:]
+        raise CliError(f"{args.trace}:{state_lines[index][0]}: {reason}") from e
     _emit(verdict.to_json(), args.human)
     return EXIT_OK if verdict.ok else EXIT_VIOLATED
 

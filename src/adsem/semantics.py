@@ -318,6 +318,10 @@ def allows_step(n: Node, inst: object, s0: SystemState, s1: SystemState,
 # Trace conformance
 # ---------------------------------------------------------------------------
 
+class StateError(Exception):
+    """`(index, reason)`: a binding could not read a value of the trace state at `index`."""
+
+
 class VerdictKind(enum.Enum):
     SATISFIED = "satisfied"
     SATISFIED_SO_FAR = "satisfied-so-far"
@@ -354,7 +358,8 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial state, then
     require every later step to be allowed for every node and finality to persist.  A
     pair is judged from its `b.delta`, in declaration order, at the readers of what it
-    consumed, the writers of what it produced and the nodes it lists."""
+    consumed, the writers of what it produced and the nodes it lists.  A pair whose
+    second state holds a value its `delta` cannot read raises `StateError`."""
     ad = b.diagram_of(inst)
     start = next((i for i in range(len(trace)) if is_initial_state(inst, trace[i], b)), None)
     if start is None:
@@ -383,7 +388,10 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         update(i)
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
-        moves, moved = b.delta(inst, s0, s1)
+        try:
+            moves, moved = b.delta(inst, s0, s1)
+        except (ValueError, TypeError) as e:  # a value of s1 the binding cannot read
+            raise StateError(j + 1, str(e)) from e
         final0 = not busy and full
         judged = set(moved)
         for p, (consumed, produced, filled) in moves.items():

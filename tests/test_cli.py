@@ -402,8 +402,13 @@ def _first_frame(state: dict) -> dict:
     ("v1", lambda lines: lines[0].update(truncated="no"), 1,
      "truncated is not true or false: 'no'"),
     ("v2", lambda lines: lines[0].update(truncated=1), 1, "truncated is not true or false: 1"),
+    ("v1", lambda lines: lines[0].update(variant="v2"), 1, "trace was recorded for variant 'v2'"),
+    ("v2", lambda lines: lines[0].update(variant="v1"), 1, "trace was recorded for variant 'v1'"),
+    # read by the guard of the decision the third state's step crosses
+    ("v1", lambda lines: lines[2]["ds"]["obj:callee"].update(n="x"), 3,
+     "invalid literal for int() with base 10: 'x'"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
-        "v2-int-truncated"])
+        "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)
@@ -412,6 +417,14 @@ def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, varia
     code = main(["check-trace", ad, str(trace), "--variant", variant])
     assert code == 3
     assert capsys.readouterr() == ("", f"error: {trace}:{line}: {reason}\n")
+
+
+def test_a_null_attribute_a_guard_reads_is_located(tmp_path, capsys):
+    ad, trace, lines = _recorded(tmp_path, capsys, "v1")
+    lines[2]["ds"]["obj:callee"]["n"] = None
+    trace.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {trace}:3: int() argument must be")
 
 
 @pytest.mark.parametrize("flag", ["false", "yes", 1])
