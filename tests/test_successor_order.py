@@ -88,6 +88,7 @@ def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
     # a revisited configuration is the instance first reached, with its key
     instances = {id(c) for c in result.configs}
     assert all(id(c1) in instances for _, _, c1 in result.edges)
+    # a few revisits may all come as sole successors, which are not sorted
     hits = len(result.edges) - (len(result.configs) - 1)
     assert kept or hits < 10
     for c, key in kept:
