@@ -5,9 +5,11 @@ stderr and trace file.  The runs are made from the repository root with
 relative diagram paths, so the header's `diagram` field is the same on
 every checkout.  The cases cover the fac loop at several lengths, a run
 cut by `--max-steps`, `local` effects with a guard on a local
-(`fixtures/locals.ad`), `grade_thesis` with both decision outcomes, the
-`command` caller mode, `sub_variant: false` and a fork whose chains
-belong to two roles (`fixtures/fork2x2_roles.ad`).
+(`fixtures/locals.ad`), `grade_thesis` with both decision outcomes and
+with an outcome drawn from the seed, the `command` caller mode,
+`sub_variant: false` and a fork whose chains belong to two roles
+(`fixtures/fork2x2_roles.ad`), at seeds and durations where two
+finishes fall due on the same step.
 
 Regenerate them, only when an output change is intended, from the
 repository root with::
@@ -36,6 +38,7 @@ V1_CASES = {
     "fac-n1": (FAC, ["n=1"]),
     "fac-n2": (FAC, ["n=2"]),
     "fac-n7": (FAC, ["n=7"]),
+    "fac-n30": (FAC, ["n=30"]),
     "fac-n5-max-steps4": (FAC, ["n=5", "--max-steps", "4"]),
     "locals-n3": (LOCALS, ["n=3"]),
     "locals-n0": (LOCALS, ["n=0"]),
@@ -47,7 +50,11 @@ V2_CASES = {
                               "caller_mode": "command"}),
     "grade-no-sub-variant": (GRADE, {"seed": 1, "decisions": {"D1": "failed"},
                                      "sub_variant": False}),
+    "grade-random-outcome": (GRADE, {"seed": 0}),
     "fork2x2-roles": (FORK_ROLES, {"seed": 5, "durations": {"A0_0": 3, "A1_1": 0}}),
+    "fork2x2-roles-seed1": (FORK_ROLES, {"seed": 1, "durations": {"A0_0": 3, "A1_0": 2,
+                                                                  "A0_1": 2, "A1_1": 2}}),
+    "fork2x2-roles-seed7": (FORK_ROLES, {"seed": 7, "durations": {"A0_1": 3, "A1_1": 4}}),
 }
 CASES = sorted(V1_CASES) + sorted(V2_CASES)
 
