@@ -23,17 +23,19 @@ nodes) and non-decision nodes have at most one outgoing transition.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
+from typing import Callable
 
 from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
 from .sysmodel import Frame, SystemState, Trace, Value, advance_pc, top_frame
 
 
-class ActionLanguageError(Exception):
-    pass
+class ActionLanguageError(ValueError):
+    """Text that does not parse or evaluate; `check-trace` locates a `ValueError`."""
 
 
 class VariantError(Exception):
@@ -196,9 +198,12 @@ def parse_guard(text: str) -> GuardExpr:
 
 
 @lru_cache(maxsize=4096)
-def _guard(text: str) -> GuardExpr:
-    """`parse_guard` once per text; the parsed value is frozen, so callers share it."""
-    return parse_guard(text)
+def _guard(text: str) -> Callable[[dict[str, Value], dict[str, Value]], bool]:
+    """`parse_guard`, compiled once per text; text that does not parse raises when called."""
+    try:
+        return _compiled(parse_guard(text))
+    except ActionLanguageError:
+        return lambda attrs, locals_: _compiled(parse_guard(text))(attrs, locals_)
 
 
 @lru_cache(maxsize=4096)
@@ -207,36 +212,38 @@ def _effect(text: str) -> Stmt:
     return parse_statement(text)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub}  # any other operator multiplies
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq, "!=": operator.ne,
+        ">=": operator.ge, ">": operator.gt}
+
+
+@lru_cache(maxsize=4096)
+def _compiled(e: Expr | GuardExpr) -> Callable[[dict[str, Value], dict[str, Value]], int | bool]:
+    """An expression or guard as a closure over (attrs, locals_), once per distinct AST.  A
+    name reads the local before the attribute, as an `int`; the left operand runs first."""
+    if isinstance(e, (IntLit, BoolLit)):
+        return lambda attrs, locals_, value=e.value: value
+    if isinstance(e, NameRef):
+        def read(attrs: dict[str, Value], locals_: dict[str, Value], name: str = e.name) -> int:
+            if name in locals_:
+                return int(locals_[name])
+            if name in attrs:
+                return int(attrs[name])
+            raise ActionLanguageError(f"unknown attribute or local {name!r}")
+        return read
+    if not isinstance(e, (Arith, Compare)):
+        raise ActionLanguageError(f"cannot evaluate {e!r}")
+    op = _ARITH.get(e.op, operator.mul) if isinstance(e, Arith) else _CMP[e.op]
+    left, right = _compiled(e.left), _compiled(e.right)
+    return lambda attrs, locals_: op(left(attrs, locals_), right(attrs, locals_))
+
+
 def eval_expr(expr: Expr, attrs: dict[str, Value], locals_: dict[str, Value]) -> int:
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, NameRef):
-        if expr.name in locals_:
-            return int(locals_[expr.name])
-        if expr.name in attrs:
-            return int(attrs[expr.name])
-        raise ActionLanguageError(f"unknown attribute or local {expr.name!r}")
-    if isinstance(expr, Arith):
-        left = eval_expr(expr.left, attrs, locals_)
-        right = eval_expr(expr.right, attrs, locals_)
-        return left + right if expr.op == "+" else left - right if expr.op == "-" else left * right
-    raise ActionLanguageError(f"cannot evaluate {expr!r}")
-
-
-_CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+    return _compiled(expr)(attrs, locals_)
 
 
 def eval_guard_expr(g: GuardExpr, attrs: dict[str, Value], locals_: dict[str, Value]) -> bool:
-    if isinstance(g, BoolLit):
-        return g.value
-    return _CMP[g.op](eval_expr(g.left, attrs, locals_), eval_expr(g.right, attrs, locals_))
+    return _compiled(g)(attrs, locals_)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +420,24 @@ def token_domain_v1(ptype: PinType) -> TokenSet:
     raise VariantError(f"data pin type {ptype} has no tokens in the atomic-action variant")
 
 
-def _single_out(ad: ActivityDiagram, n: Node) -> Transition:
-    outs = outgoing(ad, n)
-    if len(outs) != 1:
-        raise VariantError(f"{n.name!r} has {len(outs)} outgoing transitions; "
-                           f"sequential flow needs exactly one")
-    return outs[0]
+_LANDS, _BARRED = (NodeKind.ACTION, NodeKind.FINAL), (NodeKind.INITIAL, NodeKind.FORKJOIN)
+
+
+def _flows(ad: ActivityDiagram) -> dict[str, tuple | str]:
+    """Node name -> its (guard or None, transition, destination) branches in output-pin order,
+    or why control cannot leave it; kept on the diagram, as `cached_property` keeps values."""
+    flows = ad.__dict__.get("_v1_flows")
+    if flows is None:
+        flows = ad.__dict__["_v1_flows"] = {}
+        for n in ad.nodes:
+            outs, guarded = outgoing(ad, n), n.kind is NodeKind.DECISIONMERGE
+            if guarded or len(outs) == 1:
+                flows[n.name] = tuple((_guard(ad.guard(t.src, t.out_pin)) if guarded else None,
+                                       t, ad.node(t.dst)) for t in outs)
+            else:
+                flows[n.name] = (f"{n.name!r} has {len(outs)} outgoing transitions; "
+                                 f"sequential flow needs exactly one")
+    return flows
 
 
 def flow_walk(ad: ActivityDiagram, start: Node, attrs: dict[str, Value],
@@ -427,25 +446,21 @@ def flow_walk(ad: ActivityDiagram, start: Node, attrs: dict[str, Value],
     it lands on an action or final node.  Guards are evaluated in declared
     output-pin order against the given store; the first true guard wins.
     """
-    path: list[Transition] = []
-    node = start
+    flows, path, node = _flows(ad), [], start
     for _ in range(len(ad.nodes) + 1):
-        if node.kind is NodeKind.DECISIONMERGE:
-            chosen = None
-            for t in outgoing(ad, node):
-                if eval_guard_expr(_guard(ad.guard(t.src, t.out_pin)), attrs, locals_):
-                    chosen = t
-                    break
-            if chosen is None:
-                raise VariantError(f"stuck-decision: no guard of {node.name!r} holds")
-            t = chosen
+        branches = flows[node.name]
+        if type(branches) is str:
+            raise VariantError(branches)
+        for holds, t, landing in branches:
+            if holds is None or holds(attrs, locals_):
+                break
         else:
-            t = _single_out(ad, node)
+            raise VariantError(f"stuck-decision: no guard of {node.name!r} holds")
         path.append(t)
-        node = ad.node(t.dst)
-        if node.kind in (NodeKind.ACTION, NodeKind.FINAL):
+        node = landing
+        if node.kind in _LANDS:
             return node, path
-        if node.kind in (NodeKind.INITIAL, NodeKind.FORKJOIN):
+        if node.kind in _BARRED:
             raise VariantError(f"flow reached {node.kind.value} node {node.name!r}")
     raise VariantError("decision cycle: control never reaches an action or final node")
 
@@ -458,7 +473,10 @@ def _entry(ad: ActivityDiagram) -> Transition:
     initials = [n for n in ad.nodes if n.kind is NodeKind.INITIAL]
     if len(initials) != 1:
         raise VariantError(f"one initial node required, found {len(initials)}")
-    return _single_out(ad, initials[0])
+    branches = _flows(ad)[initials[0].name]
+    if type(branches) is str:
+        raise VariantError(branches)
+    return branches[0][1]
 
 
 def _check_shape(ad: ActivityDiagram) -> None:
@@ -466,6 +484,25 @@ def _check_shape(ad: ActivityDiagram) -> None:
         if n.kind in (NodeKind.ACTION, NodeKind.FINAL) and len(incoming(ad, n)) > 1:
             raise VariantError(f"{n.name!r} has several incoming transitions; "
                                f"merge them on a decision/merge node")
+
+
+def _pc_step(ad: ActivityDiagram, inst: MethodExecutionInstance, pc: str) -> tuple:
+    """None at a final node, else the node at `pc`, its effect as (is a local, name, compiled
+    expression) or None, and the pc its flow lands on if it crosses no decision, else None."""
+    node = inst.node_at(pc)  # a node, as every pc comes from `pc_map`
+    if node.kind is NodeKind.FINAL:
+        return None
+    effect = landing = None
+    if node.kind is NodeKind.ACTION:
+        stmt = _effect(node.effect)
+        if not isinstance(stmt, Skip):
+            effect = (isinstance(stmt, SetLocal), stmt.name, _compiled(stmt.expr))
+        branches = _flows(ad)[node.name]
+        if type(branches) is not str and branches[0][2].kind in _LANDS:
+            landing = inst.pc_map.get(branches[0][2].name)
+    elif node.kind is not NodeKind.DECISIONMERGE:
+        raise VariantError(f"pc rests on {node.kind.value} node {node.name!r}")
+    return node, effect, landing
 
 
 def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
@@ -491,33 +528,25 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
     states = [SystemState(data, control, events)]
     # States share stores: one data store per attribute change, one control store per (pc, locals).
     controls = {(frame.pc, frame.vars): control}
-    fixed: dict[str, str] = {}  # pc -> next pc of a node whose flow crosses no decision
+    steps: dict[str, tuple] = {}  # pc -> `_pc_step`, built on the pc's first visit
     for _ in range(max_steps):
-        node = inst.node_at(frame.pc)
-        if node is None:
-            raise VariantError(f"frame pc {frame.pc!r} names no node")
-        if node.kind is NodeKind.FINAL:
+        step = steps.get(frame.pc) or steps.setdefault(frame.pc, _pc_step(ad, inst, frame.pc))
+        if step is None:
             return Trace(tuple(states), truncated=False)
+        node, effect, pc = step
 
         vars_ = frame.vars
-        if node.kind is NodeKind.ACTION:
-            stmt = _effect(node.effect)
-            if isinstance(stmt, SetAttr):
-                attrs = {**attrs, stmt.name: eval_expr(stmt.expr, attrs, frame.locals)}
-                data = {callee: attrs}
-            elif isinstance(stmt, SetLocal):
-                locals_ = frame.locals
-                locals_[stmt.name] = eval_expr(stmt.expr, attrs, locals_)
+        if effect is not None:
+            is_local, name, value = effect
+            if is_local:
+                locals_ = dict(vars_)
+                locals_[name] = value(attrs, locals_)
                 vars_ = tuple(sorted(locals_.items()))
-        elif node.kind is not NodeKind.DECISIONMERGE:
-            raise VariantError(f"pc rests on {node.kind.value} node {node.name!r}")
-
-        pc = fixed.get(frame.pc)
+            else:
+                attrs = {**attrs, name: value(attrs, dict(vars_))}
+                data = {callee: attrs}
         if pc is None:
-            landing, path = flow_walk(ad, node, attrs, dict(vars_))
-            pc = pc_map[landing.name]
-            if len(path) == 1 and node.kind is NodeKind.ACTION:
-                fixed[frame.pc] = pc
+            pc = pc_map[flow_walk(ad, node, attrs, dict(vars_))[0].name]
         control = controls.get((pc, vars_))
         if control is None:
             control = controls[pc, vars_] = {
@@ -654,8 +683,7 @@ def check_effect_constraint(ad: ActivityDiagram, inst: MethodExecutionInstance,
 
         for t in path:
             if ad.node(t.src).kind is NodeKind.DECISIONMERGE:
-                guard = _guard(ad.guard(t.src, t.out_pin))
-                if not eval_guard_expr(guard, s1.attrs(inst.callee), f1.locals):
+                if not _guard(ad.guard(t.src, t.out_pin))(s1.attrs(inst.callee), f1.locals):
                     return False
     return True
 

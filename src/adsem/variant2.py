@@ -28,7 +28,7 @@ from .semantics import (
     VariationBinding,
     call_token,
     fifo_binding,
-    is_final_state,
+    configuration_is,
     remember_states,
 )
 from .sysmodel import Frame, SystemState, Trace, Universe, Value
@@ -361,10 +361,10 @@ def check_role_constraint(inst: ActionMethodsInstance, trace: Trace,
 # The simulator
 # ---------------------------------------------------------------------------
 
-def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> SystemState:
-    s = SystemState(data_store={oid: {} for oid in inst.rrep.values()})
-    for t in ad.transitions:
-        s = set_mailbox(s, t, ())
+def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> tuple[SystemState, dict]:
+    """The first state and its mailboxes by transition key: one token on each
+    output of an initial node."""
+    boxes = {t.key: () for t in ad.transitions}
     counter = 0
     for n in ad.nodes:
         if n.kind is not NodeKind.INITIAL:
@@ -376,8 +376,11 @@ def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> SystemSt
                 counter += 1
             else:
                 tok = CONTROL_TOKEN
-            s = set_mailbox(s, t, (tok,))
-    return s
+            boxes[t.key] = (tok,)
+    s = SystemState(data_store={oid: {} for oid in inst.rrep.values()})
+    for t in ad.transitions:
+        s = set_mailbox(s, t, boxes[t.key])
+    return s, boxes
 
 
 def _payload_value(tok: Token, pin: str) -> Value:
@@ -406,42 +409,53 @@ class _Running:
 
 def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenario,
              max_steps: int = 10_000) -> Trace:
-    """Drive the simulated object system until a final configuration.
+    """Drive the simulated object system until a final configuration.  Mailboxes are
+    `Token` tuples in `boxes`, written into the state when they change.  Enabled events
+    carry over, derived again only where inputs changed and at the node that moved.  The
+    final check reads `boxes` and `running`: one thread per action.
 
     Raises SimulationError when nothing can move before `max_steps`
     states, or on a stuck (deadlocked, non-final) configuration.
     """
     rng = random.Random(scenario.seed)
-    binding = methods_binding(inst)
-    state = _initial_state(ad, inst)
+    state, boxes = _initial_state(ad, inst)
     states = [state]
     running: dict[str, _Running] = {}
     fresh_counter = 0
+    nodes, keys = ad.nodes, [t.key for t in ad.layout.transitions]
+    moved: list[Transition] = []  # the transitions whose mailbox the step changed
 
     def duration_for(node: str) -> int:
         wanted = scenario.durations.get(node, 2 + rng.randrange(2))
         return max(2, wanted)
 
+    def event_of(n: Node) -> tuple[str, str] | None:
+        """The start, fire or decide event `n` enables; finishes are timed apart."""
+        full = [len(boxes[t.key]) != 0 for t in incoming(ad, n)]
+        if n.kind is NodeKind.DECISIONMERGE:
+            return ("decide", n.name) if any(full) else None
+        kind = {NodeKind.ACTION: "start", NodeKind.FORKJOIN: "fire"}.get(n.kind)
+        return (kind, n.name) if kind and full and all(full) and n.name not in running else None
+
+    def take(t: Transition) -> Token:
+        moved.append(t)
+        tok, boxes[t.key] = boxes[t.key][0], boxes[t.key][1:]
+        return tok
+
+    def put(t: Transition, tok: Token) -> None:
+        moved.append(t)
+        boxes[t.key] += (tok,)
+
+    enabled = {n.name: event_of(n) for n in nodes}  # node -> its event or None
     while len(states) <= max_steps:
-        if is_final_state(inst, state, binding):
+        if configuration_is(ad, NodeKind.FINAL, lambda p: len(boxes[keys[p]]) != 0,
+                            lambda i: nodes[i].name in running):
             return Trace(tuple(states), truncated=False)
 
         step_index = len(states) - 1
-        events: list[tuple[str, str]] = []
-        for n in ad.nodes:
-            ins = incoming(ad, n)
-            if n.kind is NodeKind.ACTION:
-                if n.name in running:
-                    if step_index - running[n.name].started_step >= running[n.name].duration:
-                        events.append(("finish", n.name))
-                elif ins and all(mailbox_tokens(state, t) for t in ins):
-                    events.append(("start", n.name))
-            elif n.kind is NodeKind.FORKJOIN:
-                if ins and all(mailbox_tokens(state, t) for t in ins):
-                    events.append(("fire", n.name))
-            elif n.kind is NodeKind.DECISIONMERGE:
-                if any(mailbox_tokens(state, t) for t in ins):
-                    events.append(("decide", n.name))
+        events = [e for e in enabled.values() if e is not None] + [
+            ("finish", name) for name, r in running.items()
+            if step_index - r.started_step >= r.duration]
 
         if not events:
             if running:
@@ -452,14 +466,9 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
 
         kind, name = sorted(events)[rng.randrange(len(events))]
         node = ad.node(name)
-
+        moved.clear()
         if kind == "start":
-            consumed: list[tuple[Transition, Token]] = []
-            s1 = state
-            for t in incoming(ad, node):
-                box = mailbox_tokens(s1, t)
-                consumed.append((t, box[0]))
-                s1 = set_mailbox(s1, t, box[1:])
+            consumed = [(t, take(t)) for t in incoming(ad, node)]
             controller = PinController.for_pins(tuple(t.in_pin for t, _ in consumed))
             deliveries = list(consumed)
             rng.shuffle(deliveries)
@@ -470,70 +479,60 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
                 raise SimulationError(f"controller of {name!r} did not fire on full delivery")
             for t, tok in consumed:
                 if not tok.is_control:
-                    s1 = s1.set_attr(inst.oid[name], t.in_pin, _payload_value(tok, t.in_pin))
+                    state = state.set_attr(inst.oid[name], t.in_pin, _payload_value(tok, t.in_pin))
             frame = Frame.make(inst.oid[name], inst.meth[name], {},
                                inst.method_pc(name), inst.caller_of(name))
-            s1 = s1.push(inst.oid[name], inst.thread_of[name], frame)
+            state = state.push(inst.oid[name], inst.thread_of[name], frame)
             running[name] = _Running(step_index, duration_for(name))
-            state = s1
 
         elif kind == "finish":
-            s1 = state.pop(inst.oid[name], inst.thread_of[name])
+            state = state.pop(inst.oid[name], inst.thread_of[name])
             outs = outgoing(ad, node)
             feeds = [ad.node(t.dst) for t in outs]
             for t in outs:
                 fresh_counter += 1
-                s1 = set_mailbox(s1, t, mailbox_tokens(s1, t)
-                                   + (_produce(ad, t, None, f"{name}#{fresh_counter}"),))
+                put(t, _produce(ad, t, None, f"{name}#{fresh_counter}"))
             for fed in feeds:
                 if fed.kind is NodeKind.DECISIONMERGE and _has_real_guards(ad, fed):
-                    s1 = s1.set_attr(inst.oid[name], RESULT_VAR,
-                                     _choose_outcome(ad, fed, scenario, rng))
+                    state = state.set_attr(inst.oid[name], RESULT_VAR,
+                                           _choose_outcome(ad, fed, scenario, rng))
             del running[name]
-            state = s1
 
         elif kind == "fire":
-            s1 = state
             values: list[Value | None] = []
             for t in incoming(ad, node):
-                box = mailbox_tokens(s1, t)
-                tok = box[0]
-                s1 = set_mailbox(s1, t, box[1:])
+                tok = take(t)
                 values.append(None if tok.is_control else _payload_value(tok, t.in_pin))
             for i, t in enumerate(outgoing(ad, node)):
                 fresh_counter += 1
                 value = values[i % len(values)] if values else None
-                s1 = set_mailbox(s1, t, mailbox_tokens(s1, t)
-                                   + (_produce(ad, t, value, f"{name}#{fresh_counter}"),))
-            state = s1
+                put(t, _produce(ad, t, value, f"{name}#{fresh_counter}"))
 
         else:  # decide
-            s1 = state
-            fed = [t for t in incoming(ad, node) if mailbox_tokens(s1, t)]
+            fed = [t for t in incoming(ad, node) if boxes[t.key]]
             t_in = fed[rng.randrange(len(fed))]
-            box = mailbox_tokens(s1, t_in)
-            tok = box[0]
-            s1 = set_mailbox(s1, t_in, box[1:])
+            tok = take(t_in)
             chosen = None
             for t in outgoing(ad, node):
-                if evaluate_guard(ad.guard(t.src, t.out_pin), inst, s1):
+                if evaluate_guard(ad.guard(t.src, t.out_pin), inst, state):
                     chosen = t
                     break
             if chosen is None:
                 outcome = _choose_outcome(ad, node, scenario, rng)
-                s1 = s1.set_attr(CHOICE_PREFIX + name, RESULT_VAR, outcome)
+                state = state.set_attr(CHOICE_PREFIX + name, RESULT_VAR, outcome)
                 for t in outgoing(ad, node):
-                    if evaluate_guard(ad.guard(t.src, t.out_pin), inst, s1):
+                    if evaluate_guard(ad.guard(t.src, t.out_pin), inst, state):
                         chosen = t
                         break
             if chosen is None:
                 raise SimulationError(f"stuck-decision: no guard of {name!r} can hold")
             fresh_counter += 1
             value = None if tok.is_control else _payload_value(tok, t_in.in_pin)
-            s1 = set_mailbox(s1, chosen, mailbox_tokens(s1, chosen)
-                               + (_produce(ad, chosen, value, f"{name}#{fresh_counter}"),))
-            state = s1
+            put(chosen, _produce(ad, chosen, value, f"{name}#{fresh_counter}"))
 
+        for t in moved:
+            state = set_mailbox(state, t, boxes[t.key])
+        enabled.update((n, event_of(ad.node(n))) for n in {name}.union(t.dst for t in moved))
         states.append(state)
 
     raise SimulationError(f"no final configuration within {max_steps} states")

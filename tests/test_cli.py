@@ -407,8 +407,11 @@ def _first_frame(state: dict) -> dict:
     # read by the guard of the decision the third state's step crosses
     ("v1", lambda lines: lines[2]["ds"]["obj:callee"].update(n="x"), 3,
      "invalid literal for int() with base 10: 'x'"),
+    ("v1", lambda lines: lines[2]["ds"]["obj:callee"].pop("n"), 3,
+     "unknown attribute or local 'n'"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
-        "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute"])
+        "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute",
+        "v1-missing-attribute"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adsem.diagram import NodeKind, parse
 from adsem.semantics import CONTROL_ONLY, CONTROL_TOKEN, VerdictKind, conforms
@@ -16,6 +18,7 @@ from adsem.tokengame import (
 from adsem.variant1 import (
     ActionLanguageError,
     Arith,
+    BoolLit,
     Compare,
     IntLit,
     NameRef,
@@ -82,6 +85,55 @@ def test_eval_expr_and_guards():
     assert not eval_guard_expr(parse_guard("n <= 1"), attrs, {})
     with pytest.raises(ActionLanguageError):
         eval_expr(NameRef("ghost"), attrs, {})
+
+
+def _reference(e, attrs: dict, locals_: dict):
+    """The action language's meaning, as a plain recursive evaluator: a name reads
+    the local before the attribute, as an int, and the left operand runs first."""
+    if isinstance(e, (IntLit, BoolLit)):
+        return e.value
+    if isinstance(e, NameRef):
+        if e.name in locals_:
+            return int(locals_[e.name])
+        if e.name in attrs:
+            return int(attrs[e.name])
+        raise ActionLanguageError(f"unknown attribute or local {e.name!r}")
+    left, right = _reference(e.left, attrs, locals_), _reference(e.right, attrs, locals_)
+    return {"+": lambda: left + right, "-": lambda: left - right, "*": lambda: left * right,
+            "<": lambda: left < right, "<=": lambda: left <= right, "=": lambda: left == right,
+            "!=": lambda: left != right, ">=": lambda: left >= right,
+            ">": lambda: left > right}[e.op]()
+
+
+def _outcome(evaluate, *args) -> tuple:
+    """The value with its type, or the exception's type and message."""
+    try:
+        value = evaluate(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return type(value), value
+
+
+_NAMES = ("a", "b", "n")
+_values = st.one_of(st.integers(-30, 30), st.booleans(), st.sampled_from(["7", "x", None]))
+_stores = st.dictionaries(st.sampled_from(_NAMES), _values, max_size=3)
+_exprs = st.recursive(
+    st.one_of(st.builds(IntLit, st.integers(0, 99)),
+              st.builds(NameRef, st.sampled_from(_NAMES + ("ghost",)))),
+    lambda sub: st.builds(Arith, st.sampled_from("+-*"), sub, sub), max_leaves=8)
+_guards = st.one_of(st.builds(BoolLit, st.booleans()),
+                    st.builds(Compare, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+                              _exprs, _exprs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, _guards, _stores, _stores)
+def test_compiled_evaluation_equals_a_recursive_evaluator(expr, guard, attrs, locals_):
+    """Values, and for an unknown name or a value that is not an integer the
+    exception's type and message, which also shows the operands' order."""
+    assert _outcome(eval_expr, expr, attrs, locals_) == _outcome(_reference, expr, attrs, locals_)
+    assert (_outcome(eval_guard_expr, guard, attrs, locals_)
+            == _outcome(_reference, guard, attrs, locals_))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +368,55 @@ def test_flow_walk_crosses_decisions(fac):
     assert [t.key for t in path] == ["SetRes.p->Loop.a", "Loop.body->MulRes.go"]
     landing, path = flow_walk(fac, fac.node("DecN"), {"n": 1, "res": 120}, {})
     assert landing.name == "done"
+
+
+_FLOW = """
+    activity Flow {{
+        initial i{initial_in} out s;
+        action A in x out y;
+        decisionmerge D in v, w out more guard "n > 0", done guard "n = 0", bad guard "n < 0";
+        action B in x out y effect "n := n - 2";
+        final f in z;
+        {nodes}
+        i.s -> A.x; A.y -> D.v; D.more -> B.x; B.y -> D.w; D.done -> f.z;
+        {edges}
+    }}
+"""
+
+
+@pytest.mark.parametrize("initial_in,nodes,edges,reached,walker,message", [
+    ("", "decisionmerge E in v, w out y; decisionmerge F in v out y;",
+     "D.bad -> E.v; E.y -> F.v; F.y -> E.w;", 4, "B", "decision cycle"),
+    (" in back", "", "D.bad -> i.back;", 4, "B", "flow reached initial node 'i'"),
+    ("", "forkjoin J in x out y; final g in z;", "D.bad -> J.x; J.y -> g.z;", 4, "B",
+     "flow reached forkjoin node 'J'"),
+    ("", "action C in x out y, y2; final g in z; final h in z;",
+     "D.bad -> C.x; C.y -> g.z; C.y2 -> h.z;", 5, "C", "'C' has 2 outgoing transitions"),
+], ids=["decision-cycle", "reaches-initial", "reaches-fork", "several-outgoing"])
+def test_flow_errors_are_raised_at_the_step_that_reaches_them(initial_in, nodes, edges,
+                                                              reached, walker, message):
+    """From n=5 the loop takes `bad` on its fourth step, and the step from the
+    `walker` node that it reaches raises; from n=6 the loop never takes `bad`."""
+    ad = parse(_FLOW.format(initial_in=initial_in, nodes=nodes, edges=edges))
+    inst = method_instance(ad)
+    whole = run_method(ad, inst, {"n": 6})
+    assert not whole.truncated and terminal_store(inst, whole) == {"n": 0}
+    cut = run_method(ad, inst, {"n": 5}, max_steps=reached - 1)
+    assert cut.truncated and len(cut) == reached
+    with pytest.raises(VariantError, match=message):
+        run_method(ad, inst, {"n": 5}, max_steps=reached)
+    with pytest.raises(VariantError, match=message):
+        flow_walk(ad, ad.node(walker), {"n": -1}, {})
+
+
+def test_a_guard_that_does_not_parse_raises_only_when_it_is_evaluated():
+    ad = parse(_FLOW.format(initial_in="", nodes="final g in z;", edges="D.bad -> g.z;")
+               .replace('guard "n < 0"', 'guard "n <"'))
+    inst = method_instance(ad)
+    assert terminal_store(inst, run_method(ad, inst, {"n": 6})) == {"n": 0}
+    assert len(run_method(ad, inst, {"n": 5}, max_steps=3)) == 4
+    with pytest.raises(ActionLanguageError, match="expected more input in 'n <'"):
+        run_method(ad, inst, {"n": 5}, max_steps=4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adsem.diagram import NodeKind
+from adsem.diagram import NodeKind, parse
 from adsem.semantics import (
     VerdictKind,
     buffer_law_holds,
     conforms,
     finishes_action,
     fires_instantly,
+    is_final_state,
     starts_action,
     stutters,
 )
@@ -245,6 +246,36 @@ def test_fac_simulates_under_v2_too(fac):
     inst = standard_instance(fac, scenario)
     trace = simulate(fac, inst, scenario)
     binding = methods_binding(inst)
+    assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
+
+
+_TWICE = parse("""
+    activity Twice {
+        initial i role R out s;
+        forkjoin F role R in x out y1, y2;
+        decisionmerge M role R in a, b out o;
+        action A role R in x out y;
+        final f role R in z;
+        i.s -> F.x; F.y1 -> M.a; F.y2 -> M.b; M.o -> A.x; A.y -> f.z;
+    }
+""")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_an_action_runs_again_for_a_token_that_arrived_while_it_ran(seed):
+    """The merge passes both of the fork's tokens to A, so A's input holds a token
+    while A runs: A must start again once it finishes, and the run must not end
+    while A runs with the first result already at the final node."""
+    scenario = Scenario(seed=seed, durations={"A": 3})
+    inst = standard_instance(_TWICE, scenario)
+    trace = simulate(_TWICE, inst, scenario)
+    binding = methods_binding(inst)
+    assert is_final_state(inst, trace[len(trace) - 1], binding)
+    (into_final,) = [t for t in _TWICE.transitions if t.dst == "f"]
+    assert len(mailbox_tokens(trace[len(trace) - 1], into_final)) == 2
+    assert sum(not method_frame_present(_TWICE.node("A"), inst, trace[j])
+               and method_frame_present(_TWICE.node("A"), inst, trace[j + 1])
+               for j in range(len(trace) - 1)) == 2
     assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
 
 
