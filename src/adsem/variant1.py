@@ -420,6 +420,7 @@ def token_domain_v1(ptype: PinType) -> TokenSet:
     raise VariantError(f"data pin type {ptype} has no tokens in the atomic-action variant")
 
 
+# the kinds a walk lands on and those it may not enter, built once as it tests them per hop
 _LANDS, _BARRED = (NodeKind.ACTION, NodeKind.FINAL), (NodeKind.INITIAL, NodeKind.FORKJOIN)
 
 

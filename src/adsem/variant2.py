@@ -412,7 +412,7 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
     """Drive the simulated object system until a final configuration.  Mailboxes are
     `Token` tuples in `boxes`, written into the state when they change.  Enabled events
     carry over, derived again only where inputs changed and at the node that moved.  The
-    final check reads `boxes` and `running`: one thread per action.
+    final check reads `boxes` and `running`, so each action needs a stack of its own.
 
     Raises SimulationError when nothing can move before `max_steps`
     states, or on a stuck (deadlocked, non-final) configuration.
