@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 DEFAULT_ROLE = "unassigned"
 
@@ -213,271 +212,221 @@ def outgoing(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
+# One match per token, skipping the whitespace and comments before it.
+# Group 1 is the token, group 2 is set on a name and group 3 on a character
+# that starts no token; at the end of input group 1 matches empty, so the
+# token list ends with "".  Each match succeeds where the last one ended (a
+# non-space character is at worst bad), so the scan skips no text and never
+# backtracks into whitespace or a comment.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<arrow>->)
-  | (?P<punct>[{};:,.])
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*)*
+    (   "(?:[^"\\]|\\.)*" | -> | [{};:,.]
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (\S)
+      | \Z )
     """,
     re.VERBOSE,
 )
 
 _KINDS = {k.value: k for k in NodeKind}
-_KEYWORDS = {"activity", "role", "in", "out", "effect", "guard"} | set(_KINDS)
 
 
-class _Tok(NamedTuple):
-    text: str
-    kind: str
-    line: int
-    col: int
+def _lex(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The tokens' texts, ending with "" at the end of input, and beside
+    them the same text where the token is a name, else ""."""
+    toks, names, bad = zip(*_TOKEN_RE.findall(text))
+    if any(bad):
+        i = next(i for i, b in enumerate(bad) if b)
+        raise _error(text, i, "syntax-error", f"unexpected character {bad[i]!r}")
+    return toks, names
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind, raw, pos = m.lastgroup, m.group(), m.start()
-        if kind == "bad":
-            at = f"{line}:{pos - line_start + 1}"
-            raise ParseError([Diagnostic(Severity.ERROR, "syntax-error", at,
-                                         f"unexpected character {raw!r} at {at}")])
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(raw, kind, line, pos - line_start + 1))
-        if "\n" in raw:  # only whitespace and strings span lines
-            line += raw.count("\n")
-            line_start = pos + raw.rfind("\n") + 1
-    return toks
+def _error(text: str, i: int, code: str, message: str) -> ParseError:
+    """A diagnostic at the i-th token.  Tokens carry no location: it is
+    found here by scanning the text again, as `line:col` of the token's
+    first character, or "end of input"."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == i:
+            break
+    if m.group(1):
+        pos = m.start(1)
+        line, line_start = text.count("\n", 0, pos) + 1, text.rfind("\n", 0, pos) + 1
+        loc = f"{line}:{pos - line_start + 1}"
+    else:
+        loc = "end of input"
+    return ParseError([Diagnostic(Severity.ERROR, code, loc, f"{message} at {loc}")])
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.i = 0
-        self.diags: list[Diagnostic] = []
-
-    def _err(self, code: str, message: str, tok: _Tok | None = None) -> ParseError:
-        if tok is None:
-            tok = self.toks[self.i] if self.i < len(self.toks) else None
-        loc = f"{tok.line}:{tok.col}" if tok else "end of input"
-        self.diags.append(Diagnostic(Severity.ERROR, code, loc, f"{message} at {loc}"))
-        return ParseError(self.diags)
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise self._err("syntax-error", "unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Tok:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            got = tok.text if tok else "end of input"
-            raise self._err("syntax-error", f"expected {text!r}, got {got!r}")
-        return self.take()
-
-    def name(self, what: str) -> _Tok:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
-            got = tok.text if tok else "end of input"
-            raise self._err("syntax-error", f"expected {what}, got {got!r}")
-        return self.take()
-
-    def string(self) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "string":
-            got = tok.text if tok else "end of input"
-            raise self._err("syntax-error", f"expected string, got {got!r}")
-        self.take()
-        body = tok.text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
-
-
-@dataclass
-class _PinDecl:
-    name: str
-    ptype: PinType
-    guard: str | None
-
-
-def _parse_pins(p: _Parser) -> list[_PinDecl]:
-    pins = [_parse_pin(p)]
-    while p.at(","):
-        p.take()
-        pins.append(_parse_pin(p))
-    return pins
-
-
-def _parse_pin(p: _Parser) -> _PinDecl:
-    name = p.name("pin name").text
-    ptype = CONTROL
-    guard: str | None = None
-    if p.at(":"):
-        p.take()
-        tname = p.name("pin type").text
-        ptype = TOP if tname == "any" else data_type(tname)
-    if p.at("guard"):
-        p.take()
-        guard = p.string()
-    return _PinDecl(name, ptype, guard)
+def _expected(text: str, toks: tuple[str, ...], i: int, what: str) -> ParseError:
+    return _error(text, i, "syntax-error", f"expected {what}, got {toks[i] or 'end of input'!r}")
 
 
 def parse(text: str) -> ActivityDiagram:
     """Parse `.ad` text into a pin-complete diagram.
 
     Raises ParseError carrying located diagnostics on malformed input,
-    duplicate names, or edges referencing unknown nodes/pins.
+    duplicate names, or edges referencing unknown nodes/pins.  The parser
+    walks the token list by index; a real token is always followed by one
+    more, the final "".
     """
-    p = _Parser(text)
-    p.expect("activity")
-    ad_name = p.name("activity name").text
-    p.expect("{")
-
-    nodes: list[Node] = []
+    toks, names = _lex(text)
+    if toks[0] != "activity":
+        raise _expected(text, toks, 0, "'activity'")
+    if not names[1]:
+        raise _expected(text, toks, 1, "activity name")
+    if toks[2] != "{":
+        raise _expected(text, toks, 2, "'{'")
+    nodes: list[tuple] = []
     role_of: dict[str, str] = {}
     pin_types: dict[tuple[str, str], PinType] = {}
     guards: dict[tuple[str, str], str] = {}
-    edges: list[tuple[_Tok, str, str | None, str, str | None]] = []
-
-    while not p.at("}"):
-        tok = p.peek()
-        if tok is None:
-            raise p._err("syntax-error", "unexpected end of input, missing '}'")
-        if tok.text in _KINDS:
-            _parse_node_decl(p, nodes, role_of, pin_types, guards)
-        elif tok.kind == "name":
-            _parse_edge_decl(p, edges)
+    edges: list[tuple[int, str, str | None, str, str | None]] = []
+    i = 3
+    while (tok := toks[i]) != "}":
+        if tok in _KINDS:
+            i = _node_decl(text, toks, names, i, nodes, role_of, pin_types, guards)
+        elif names[i]:
+            i = _edge_decl(text, toks, names, i, edges)
+        elif tok:
+            raise _error(text, i, "syntax-error", f"expected node or edge declaration, got {tok!r}")
         else:
-            raise p._err("syntax-error", f"expected node or edge declaration, got {tok.text!r}")
-    p.expect("}")
-    if p.peek() is not None:
-        raise p._err("syntax-error", f"trailing input after '}}'")
-
-    return _complete(p, ad_name, nodes, role_of, pin_types, guards, edges)
+            raise _error(text, i, "syntax-error", "unexpected end of input, missing '}'")
+    if toks[i + 1]:
+        raise _error(text, i + 1, "syntax-error", "trailing input after '}'")
+    return _complete(text, names[1], nodes, role_of, pin_types, guards, edges)
 
 
-def _parse_node_decl(p: _Parser, nodes, role_of, pin_types, guards) -> None:
-    kind_tok = p.take()
-    kind = _KINDS[kind_tok.text]
-    name_tok = p.name("node name")
-    name = name_tok.text
-    if any(n.name == name for n in nodes):
-        raise p._err("duplicate-node", f"duplicate node name {name!r}", name_tok)
-
-    role = DEFAULT_ROLE
-    in_pins: list[_PinDecl] = []
-    out_pins: list[_PinDecl] = []
-    effect = ""
-    while not p.at(";"):
-        tok = p.peek()
-        if tok is None:
-            raise p._err("syntax-error", "unexpected end of input in node declaration")
-        if tok.text == "role":
-            p.take()
-            role = p.name("role name").text
-        elif tok.text == "in":
-            p.take()
-            in_pins = _parse_pins(p)
-        elif tok.text == "out":
-            p.take()
-            out_pins = _parse_pins(p)
-        elif tok.text == "effect":
-            p.take()
-            effect = p.string()
+def _node_decl(text, toks, names, i, nodes, role_of, pin_types, guards) -> int:
+    """Read the node declaration at token i; return the index after it.
+    Each of its clauses may appear once."""
+    kind, at, name = _KINDS[toks[i]], i + 1, names[i + 1]
+    if not name:
+        raise _expected(text, toks, at, "node name")
+    if name in role_of:
+        raise _error(text, at, "duplicate-node", f"duplicate node name {name!r}")
+    clauses: dict = {}
+    i += 2
+    while (tok := toks[i]) != ";":
+        if tok in clauses:
+            raise _error(text, i, "syntax-error", f"repeated {tok!r} clause in node declaration")
+        if tok == "role":
+            if not names[i + 1]:
+                raise _expected(text, toks, i + 1, "role name")
+            clauses[tok], i = names[i + 1], i + 2
+        elif tok == "in" or tok == "out":
+            clauses[tok], i = _pins(text, toks, names, i + 1)
+        elif tok == "effect":
+            clauses[tok], i = _string(text, toks, i + 1)
+        elif tok:
+            raise _error(text, i, "syntax-error", f"unexpected token {tok!r} in node declaration")
         else:
-            raise p._err("syntax-error", f"unexpected token {tok.text!r} in node declaration")
-    p.expect(";")
-
-    seen_pins: set[str] = set()
-    for decl in in_pins + out_pins:
-        if decl.name in seen_pins:
-            raise p._err("duplicate-pin", f"duplicate pin {name}.{decl.name}", name_tok)
-        seen_pins.add(decl.name)
-        pin_types[(name, decl.name)] = decl.ptype
-    for decl in in_pins:
-        if decl.guard is not None:
-            raise p._err("syntax-error", f"guard on input pin {name}.{decl.name}", name_tok)
-    for decl in out_pins:
-        guards[(name, decl.name)] = decl.guard if decl.guard is not None else "true"
-
-    nodes.append(Node(
-        kind=kind,
-        name=name,
-        in_pins=tuple(d.name for d in in_pins),
-        out_pins=tuple(d.name for d in out_pins),
-        effect=effect,
-    ))
-    role_of[name] = role
+            raise _error(text, i, "syntax-error", "unexpected end of input in node declaration")
+    ins, outs = clauses.get("in", []), clauses.get("out", [])
+    for pin, ptype, _ in ins + outs:
+        if (name, pin) in pin_types:
+            raise _error(text, at, "duplicate-pin", f"duplicate pin {name}.{pin}")
+        pin_types[(name, pin)] = ptype
+    for pin, _, guard in ins:
+        if guard is not None:
+            raise _error(text, at, "syntax-error", f"guard on input pin {name}.{pin}")
+    for pin, _, guard in outs:
+        guards[(name, pin)] = "true" if guard is None else guard
+    nodes.append((kind, name, [p[0] for p in ins], [p[0] for p in outs], clauses.get("effect", "")))
+    role_of[name] = clauses.get("role", DEFAULT_ROLE)
+    return i + 1
 
 
-def _parse_edge_decl(p: _Parser, edges) -> None:
-    src_tok = p.name("source node")
-    src_pin: str | None = None
-    if p.at("."):
-        p.take()
-        src_pin = p.name("source pin").text
-    p.expect("->")
-    dst = p.name("destination node").text
-    dst_pin: str | None = None
-    if p.at("."):
-        p.take()
-        dst_pin = p.name("destination pin").text
-    p.expect(";")
+def _pins(text, toks, names, i) -> tuple[list[tuple[str, PinType, str | None]], int]:
+    """Read the pin list at token i as (name, type, guard or None); return
+    it and the index after it."""
+    pins = []
+    while True:
+        pin, ptype, guard = names[i], CONTROL, None
+        if not pin:
+            raise _expected(text, toks, i, "pin name")
+        i += 1
+        if toks[i] == ":":
+            if not (tname := names[i + 1]):
+                raise _expected(text, toks, i + 1, "pin type")
+            ptype = TOP if tname == "any" else data_type(tname)
+            i += 2
+        if toks[i] == "guard":
+            guard, i = _string(text, toks, i + 1)
+        pins.append((pin, ptype, guard))
+        if toks[i] != ",":
+            return pins, i
+        i += 1
+
+
+def _string(text, toks, i) -> tuple[str, int]:
+    if toks[i][:1] != '"':
+        raise _expected(text, toks, i, "string")
+    return toks[i][1:-1].replace('\\"', '"').replace("\\\\", "\\"), i + 1
+
+
+def _edge_decl(text, toks, names, i, edges) -> int:
+    """Read the edge declaration at token i; return the index after it."""
+    at, src, src_pin, dst_pin = i, toks[i], None, None
+    if toks[i + 1] == ".":
+        if not (src_pin := names[i + 2]):
+            raise _expected(text, toks, i + 2, "source pin")
+        i += 2
+    if toks[i + 1] != "->":
+        raise _expected(text, toks, i + 1, "'->'")
+    if not (dst := names[i + 2]):
+        raise _expected(text, toks, i + 2, "destination node")
+    i += 3
+    if toks[i] == ".":
+        if not (dst_pin := names[i + 1]):
+            raise _expected(text, toks, i + 1, "destination pin")
+        i += 2
+    if toks[i] != ";":
+        raise _expected(text, toks, i, "';'")
     if (src_pin is None) != (dst_pin is None):
-        raise p._err("syntax-error", "edge must name pins on both ends or neither", src_tok)
-    edges.append((src_tok, src_tok.text, src_pin, dst, dst_pin))
+        raise _error(text, at, "syntax-error", "edge must name pins on both ends or neither")
+    edges.append((at, src, src_pin, dst, dst_pin))
+    return i + 1
 
 
-def _complete(p: _Parser, ad_name, nodes, role_of, pin_types, guards, edges) -> ActivityDiagram:
-    """Pin completion: synthesize control pins for pin-elided edges."""
-    by_name = {n.name: n for n in nodes}
-    synth_out: dict[str, int] = {}
-    synth_in: dict[str, int] = {}
+def _complete(text, ad_name, nodes, role_of, pin_types, guards, edges) -> ActivityDiagram:
+    """Pin completion: a pin-elided edge gets a fresh control pin at each
+    end, appended to its node's pins in edge order and numbered per node
+    and side (`_o1`, `_o2`, ...; `_i1`, ...) past every name taken."""
+    pins = {name: (ins, outs) for _, name, ins, outs, _ in nodes}
+    last: dict[tuple[str, str], int] = {}
     transitions: list[Transition] = []
 
-    def fresh(node: Node, counter: dict[str, int], prefix: str, taken: tuple[str, ...]) -> str:
-        counter[node.name] = counter.get(node.name, 0)
-        while True:
-            counter[node.name] += 1
-            cand = f"{prefix}{counter[node.name]}"
-            if cand not in taken and (node.name, cand) not in pin_types:
-                return cand
+    def fresh(node: str, prefix: str) -> str:
+        k = last.get((node, prefix), 0) + 1
+        while (node, f"{prefix}{k}") in pin_types:
+            k += 1
+        last[(node, prefix)] = k
+        pin_types[(node, f"{prefix}{k}")] = CONTROL
+        return f"{prefix}{k}"
 
-    for tok, src, src_pin, dst, dst_pin in edges:
+    for at, src, src_pin, dst, dst_pin in edges:
         for endpoint in (src, dst):
-            if endpoint not in by_name:
-                raise p._err("unknown-node", f"edge references unknown node {endpoint!r}", tok)
-        src_node, dst_node = by_name[src], by_name[dst]
+            if endpoint not in pins:
+                raise _error(text, at, "unknown-node", f"edge references unknown node {endpoint!r}")
+        outs, ins = pins[src][1], pins[dst][0]
         if src_pin is None:
-            src_pin = fresh(src_node, synth_out, "_o", src_node.out_pins)
-            by_name[src] = src_node = replace(src_node, out_pins=src_node.out_pins + (src_pin,))
-            pin_types[(src, src_pin)] = CONTROL
+            src_pin = fresh(src, "_o")
+            outs.append(src_pin)
             guards[(src, src_pin)] = "true"
-        elif src_pin not in src_node.out_pins:
-            raise p._err("unknown-pin", f"edge references unknown output pin {src}.{src_pin}", tok)
+        elif src_pin not in outs:
+            raise _error(text, at, "unknown-pin", f"edge references unknown output pin {src}.{src_pin}")
         if dst_pin is None:
-            dst_pin = fresh(dst_node, synth_in, "_i", dst_node.in_pins)
-            by_name[dst] = dst_node = replace(dst_node, in_pins=dst_node.in_pins + (dst_pin,))
-            pin_types[(dst, dst_pin)] = CONTROL
-        elif dst_pin not in dst_node.in_pins:
-            raise p._err("unknown-pin", f"edge references unknown input pin {dst}.{dst_pin}", tok)
+            dst_pin = fresh(dst, "_i")
+            ins.append(dst_pin)
+        elif dst_pin not in ins:
+            raise _error(text, at, "unknown-pin", f"edge references unknown input pin {dst}.{dst_pin}")
         transitions.append(Transition(src, src_pin, dst, dst_pin))
 
     return ActivityDiagram(
         name=ad_name,
-        nodes=tuple(by_name[n.name] for n in nodes),
+        nodes=tuple(Node(kind, name, tuple(ins), tuple(outs), effect)
+                    for kind, name, ins, outs, effect in nodes),
         transitions=tuple(transitions),
         role_of=role_of,
         pin_types=pin_types,

@@ -27,7 +27,7 @@ from adsem.diagram import (
     to_text,
     validate,
 )
-from adsem.diagram import _lex
+from adsem.diagram import _error, _lex
 
 from .conftest import CORPUS, load
 
@@ -135,10 +135,21 @@ def _reference_lex(text: str) -> list[tuple[str, str, int, int]] | str:
 
 
 def _lexed(text: str) -> list[tuple[str, str, int, int]] | str:
+    """The lexer's tokens in `_reference_lex`'s form, each located as a
+    diagnostic at it would be; the token list must end with "" only."""
     try:
-        return [(tok.text, tok.kind, tok.line, tok.col) for tok in _lex(text)]
+        toks, names = _lex(text)
     except ParseError as e:
         return e.diagnostics[0].location
+    n = toks.index("")
+    assert set(toks[n:]) == {""} and not any(names[n:])
+    lexed = []
+    for i, (tok, name) in enumerate(zip(toks[:n], names)):
+        assert name in ("", tok)
+        kind = "name" if name else "string" if tok[0] == '"' else "arrow" if tok == "->" else "punct"
+        line, col = _error(text, i, "syntax-error", "here").diagnostics[0].location.split(":")
+        lexed.append((tok, kind, int(line), int(col)))
+    return lexed
 
 
 LEXED_FILES = sorted(CORPUS.glob("*.ad")) + sorted((Path(__file__).parent / "fixtures").glob("*.ad"))
@@ -189,6 +200,33 @@ def test_parse_error_locations(text, code, location, message):
     assert [d.to_json() for d in err.value.diagnostics] == [
         {"severity": "error", "code": code, "location": location,
          "message": f"{message} at {location}"}]
+
+
+# A second clause of a kind would silently replace the first one.
+@pytest.mark.parametrize("text,clause,location", [
+    ("activity X { initial i out o; action a in x in y; final f; i.o -> a.x; a -> f; }",
+     "in", "1:45"),
+    ('activity X { action a effect "x" effect "y"; }', "effect", "1:34"),
+    ("activity X { action a role R role S; }", "role", "1:30"),
+    ("activity X { action a out p out q; }", "out", "1:29"),
+    ("activity X {\n  action a in x out y\n    in z;\n}", "in", "3:5"),
+    ("activity X { action a role R in x role R; }", "role", "1:35"),
+], ids=["in", "effect", "role", "out", "in-on-next-line", "same-role-twice"])
+def test_parse_rejects_a_repeated_clause(text, clause, location):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert [d.to_json() for d in err.value.diagnostics] == [
+        {"severity": "error", "code": "syntax-error", "location": location,
+         "message": f"repeated {clause!r} clause in node declaration at {location}"}]
+
+
+def test_parse_keeps_both_synthesized_pins_of_an_elided_self_loop():
+    ad = parse("activity L { initial i; action a; final f; i -> a; a -> a; a -> f; }")
+    assert ad.node("a").in_pins == ("_i1", "_i2")
+    assert ad.node("a").out_pins == ("_o1", "_o2")
+    assert [t.key for t in ad.transitions] == ["i._o1->a._i1", "a._o1->a._i2", "a._o2->f._i1"]
+    assert validate(ad) == []
+    assert parse(to_text(ad)) == ad
 
 
 # ---------------------------------------------------------------------------
