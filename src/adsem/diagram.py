@@ -368,15 +368,16 @@ def _string(text, toks, i) -> tuple[str, int]:
 def _edge_decl(text, toks, names, i, edges) -> int:
     """Read the edge declaration at token i; return the index after it."""
     at, src, src_pin, dst_pin = i, toks[i], None, None
-    if toks[i + 1] == ".":
-        if not (src_pin := names[i + 2]):
-            raise _expected(text, toks, i + 2, "source pin")
+    i += 1
+    if toks[i] == ".":
+        if not (src_pin := names[i + 1]):
+            raise _expected(text, toks, i + 1, "source pin")
         i += 2
-    if toks[i + 1] != "->":
-        raise _expected(text, toks, i + 1, "'->'")
-    if not (dst := names[i + 2]):
-        raise _expected(text, toks, i + 2, "destination node")
-    i += 3
+    if toks[i] != "->":
+        raise _expected(text, toks, i, "'->'")
+    if not (dst := names[i + 1]):
+        raise _expected(text, toks, i + 1, "destination node")
+    i += 2
     if toks[i] == ".":
         if not (dst_pin := names[i + 1]):
             raise _expected(text, toks, i + 1, "destination pin")

@@ -139,7 +139,6 @@ def _replay(cases: list[dict], text_of, tmp: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_validate_matches_golden(path, tmp_path):
     cases = json.loads(golden_path(path.name).read_text(encoding="utf-8"))
-    assert [{"crlf": c["crlf"], "edit": c["edit"]} for c in cases] == source_cases(path)
     assert _replay(cases, lambda c: _apply(_text(path, c["crlf"]), c["edit"]), tmp_path) == []
 
 

@@ -136,7 +136,8 @@ def _reference_lex(text: str) -> list[tuple[str, str, int, int]] | str:
 
 def _lexed(text: str) -> list[tuple[str, str, int, int]] | str:
     """The lexer's tokens in `_reference_lex`'s form, each located as a
-    diagnostic at it would be; the token list must end with "" only."""
+    diagnostic naming it would locate it; the token list must end with ""
+    and nothing else."""
     try:
         toks, names = _lex(text)
     except ParseError as e:
