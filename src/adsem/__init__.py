@@ -49,3 +49,21 @@ from .tokengame import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def _register_lazily(*names: str) -> None:
+    """Put each submodule in `sys.modules` and on the package now, and run
+    its body on the first attribute access: only `run-v1`, `run-v2` and
+    `check-trace --variant v1|v2` use a variant module."""
+    import importlib.util
+    import sys
+
+    for name in names:
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = globals()[name] = module
+        spec.loader.exec_module(module)
+
+
+_register_lazily("variant1", "variant2")

@@ -25,7 +25,7 @@ EXIT_VIOLATED = 2
 EXIT_USAGE = 3
 
 
-class CliError(Exception):
+class CliError(diagram.AdsemError):
     pass
 
 
@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except diagram.ParseError as e:
         _emit({"diagnostics": [d.to_json() for d in e.diagnostics]}, args.human)
         return EXIT_INVALID
-    except (CliError, OSError, KeyError, ValueError,
-            variant1.VariantError, variant1.ActionLanguageError,
-            variant2.SimulationError, tokengame.TokenGameError,
-            sysmodel.SystemModelError, diagram.DiagramError) as e:
+    except (OSError, KeyError, ValueError, diagram.AdsemError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

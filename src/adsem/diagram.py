@@ -161,7 +161,11 @@ class ActivityDiagram:
         return tuple(seen)
 
 
-class DiagramError(Exception):
+class AdsemError(Exception):
+    """Base of the errors that `adsem` reports as usage errors (exit 3)."""
+
+
+class DiagramError(AdsemError):
     """A diagram was queried or constructed inconsistently."""
 
 
@@ -488,6 +492,9 @@ def validate(ad: ActivityDiagram, profile: str = "general") -> list[Diagnostic]:
     if profile not in ("general", "variant1"):
         raise DiagramError(f"unknown validation profile {profile!r}")
     diags: list[Diagnostic] = []
+    if not any(n.kind is NodeKind.INITIAL for n in ad.nodes):
+        diags.append(Diagnostic(Severity.ERROR, "missing-initial", f"activity {ad.name}",
+                                f"activity {ad.name!r} has no initial node"))
     names = [n.name for n in ad.nodes]
     for name in sorted({x for x in names if names.count(x) > 1}):
         diags.append(Diagnostic(Severity.ERROR, "duplicate-node", f"node {name}",

@@ -18,10 +18,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
+from .diagram import AdsemError
+
 Value = int | bool | str
 
 
-class SystemModelError(Exception):
+class SystemModelError(AdsemError):
     pass
 
 

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -41,7 +41,7 @@ TWO_PHASE = "twoPhase"
 DEFAULT_BOUND = 100_000
 
 
-class TokenGameError(Exception):
+class TokenGameError(AdsemError):
     pass
 
 
@@ -349,19 +349,21 @@ def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
 def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
             enabled: dict[int, tuple[Step, ...]], mode: str, guards: GuardOracle,
             visited: Mapping[Configuration, Configuration]
-            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
+            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration, bool]]:
     """`successors` of `c`, whose enabled set is `enabled`, each with the
-    steps that made it.  Each step is applied to `c` once; a concurrent
-    selection is patched together from its steps' single results, at the
-    positions and flag each touches.  A successor found in `visited` is
-    replaced by the instance kept there, so a revisited configuration costs
-    a hash, an equality and its kept order key."""
+    steps that made it and whether `visited` lacks it.  Each step is
+    applied to `c` once; a concurrent selection is patched together from
+    its steps' single results, at the positions and flag each touches.  A
+    successor found in `visited` is replaced by the instance kept there, so
+    a revisited configuration costs one lookup, an equality and its kept
+    order key."""
     # each node's steps; of a decision's branches, those whose guards may hold
     pools = [steps if steps[0].guard is None else
              [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
              for steps in enabled.values()]
     if mode == INTERLEAVING:
-        results = [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
+        results = [(step.choices, (step,), _apply(ad, view, c, step), True)
+                   for steps in pools for step in steps]
     elif mode == CONCURRENT:
         # at most one step per node and no two touching one position; the nodes
         # in label order (a name holds no ":"), so each selection's labels come sorted
@@ -372,11 +374,12 @@ def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
                        _patch(c0, step, c1) if selection else c1)
                       for selection, touched, choices, c0 in grown
                       for step, c1 in singles if touched.isdisjoint(step.touches)]
-        results = [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
+        results = [(choices, selection, c1, True) for selection, _, choices, c1 in grown[1:]]
     else:
         raise TokenGameError(f"unknown mode {mode!r}")
     if visited:  # an empty one is not asked: a configuration read from a file may be unhashable
-        results = [(choices, selection, visited.get(c1, c1)) for choices, selection, c1 in results]
+        results = [(choices, selection, c1, True) if (kept := visited.get(c1)) is None
+                   else (choices, selection, kept, False) for choices, selection, c1, _ in results]
     if len(results) > 1:  # the order of canonical(), with the labels breaking ties
         results.sort(key=lambda r: (view.order_key(r[2]), tuple(step.label for step in r[1])))
     return results
@@ -394,7 +397,7 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    return [(choices, c1) for choices, _, c1
+    return [(choices, c1) for choices, _, c1, _
             in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL, {})]
 
 
@@ -429,8 +432,8 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
     `bound` distinct configurations.  Each queued configuration carries its
     enabled set, made from its parent's when it is first reached.  A new
     configuration costs its steps, a hash and an order key; a revisited one
-    costs a hash, an equality and the key kept on its first instance, which
-    `_expand` swaps in from `visited`."""
+    costs one lookup, an equality and the key kept on its first instance,
+    which `_expand` swaps in from `visited`."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
     view, guards = _view(ad), guards or _EXPLORE_ALL
@@ -445,13 +448,14 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
         succ = _expand(ad, view, c, enabled, mode, guards, visited)
         if not succ:
             dead_ends.append(c)
-        for choices, selection, c1 in succ:
-            if c1 not in visited:
-                if len(visited) >= bound:
+        for choices, selection, c1, new in succ:
+            if new:  # when `_expand` looked; an equal successor may have been kept since
+                if len(visited) < bound:
+                    if visited.setdefault(c1, c1) is c1:
+                        queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
+                elif c1 not in visited:
                     truncated = True
                     continue
-                visited[c1] = c1
-                queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
             edges.append((c, choices, c1))
     return ReachabilityResult(start, list(visited), edges, truncated, dead_ends)
 
@@ -550,7 +554,7 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
             return
         if len(configs) >= max_len:
             return
-        for chs, selection, c1 in succ:
+        for chs, selection, c1, _ in succ:
             explore(configs + (c1,), choices + (chs,), view.carry(enabled, selection, c1, action_mode))
 
     start = initial_config(ad)
@@ -572,7 +576,7 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
         succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {})
         if not succ:
             return Run(configs, choices), False
-        chs, selection, c1 = succ[rng.randrange(len(succ))]
+        chs, selection, c1, _ = succ[rng.randrange(len(succ))]
         enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)

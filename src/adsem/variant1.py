@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from typing import Callable
 
-from .diagram import ActivityDiagram, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
 from .sysmodel import Frame, SystemState, Trace, Value, advance_pc, top_frame
 
@@ -38,7 +38,7 @@ class ActionLanguageError(ValueError):
     """Text that does not parse or evaluate; `check-trace` locates a `ValueError`."""
 
 
-class VariantError(Exception):
+class VariantError(AdsemError):
     pass
 
 

@@ -21,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields, replace
 
-from .diagram import ActivityDiagram, Node, NodeKind, PinKind, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -42,7 +42,7 @@ ROLE_CALLER = "role"
 COMMAND_CALLER = "command"
 
 
-class SimulationError(Exception):
+class SimulationError(AdsemError):
     pass
 
 

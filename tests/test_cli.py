@@ -334,6 +334,17 @@ def test_a_truncated_reach_reports_no_false_deadlock(capsys, bound, configuratio
 # Error surfaces
 # ---------------------------------------------------------------------------
 
+def test_an_activity_without_an_initial_node_is_invalid(tmp_path, capsys):
+    path = tmp_path / "rnd.ad"
+    path.write_text("activity Rnd { decisionmerge n0; }")
+    for command in ("validate", "run-v1"):
+        code, out = run(capsys, command, str(path))
+        assert code == 1
+        assert [d["code"] for d in json.loads(out)["diagnostics"]] == ["missing-initial"]
+    assert main(["reach", str(path)]) == 3
+    assert capsys.readouterr().err == "error: activity 'Rnd' has no initial node\n"
+
+
 def test_missing_file_is_io_error(capsys):
     code, _ = run(capsys, "validate", "no-such-file.ad")
     assert code == 3

@@ -372,10 +372,19 @@ def test_validate_reports_repeated_pinned_edge():
 
 
 def test_validate_warns_on_stray_guard():
-    ad = parse('activity X { action a out p guard "x > 1"; final f in z; a.p -> f.z; }')
+    ad = parse('activity X { initial i out s; action a in x out p guard "x > 1"; final f in z; '
+               'i.s -> a.x; a.p -> f.z; }')
     diags = validate(ad)
     assert [d.code for d in diags] == ["guard-on-non-decision"]
     assert diags[0].severity is Severity.WARNING
+
+
+@pytest.mark.parametrize("profile", ["general", "variant1"])
+def test_validate_requires_an_initial_node(profile):
+    diags = validate(parse("activity Rnd { decisionmerge n0; }"), profile)
+    assert [d.to_json() for d in diags] == [
+        {"severity": "error", "code": "missing-initial", "location": "activity Rnd",
+         "message": "activity 'Rnd' has no initial node"}]
 
 
 def test_validate_is_pure_and_order_stable(grade):

@@ -34,6 +34,7 @@ from adsem.tokengame import (
 )
 
 from ._brute import brute_successors
+from ._forks import fork
 
 ORPHAN = parse("""
     activity Orphan {
@@ -235,6 +236,22 @@ def test_reachable_bound_truncates(grade):
     res = reachable(grade, bound=3)
     assert res.truncated
     assert len(res.configs) == 3
+
+
+def test_reachable_hashes_each_successor_once(monkeypatch):
+    """One lookup per edge, plus an insertion per configuration kept."""
+    calls = [0]
+    configuration_hash = Configuration.__hash__
+
+    def counting(c):
+        calls[0] += 1
+        return configuration_hash(c)
+
+    ad = fork(5, 2)
+    monkeypatch.setattr(Configuration, "__hash__", counting)
+    res = reachable(ad, mode=CONCURRENT, action_mode=TWO_PHASE)
+    assert (len(res.configs), len(res.edges)) == (3127, 55926)
+    assert calls[0] <= len(res.edges) + 2 * len(res.configs)
 
 
 def test_analyze_starved_join(split_join):
