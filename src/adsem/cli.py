@@ -170,7 +170,7 @@ def _decode_lines(path: str, lines: list[tuple[int, str]], decode) -> list:
     decoded = []
     try:
         for lineno, line in lines:
-            decoded.append(decode(json.loads(line)))
+            decoded.append(decode(line))
     except Exception:
         with _located(path, lineno):
             raise
@@ -186,8 +186,8 @@ def _cmd_check_trace(args) -> int:
         raise CliError(f"empty trace file {args.trace}")
 
     if args.variant == "token":
-        run = _decode_lines(args.trace, lines,
-                            lambda d: tokengame.Configuration.from_json(ad, d))
+        run = _decode_lines(args.trace, lines, lambda line: tokengame.Configuration.from_json(
+            ad, sysmodel.json_value(line)))
         inst, binding, trace = tokengame.as_binding(ad, run, mode=args.mode,
                                                     action_mode=args.actions)
     else:
@@ -204,7 +204,7 @@ def _cmd_check_trace(args) -> int:
             truncated = header.get("truncated", False)
             if type(truncated) is not bool:
                 raise ValueError(f"truncated is not true or false: {truncated!r}")
-        states = tuple(_decode_lines(args.trace, lines[1:], sysmodel.state_from_json))
+        states = tuple(_decode_lines(args.trace, lines[1:], sysmodel.state_reader()))
         if not states:
             raise CliError("trace file has a header but no states")
         trace = sysmodel.Trace(states, truncated=truncated)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from functools import cache, partial
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .diagram import AdsemError
 
@@ -203,11 +204,49 @@ def states_to_jsonl(states: Iterable[SystemState]) -> str:
                     f'"es": {events(s.event_store)}}}\n' for s in states])
 
 
+def _each(kind: type, build: Callable, stores: dict) -> dict:
+    """`build` of each value of `stores`; raises ValueError unless every value is a `kind`."""
+    built = {k: build(v) for k, v in stores.items() if type(v) is kind}
+    if len(built) < len(stores):
+        bad = {k: v for k, v in stores.items() if k not in built}
+        raise ValueError(f"expected JSON {'objects' if kind is dict else 'lists'}, got {bad}")
+    return built
+
+
+_data_from_json = partial(_each, dict, dict)
+_control_from_json = partial(_each, dict, partial(
+    _each, list, lambda stack: tuple(map(frame_from_json, stack))))
+_events_from_json = partial(_each, list, tuple)
+
+
 def state_from_json(d: dict) -> SystemState:
-    return SystemState(
-        data_store={o: dict(vs) for o, vs in d.get("ds", {}).items()},
-        control_store={o: {th: tuple(frame_from_json(f) for f in st)
-                           for th, st in ts.items()}
-                       for o, ts in d.get("cs", {}).items()},
-        event_store={o: tuple(msgs) for o, msgs in d.get("es", {}).items()},
-    )
+    return SystemState(_data_from_json(d.get("ds", {})), _control_from_json(d.get("cs", {})),
+                       _events_from_json(d.get("es", {})))
+
+
+def json_value(text: str, _raw_decode=json.JSONDecoder().raw_decode):
+    """`json.loads(text)`, without its whitespace scans when `text` is exactly one value."""
+    try:
+        value, end = _raw_decode(text)
+    except ValueError:
+        end = -1
+    return value if end == len(text) else json.loads(text)
+
+
+def state_reader() -> Callable[[str], SystemState]:
+    """The mirror of `states_to_jsonl`: `state_from_json(json.loads(line))`, decoding each distinct
+    store text once.  Cut at its first `, "ds": ` and the next `, "es": `, `{"cs": C, "ds": D,
+    "es": E}` means just C, D and E if each decodes; else the per-line path decodes or raises."""
+    control, data, events = (cache(lambda text, build=build: build(json_value(text)))
+                             for build in (_control_from_json, _data_from_json, _events_from_json))
+
+    def read(line: str) -> SystemState:
+        i = line.find(', "ds": ')
+        j = line.find(', "es": ', i + 8)
+        if 0 < i < j and line.startswith('{"cs": ') and line.endswith("}"):
+            try:
+                return SystemState(data(line[i + 8:j]), control(line[7:i]), events(line[j + 8:-1]))
+            except Exception:
+                pass
+        return state_from_json(json.loads(line))
+    return read

@@ -565,20 +565,17 @@ def terminal_store(inst: MethodExecutionInstance, trace: Trace) -> dict[str, Val
 # The binding
 # ---------------------------------------------------------------------------
 
-def _movement(inst: MethodExecutionInstance, s0: SystemState,
-              s1: SystemState) -> tuple[Node, Node, list[Transition]] | None:
-    """The fired node, landing node, and traversed path for a pc change;
-    None for no movement or an unexplainable jump."""
-    f0 = top_frame(s0, inst.callee, inst.thread)
-    f1 = top_frame(s1, inst.callee, inst.thread)
+def _movement(inst: MethodExecutionInstance, f0: Frame | None, f1: Frame | None,
+              attrs: dict[str, Value]) -> tuple[Node, Node, list[Transition]] | None:
+    """The fired node, landing node, and traversed path for a pc change from top frame `f0` to
+    `f1` under the (only read) `attrs` after it; None for no movement or an unexplainable jump."""
     if f0 is None or f1 is None or f0.pc == f1.pc:
         return None
-    source = inst.node_at(f0.pc)
-    target = inst.node_at(f1.pc)
+    source, target = inst.node_at(f0.pc), inst.node_at(f1.pc)
     if source is None or target is None:
         return None
     try:
-        landing, path = flow_walk(inst.ad, source, s1.attrs(inst.callee), f1.locals)
+        landing, path = flow_walk(inst.ad, source, attrs, f1.locals)
     except VariantError:
         return None
     if landing.name != target.name:
@@ -594,7 +591,7 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     guards always evaluate true (branching lives in the guard's effect),
     and consumption/production is derived from the pc movement; `delta`
     derives it once per state pair and is built once per distinct movement."""
-    ad = inst.ad
+    ad, callee = inst.ad, inst.callee
     ts = ad.layout.transitions
     at_pc: dict[str | None, list[int]] = {}  # pc -> positions whose buffer holds the token there
     for p, t in enumerate(ts):
@@ -608,12 +605,10 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     def movement(s0: SystemState, s1: SystemState) -> tuple[object, object, frozenset[str]]:
         """The pc before and after (`_NO_FRAME` without a frame) and the keys
         of the transitions into decisions that the pc crossed."""
-        f0 = top_frame(s0, inst.callee, inst.thread)
-        f1 = top_frame(s1, inst.callee, inst.thread)
+        f0, f1 = top_frame(s0, callee, inst.thread), top_frame(s1, callee, inst.thread)
         pc0, pc1 = _NO_FRAME if f0 is None else f0.pc, _NO_FRAME if f1 is None else f1.pc
-        move = _movement(inst, s0, s1) if pc0 in walks else None
-        crossed = frozenset(t.key for t in move[2]) & into_decisions if move else frozenset()
-        return pc0, pc1, crossed
+        move = pc0 in walks and _movement(inst, f0, f1, s1.data_store.get(callee, {}))
+        return pc0, pc1, frozenset(t.key for t in move[2]) & into_decisions if move else frozenset()
 
     def moved(t: Transition, move: tuple[object, object, frozenset[str]],
               produced_side: bool) -> tuple[Token, ...]:
@@ -661,13 +656,10 @@ def check_effect_constraint(ad: ActivityDiagram, inst: MethodExecutionInstance,
     effect of its own) for every decision crossed on the way."""
     for j in range(len(trace) - 1):
         s0, s1 = trace[j], trace[j + 1]
-        f0 = top_frame(s0, inst.callee, inst.thread)
-        f1 = top_frame(s1, inst.callee, inst.thread)
-        if f0 is None or f1 is None:
+        f0, f1 = (top_frame(s, inst.callee, inst.thread) for s in (s0, s1))
+        if f0 is None or f1 is None or f0.pc == f1.pc:
             continue
-        if f0.pc == f1.pc:
-            continue
-        move = _movement(inst, s0, s1)
+        move = _movement(inst, f0, f1, s1.attrs(inst.callee))
         if move is None:
             return False
         source, _, path = move
@@ -694,7 +686,8 @@ def trace_firings(ad: ActivityDiagram, inst: MethodExecutionInstance,
     """Node names in firing order, decisions included in traversal order."""
     fired: list[str] = []
     for j in range(len(trace) - 1):
-        move = _movement(inst, trace[j], trace[j + 1])
+        f0, f1 = (top_frame(s, inst.callee, inst.thread) for s in trace.states[j:j + 2])
+        move = _movement(inst, f0, f1, trace[j + 1].attrs(inst.callee))
         if move is None:
             continue
         source, _, path = move

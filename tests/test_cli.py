@@ -420,9 +420,15 @@ def _first_frame(state: dict) -> dict:
      "invalid literal for int() with base 10: 'x'"),
     ("v1", lambda lines: lines[2]["ds"]["obj:callee"].pop("n"), 3,
      "unknown attribute or local 'n'"),
+    ("v1", lambda lines: lines[2]["ds"].update({"obj:callee": [["n", 3], ["res", 1]]}), 3,
+     "expected JSON objects, got {'obj:callee': [['n', 3], ['res', 1]]}"),
+    ("v2", lambda lines: lines[3]["es"].update({"obj:x": "ab"}), 4,
+     "expected JSON lists, got {'obj:x': 'ab'}"),
+    ("v1", lambda lines: lines[2]["cs"]["obj:callee"].update(th0=""), 3,
+     "expected JSON lists, got {'th0': ''}"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
         "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute",
-        "v1-missing-attribute"])
+        "v1-missing-attribute", "v1-store-of-pairs", "v2-string-events", "v1-string-stack"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)
@@ -431,6 +437,16 @@ def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, varia
     code = main(["check-trace", ad, str(trace), "--variant", variant])
     assert code == 3
     assert capsys.readouterr() == ("", f"error: {trace}:{line}: {reason}\n")
+
+
+def test_a_broken_store_fragment_is_located_like_the_whole_line(tmp_path, capsys):
+    ad, trace, _ = _recorded(tmp_path, capsys, "v1")
+    lines = trace.read_text().splitlines()
+    lines[2] = lines[2].replace('"ds": {', '"ds": {,', 1)
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == 3
+    assert capsys.readouterr().err == (f"error: {trace}:3: not JSON: Expecting property name "
+                                       f"enclosed in double quotes at column 137\n")
 
 
 def test_a_null_attribute_a_guard_reads_is_located(tmp_path, capsys):

@@ -6,7 +6,9 @@ generated runs: variant-1 counting loops (store values, loop lengths,
 a counter held in an attribute or a local) and variant-2 scenarios
 (seeds, durations, decisions, caller mode, sub-variant).  Each line must
 read back to its state, and `check-trace` must accept the file that
-`run-v1` or `run-v2` writes.
+`run-v1` or `run-v2` writes.  The memoised reader `sysmodel.state_reader`
+is checked against the per-line path on the same runs, on single-edit
+mutants of their lines and on fixed lines that its cut must not misread.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adsem import cli, diagram, variant1, variant2
-from adsem.sysmodel import state_from_json, state_to_json, states_to_jsonl
+from adsem.sysmodel import state_from_json, state_reader, state_to_json, states_to_jsonl
 
 from .conftest import CORPUS
 
@@ -69,17 +72,26 @@ def assert_checked_satisfied(path: Path, trace: Path, variant: str) -> None:
     assert (code, json.loads(out)["verdict"]) == (0, "satisfied")
 
 
-@settings(max_examples=40, deadline=None)
-@given(multipliers=st.lists(st.integers(0, 9), min_size=1, max_size=3),
-       n=st.integers(-2, 12), extra=st.dictionaries(st.sampled_from(["x", "y", "acc0"]),
-                                                    st.integers(-10**30, 10**30), max_size=2),
-       local_counter=st.booleans())
-def test_v1_writer_matches_json_dumps_and_the_reader(multipliers, n, extra, local_counter):
-    text = loop_text(multipliers, local_counter)
+@st.composite
+def v1_runs(draw) -> tuple[str, dict]:
+    """A counting loop's diagram text and its initial store."""
+    text = loop_text(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3)), draw(st.booleans()))
+    extra = draw(st.dictionaries(st.sampled_from(["x", "y", "acc0"]),
+                                 st.integers(-10**30, 10**30), max_size=2))
+    return text, {**extra, "n": draw(st.integers(-2, 12))}
+
+
+def v1_states(text: str, store: dict):
     ad = diagram.parse(text)
-    store = {**extra, "n": n}
-    run = variant1.run_method(ad, variant1.method_instance(ad), store)
-    assert_written_like_json_dumps(run.states)
+    return variant1.run_method(ad, variant1.method_instance(ad), store).states
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=v1_runs())
+def test_v1_writer_matches_json_dumps_and_the_reader(run):
+    text, store = run
+    states = v1_states(text, store)
+    assert_written_like_json_dumps(states)
     with tempfile.TemporaryDirectory() as tmp:
         path, trace = Path(tmp) / "loop.ad", Path(tmp) / "trace.jsonl"
         path.write_text(text, encoding="utf-8")
@@ -87,7 +99,7 @@ def test_v1_writer_matches_json_dumps_and_the_reader(multipliers, n, extra, loca
                        "--trace", str(trace))
         assert code == 0
         assert trace.read_text(encoding="utf-8").splitlines()[1:] == [
-            json.dumps(state_to_json(s), sort_keys=True) for s in run.states]
+            json.dumps(state_to_json(s), sort_keys=True) for s in states]
         assert_checked_satisfied(path, trace, "v1")
 
 
@@ -109,20 +121,130 @@ def v2_runs(draw) -> tuple[Path, dict]:
     return path, scenario
 
 
+def v2_states(path: Path, scenario: dict):
+    ad = diagram.parse(path.read_text(encoding="utf-8"))
+    sc = variant2.Scenario.from_json(ad, scenario)
+    return variant2.simulate(ad, variant2.standard_instance(ad, sc), sc).states
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=v2_runs())
 def test_v2_writer_matches_json_dumps_and_the_reader(run, monkeypatch):
     monkeypatch.delenv("ADSEM_SEED", raising=False)
     path, scenario = run
-    ad = diagram.parse(path.read_text(encoding="utf-8"))
-    sc = variant2.Scenario.from_json(ad, scenario)
-    trace = variant2.simulate(ad, variant2.standard_instance(ad, sc), sc)
-    assert_written_like_json_dumps(trace.states)
+    states = v2_states(path, scenario)
+    assert_written_like_json_dumps(states)
     with tempfile.TemporaryDirectory() as tmp:
         sc_file, written = Path(tmp) / "scenario.json", Path(tmp) / "trace.jsonl"
         sc_file.write_text(json.dumps(scenario), encoding="utf-8")
         assert _cli("run-v2", str(path), str(sc_file), "--trace", str(written))[0] == 0
         assert written.read_text(encoding="utf-8").splitlines()[1:] == [
-            json.dumps(state_to_json(s), sort_keys=True) for s in trace.states]
+            json.dumps(state_to_json(s), sort_keys=True) for s in states]
         assert_checked_satisfied(path, written, "v2")
+
+
+# ---------------------------------------------------------------------------
+# The memoised reader against the per-line path
+# ---------------------------------------------------------------------------
+
+def assert_read_like_each_line(lines: list[str]) -> None:
+    """One reader, fed the lines in order, returns what `state_from_json(json.loads(line))`
+    returns for each, or raises an exception of the same type and message."""
+    read = state_reader()
+    for line in lines:
+        try:
+            expected = state_from_json(json.loads(line))
+        except Exception as e:
+            with pytest.raises(Exception) as got:
+                read(line)
+            assert (type(got.value), str(got.value)) == (type(e), str(e)), line
+        else:
+            assert read(line) == expected, line
+
+
+EDIT_CHARS = '{}[],:" \\0-1aen'
+
+
+@st.composite
+def with_mutants(draw, lines: list[str]) -> list[str]:
+    """The lines, each followed by up to two single-character deletions, insertions
+    or replacements of it, so that the reader also meets them after its memos fill."""
+    out = []
+    for line in lines:
+        out.append(line)
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(line) - 1))
+            edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+            c = "" if edit == "delete" else draw(st.sampled_from(EDIT_CHARS))
+            out.append(line[:i] + c + line[i + (edit != "insert"):])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=v1_runs(), data=st.data())
+def test_v1_reader_matches_the_per_line_path(run, data):
+    lines = states_to_jsonl(v1_states(*run)).splitlines()
+    assert_read_like_each_line(data.draw(with_mutants(lines)))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=v2_runs(), data=st.data())
+def test_v2_reader_matches_the_per_line_path(run, data, monkeypatch):
+    monkeypatch.delenv("ADSEM_SEED", raising=False)
+    lines = states_to_jsonl(v2_states(*run)).splitlines()
+    assert_read_like_each_line(data.draw(with_mutants(lines)))
+
+
+FRAME = '{"callee": "o", "caller": "c", "m": "m", "pc": "p", "vars": {"k": 1}}'
+CS = '{"o": {"t": [' + FRAME + ']}}'
+
+
+@pytest.mark.parametrize("line", [
+    '{"cs": ' + CS + ', "ds": {"o": {"n": 3}}, "es": {}}',
+    '{"es": {}, "ds": {"o": {"n": 3}}, "cs": ' + CS + '}',
+    '{"ds": {"o": {"n": 3}}, "cs": ' + CS + ', "es": {"o": ["x"]}}',
+    '{"cs":' + CS + ',"ds":{"o":{"n":3}},"es":{}}',
+    '{"cs":  ' + CS + ' , "ds": {"o": {"n": 3}} , "es": {} }',
+    ' {"cs": ' + CS + ', "ds": {"o": {"n": 3}}, "es": {}} ',
+    '{"cs": {"o": {"t": []}, "ds": {"t": []}}, "ds": {"o": {"n": 3}}, "es": {}}',
+    '{"cs": {"o": {"t": []}, "es": {"t": []}}, "ds": {"o": {"n": 3}}, "es": {}}',
+    '{"cs": {}, "ds": {"o": {"n": 3}, "ds": {"n": 4}}, "es": {}}',
+    '{"cs": {}, "ds": {"o": {"n": 3}, "es": {"n": 4}}, "es": {"o": []}}',
+    '{"cs": {}, "ds": {"o": {"s": ", \\"ds\\": "}}, "es": {}}',
+    '{"cs": {}, "ds": {"o": {"n": 3}}, "es": {}, "ds": {"o": {"n": 4}}}',
+    '{"cs": {}, "cs": ' + CS + ', "ds": {}, "es": {}}',
+    '{"cs": {}, "ds": {"o": {"n": 3}}, "ds": {"o": {"n": 4}}, "es": {}}',
+    '{"cs": ' + CS + ', "ds": {, "es": {}}',
+    '{"cs": ' + CS + ', "ds": {"o": {"n": 3}}, "es": {"o": "ab"}}',
+    '{"cs": ' + CS + ', "ds": {"o": [["n", 3]]}, "es": {}}',
+    '{"cs": {"o": {"t": ""}}, "ds": {}, "es": {}}',
+    '{"cs": {"o": {"t": [{"m": "x"}]}}, "ds": {}, "es": {}}',
+    '{"cs": {}, "ds": {}, "es": {}}extra',
+    '{"cs": {}, "ds": {}, "es": {}',
+    '{"cs": {}, "ds": {}, "es": {}]',
+    '["cs": {}, "ds": {}, "es": {}}',
+    '[{"cs": {}, "ds": {}, "es": {}}]',
+], ids=["template", "reversed-keys", "other-order", "no-spaces", "inner-whitespace",
+        "outer-whitespace", "ds-key-in-cs", "es-key-in-cs", "ds-key-in-ds", "es-key-in-ds",
+        "cut-text-in-a-string", "duplicate-ds-last", "duplicate-cs", "duplicate-ds-first",
+        "broken-fragment", "string-events", "store-of-pairs", "string-stack",
+        "frame-missing-key", "trailing-text", "unclosed", "closed-by-bracket",
+        "opened-by-bracket", "array"])
+def test_reader_matches_the_per_line_path_on_odd_lines(line):
+    template = '{"cs": ' + CS + ', "ds": {"o": {"n": 3}}, "es": {}}'
+    assert_read_like_each_line([line, template, line])
+
+
+def test_reader_decodes_each_distinct_store_text_once():
+    read = state_reader()
+    lines = states_to_jsonl(v1_states(loop_text([2], True), {"n": 3})).splitlines()
+    seen: dict[tuple[str, str], object] = {}
+    for line in lines:
+        state = read(line)
+        text = json.loads(line)
+        for key, store in (("cs", state.control_store), ("ds", state.data_store),
+                           ("es", state.event_store)):
+            assert seen.setdefault((key, json.dumps(text[key], sort_keys=True)), store) is store
+    assert len(seen) < 3 * len(lines)
