@@ -84,15 +84,15 @@ def _cmd_render(args) -> int:
 
 def _cmd_simulate(args) -> int:
     ad = _load_diagram(args.file)
-    run, cut = tokengame.random_run(
+    run = tokengame.random_run(
         ad, seed=_seed_override(args.seed), mode=args.mode,
         action_mode=args.actions, max_len=args.bound)
-    text = tokengame.run_to_jsonl(run.configs)
+    text = tokengame.run_to_jsonl(ad, run.configs)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if cut:
+    if run.cut:
         print("run cut before a maximal configuration", file=sys.stderr)
     return EXIT_OK
 
@@ -102,7 +102,7 @@ def _cmd_reach(args) -> int:
     result = tokengame.reachable(ad, mode=args.mode, action_mode=args.actions,
                                  bound=args.bound)
     report = tokengame.analyze(ad, result)
-    _emit(report.to_json(), args.human)
+    _emit(report.to_json(ad), args.human)
     if args.dot:
         Path(args.dot).write_text(tokengame.reachability_to_dot(ad, result),
                                   encoding="utf-8")

@@ -1,12 +1,16 @@
 """Configuration-level token game: enumerate everything the step
 predicates permit, with no system-model encoding in the way.
 
-A configuration is just the per-transition token buffers plus the
-executing flag of each action node.  Successor enumeration supports
-one-node-at-a-time (interleaving) and simultaneous-disjoint (concurrent)
-steps, and instantaneous (one-step) or start/finish (two-phase) action
-execution.  Guards are resolved by a three-valued oracle; "either"
-explores both branches.
+A configuration is a plain tuple of the token buffers, one per
+`ad.layout` position, and the executing flag of each action node, so the
+search hashes, compares and builds it in C.  Transition keys and action
+names appear only where it is read or written as JSON, DOT or a lifted
+state; a configuration means nothing without its diagram.
+
+Successor enumeration supports one-node-at-a-time (interleaving) and
+simultaneous-disjoint (concurrent) steps, and instantaneous (one-step) or
+start/finish (two-phase) action execution.  Guards are resolved by a
+three-valued oracle; "either" explores both branches.
 
 Runs lift into the system model via `as_binding`, so the conformance
 checker can audit everything this module generates.
@@ -18,6 +22,8 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
@@ -45,13 +51,13 @@ class TokenGameError(AdsemError):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Total buffer map (by transition key) and action executing flags, in
-    the diagram's declaration order.  `make` and `from_json` validate what
+class Configuration(NamedTuple):
+    """Buffers by `ad.layout` position and action executing flags by action
+    position, both in the diagram's declaration order; a plain tuple, whose
+    hash and equality are `tuple`'s.  `make` and `from_json` validate what
     comes from outside; the token game builds successors directly."""
-    buffers: tuple[tuple[str, Buffer], ...]
-    flags: tuple[tuple[str, bool], ...]
+    buffers: tuple[Buffer, ...]
+    flags: tuple[bool, ...]
 
     @staticmethod
     def make(ad: ActivityDiagram,
@@ -66,20 +72,14 @@ class Configuration:
         unknown = set(flags) - view.flag_position.keys()
         if unknown:
             raise TokenGameError(f"exec flags for unknown or non-action nodes: {sorted(unknown)}")
-        return Configuration(
-            buffers=tuple((k, tuple(buffers.get(k, ()))) for k in view.by_key),
-            flags=tuple((name, bool(flags.get(name, False))) for name in view.actions),
-        )
+        return Configuration(tuple(tuple(buffers.get(k, ())) for k in view.keys),
+                             tuple(bool(flags.get(name, False)) for name in view.actions))
 
-    @property
-    def token_count(self) -> int:
-        return sum(len(buf) for _, buf in self.buffers)
-
-    def to_json(self) -> dict:
-        return {
-            "buffers": {k: [tok.to_json() for tok in buf] for k, buf in self.buffers if buf},
-            "exec": {name: value for name, value in self.flags},
-        }
+    def to_json(self, ad: ActivityDiagram) -> dict:
+        view = _view(ad)
+        return {"buffers": {k: [tok.to_json() for tok in buf]
+                            for k, buf in zip(view.keys, self.buffers) if buf},
+                "exec": dict(zip(view.actions, self.flags))}
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "Configuration":
@@ -91,16 +91,11 @@ class Configuration:
             raise TokenGameError(f"exec flags are not all true or false: {bad}")
         return Configuration.make(ad, buffers, flags)
 
-    def canonical(self) -> str:
-        return _dumps(self.to_json())
+    def canonical(self, ad: ActivityDiagram) -> str:
+        return _dumps(self.to_json(ad))
 
-    def __hash__(self) -> int:
-        # Once per configuration, which the search, `analyze` and the DOT
-        # export hash again; not `cached_property`, which locks on 3.10/3.11.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            return self.__dict__.setdefault("_hash", hash((self.buffers, self.flags)))
+
+_configuration = partial(tuple.__new__, Configuration)  # of a (buffers, flags) pair
 
 
 def _dumps(value: object) -> str:
@@ -217,26 +212,26 @@ class _NodeView:
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
     def executing(self, c: Configuration) -> bool:
-        return self.flag is not None and c.flags[self.flag][1]
+        return self.flag is not None and c.flags[self.flag]
 
     def enabled(self, c: Configuration, action_mode: str) -> tuple[Step, ...]:
         """The non-stutter steps that token presence and the flag allow;
         initial and final nodes only stutter."""
         buffers = c.buffers
         if self.branches:
-            return tuple(step for step in self.branches if buffers[step.cons[0]][1])
+            return tuple(step for step in self.branches if buffers[step.cons[0]])
         if self.flag is None:
             steps = self.steps.get("forkjoin", ())
         elif action_mode == INSTANT:
             steps = self.steps["instant"]
         elif action_mode == TWO_PHASE:
-            if c.flags[self.flag][1]:
+            if c.flags[self.flag]:
                 return self.steps["finish"]
             steps = self.steps["start"]
         else:
             raise TokenGameError(f"unknown action mode {action_mode!r}")
         for p in self.ins:
-            if not buffers[p][1]:
+            if not buffers[p]:
                 return ()
         return steps
 
@@ -249,7 +244,8 @@ class _View:
     def __init__(self, ad: ActivityDiagram):
         layout = ad.layout
         self.by_key = {t.key: t for t in layout.transitions}
-        self.position = {k: i for i, k in enumerate(self.by_key)}
+        self.keys = tuple(self.by_key)
+        self.position = {k: i for i, k in enumerate(self.keys)}
         self.key_order = [p for _, p in sorted(self.position.items())]
         self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
@@ -257,8 +253,8 @@ class _View:
         self.nodes = [_NodeView(ad, self, i, n, ins, outs)
                       for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs))]
         self.tokens: dict[tuple[int, int], Token] = {}
-        self.fragments: dict[tuple[str, Buffer], str] = {}
-        self.exec_json: dict[tuple[tuple[str, bool], ...], str] = {}
+        self.fragments: list[dict[Buffer, str]] = [{} for _ in self.keys]
+        self.exec_json: dict[tuple[bool, ...], str] = {}
 
     def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
         """The enabled set of `c`: each node's non-stutter steps by node
@@ -285,26 +281,21 @@ class _View:
         return self.tokens.get((p, index)) or self.tokens.setdefault(
             (p, index), representative_token(ad, ad.layout.transitions[p], index))
 
-    def order_key(self, c: Configuration) -> str:
-        """`c.canonical()`, made once per configuration and kept on it, as its
-        hash is: joined from memoised JSON fragments, one per nonempty
-        buffer, in key order, and one for the flags."""
-        key = c.__dict__.get("_key")
-        if key is None:
-            frags, execs = self.fragments, self.exec_json
-            parts = []
-            try:
-                for p in self.key_order:
-                    pair = c.buffers[p]
-                    if pair[1]:
-                        parts.append(frags.get(pair) or frags.setdefault(
-                            pair, _dumps({pair[0]: [tok.to_json() for tok in pair[1]]})[1:-1]))
-                flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(c.flags)))
-                key = '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
-            except TypeError:  # unhashable: a payload read from a file may be a list
-                key = c.canonical()
-            c.__dict__["_key"] = key
-        return key
+    def order_key(self, ad: ActivityDiagram, c: Configuration) -> str:
+        """`c.canonical(ad)`, joined from memoised JSON fragments: one per
+        nonempty buffer, in key order, and one for the flags."""
+        keys, frags, execs = self.keys, self.fragments, self.exec_json
+        parts = []
+        try:
+            for p in self.key_order:
+                if buf := c.buffers[p]:
+                    memo = frags[p]
+                    parts.append(memo.get(buf) or memo.setdefault(
+                        buf, _dumps({keys[p]: [tok.to_json() for tok in buf]})[1:-1]))
+        except TypeError:  # unhashable: a payload read from a file may be a list
+            return c.canonical(ad)
+        flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(zip(self.actions, c.flags))))
+        return '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -321,18 +312,18 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration, step: Step) -> Co
     """`c` after one of its enabled steps."""
     buffers = list(c.buffers)
     for p in step.cons:
-        buffers[p] = (buffers[p][0], buffers[p][1][1:])
+        buffers[p] = buffers[p][1:]
     for p in step.prod:
-        key, buf = buffers[p]
-        buffers[p] = (key, buf + (view.token(ad, p, len(buf)),))
+        buf = buffers[p]
+        buffers[p] = buf + (view.token(ad, p, len(buf)),)
     if step.choice.kind == "decision":  # its one production passes on what it consumed, if admitted
-        tok, t = c.buffers[step.cons[0]][1][0], view.by_key[key]
+        tok, t = c.buffers[step.cons[0]][0], ad.layout.transitions[p]
         if (tok in admissible_tokens(ad.pin_type(t.src, t.out_pin))
                 and tok in admissible_tokens(ad.pin_type(t.dst, t.in_pin))):
-            buffers[p] = (key, buf + (tok,))
+            buffers[p] = buf + (tok,)
     f = step.flag
-    return Configuration(tuple(buffers), c.flags if f is None else (
-        *c.flags[:f], (step.choice.node, step.choice.kind == "start"), *c.flags[f + 1:]))
+    return _configuration((tuple(buffers), c.flags if f is None else (
+        *c.flags[:f], step.choice.kind == "start", *c.flags[f + 1:])))
 
 
 def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
@@ -342,28 +333,30 @@ def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
     for p in step.touches:
         buffers[p] = c1.buffers[p]
     f = step.flag
-    return Configuration(tuple(buffers),
-                         c.flags if f is None else (*c.flags[:f], c1.flags[f], *c.flags[f + 1:]))
+    return _configuration((tuple(buffers),
+                           c.flags if f is None else (*c.flags[:f], c1.flags[f], *c.flags[f + 1:])))
+
+
+_order_key = itemgetter(3)  # of an `_expand` result
 
 
 def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
             enabled: dict[int, tuple[Step, ...]], mode: str, guards: GuardOracle,
-            visited: Mapping[Configuration, Configuration]
-            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration, bool]]:
+            visited: Mapping[Configuration, tuple[Configuration, str]] | None
+            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration, str | None, bool]]:
     """`successors` of `c`, whose enabled set is `enabled`, each with the
-    steps that made it and whether `visited` lacks it.  Each step is
-    applied to `c` once; a concurrent selection is patched together from
-    its steps' single results, at the positions and flag each touches.  A
-    successor found in `visited` is replaced by the instance kept there, so
-    a revisited configuration costs one lookup, an equality and its kept
-    order key."""
+    steps that made it, its order key (made when it is sorted or new to
+    `visited`) and whether `visited` lacks it.  Each step is applied to `c`
+    once; a concurrent selection is patched together from its steps' single
+    results, at the positions and flag each touches.  A successor found in
+    `visited` is replaced by the instance and key kept there, so a
+    revisited configuration costs one lookup and an equality, both in C."""
     # each node's steps; of a decision's branches, those whose guards may hold
     pools = [steps if steps[0].guard is None else
              [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
              for steps in enabled.values()]
     if mode == INTERLEAVING:
-        results = [(step.choices, (step,), _apply(ad, view, c, step), True)
-                   for steps in pools for step in steps]
+        results = [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
     elif mode == CONCURRENT:
         # at most one step per node and no two touching one position; the nodes
         # in label order (a name holds no ":"), so each selection's labels come sorted
@@ -374,14 +367,18 @@ def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
                        _patch(c0, step, c1) if selection else c1)
                       for selection, touched, choices, c0 in grown
                       for step, c1 in singles if touched.isdisjoint(step.touches)]
-        results = [(choices, selection, c1, True) for selection, _, choices, c1 in grown[1:]]
+        results = [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
     else:
         raise TokenGameError(f"unknown mode {mode!r}")
-    if visited:  # an empty one is not asked: a configuration read from a file may be unhashable
-        results = [(choices, selection, c1, True) if (kept := visited.get(c1)) is None
-                   else (choices, selection, kept, False) for choices, selection, c1, _ in results]
-    if len(results) > 1:  # the order of canonical(), with the labels breaking ties
-        results.sort(key=lambda r: (view.order_key(r[2]), tuple(step.label for step in r[1])))
+    # no lookup without `visited`: a configuration read from a file may be unhashable
+    find, keyed = (visited.get, True) if visited is not None else (lambda c1: None, len(results) > 1)
+    results = [(choices, selection, c1, view.order_key(ad, c1) if keyed else None, True)
+               if (entry := find(c1)) is None else (choices, selection, *entry, False)
+               for choices, selection, c1 in results]
+    if len(results) > 1:  # the order of canonical(), with the labels breaking ties, if any
+        results.sort(key=_order_key)
+        if len(set(map(_order_key, results))) < len(results):
+            results.sort(key=lambda r: (r[3], tuple(step.label for step in r[1])))
     return results
 
 
@@ -397,8 +394,8 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    return [(choices, c1) for choices, _, c1, _
-            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL, {})]
+    return [(choices, c1) for choices, _, c1, _, _
+            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +405,7 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
 def config_is_final(ad: ActivityDiagram, c: Configuration) -> bool:
     """`semantics.is_final_state`, read off the configuration."""
     nodes = _view(ad).nodes
-    return configuration_is(ad, NodeKind.FINAL, lambda p: bool(c.buffers[p][1]),
+    return configuration_is(ad, NodeKind.FINAL, lambda p: bool(c.buffers[p]),
                             lambda i: nodes[i].executing(c))
 
 
@@ -431,14 +428,14 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
     """BFS closure of `successors` from the initial configuration, up to
     `bound` distinct configurations.  Each queued configuration carries its
     enabled set, made from its parent's when it is first reached.  A new
-    configuration costs its steps, a hash and an order key; a revisited one
-    costs one lookup, an equality and the key kept on its first instance,
-    which `_expand` swaps in from `visited`."""
+    configuration costs its steps, two hashes and an order key; a revisited
+    one costs one lookup and an equality, which give `_expand` the instance
+    first reached and its key.  The keys go with `visited`."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
     view, guards = _view(ad), guards or _EXPLORE_ALL
     start = initial_config(ad)
-    visited = {start: start}  # in BFS order
+    visited = {start: (start, view.order_key(ad, start))}  # in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
     truncated = False
@@ -448,11 +445,13 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
         succ = _expand(ad, view, c, enabled, mode, guards, visited)
         if not succ:
             dead_ends.append(c)
-        for choices, selection, c1, new in succ:
+        for choices, selection, c1, key, new in succ:
             if new:  # when `_expand` looked; an equal successor may have been kept since
                 if len(visited) < bound:
-                    if visited.setdefault(c1, c1) is c1:
+                    kept = visited.setdefault(c1, (c1, key))[0]
+                    if kept is c1:
                         queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
+                    c1 = kept
                 elif c1 not in visited:
                     truncated = True
                     continue
@@ -470,12 +469,12 @@ class AnalysisReport:
     decision_coverage: dict[str, bool]
     never_fired: list[str]
 
-    def to_json(self) -> dict:
+    def to_json(self, ad: ActivityDiagram) -> dict:
         return {
             "configurations": self.configurations,
             "edges": self.edges,
             "truncated": self.truncated,
-            "deadlocks": [c.to_json() for c in self.deadlocks],
+            "deadlocks": [c.to_json(ad) for c in self.deadlocks],
             "final_reachability": self.final_reachability,
             "decision_coverage": self.decision_coverage,
             "never_fired": self.never_fired,
@@ -494,7 +493,7 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
         if n.kind is NodeKind.FINAL:
             for t in incoming(ad, n):
                 p = view.position[t.key]
-                final_reach[t.key] = any(c.buffers[p][1] for c in result.configs)
+                final_reach[t.key] = any(c.buffers[p] for c in result.configs)
 
     coverage: dict[str, bool] = {}
     for n in ad.nodes:
@@ -530,6 +529,7 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
 class Run:
     configs: tuple[Configuration, ...]
     choices: tuple[frozenset, ...]
+    cut: bool = False  # its last configuration has successors
 
     def __post_init__(self):
         if len(self.choices) != len(self.configs) - 1:
@@ -538,9 +538,9 @@ class Run:
 
 def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = INSTANT,
                  max_runs: int = 1000, max_len: int = 200) -> list[Run]:
-    """All runs from the initial configuration that end in a configuration
-    with no successors, depth-first up to `max_len` states; longer runs
-    are cut and dropped."""
+    """Runs from the initial configuration, depth-first, each ending in a
+    configuration with no successors or cut at `max_len` configurations;
+    the first `max_runs` of them, cut runs counted."""
     out: list[Run] = []
     view = _view(ad)
 
@@ -548,13 +548,11 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
                 enabled: dict[int, tuple[Step, ...]]) -> None:
         if len(out) >= max_runs:
             return
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {})
-        if not succ:
-            out.append(Run(configs, choices))
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)
+        if not succ or len(configs) >= max_len:
+            out.append(Run(configs, choices, bool(succ)))
             return
-        if len(configs) >= max_len:
-            return
-        for chs, selection, c1, _ in succ:
+        for chs, selection, c1, _, _ in succ:
             explore(configs + (c1,), choices + (chs,), view.carry(enabled, selection, c1, action_mode))
 
     start = initial_config(ad)
@@ -563,9 +561,9 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
 
 
 def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
-               action_mode: str = INSTANT, max_len: int = 200) -> tuple[Run, bool]:
-    """One seeded run of at most `max_len` configurations; the flag reports
-    whether it was cut before dying out."""
+               action_mode: str = INSTANT, max_len: int = 200) -> Run:
+    """One seeded run of at most `max_len` configurations, cut if it still
+    had successors there."""
     if max_len < 1:
         raise TokenGameError("bound must be >= 1")
     rng, view = random.Random(seed), _view(ad)
@@ -573,14 +571,14 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     enabled = view.scan(configs[0], action_mode)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {})
+        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)
         if not succ:
-            return Run(configs, choices), False
-        chs, selection, c1, _ = succ[rng.randrange(len(succ))]
+            return Run(configs, choices)
+        chs, selection, c1, _, _ = succ[rng.randrange(len(succ))]
         enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)
-    return Run(configs, choices), bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, {}))
+    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +599,9 @@ def lift_config(ad: ActivityDiagram, c: Configuration) -> SystemState:
     """The configuration as a state: buffers (`Token` tuples, shared with the
     configuration) and flags as attributes of two bookkeeping objects.  A
     lifted state is read by `lifted_binding` only and never serialised."""
-    return SystemState(data_store={BUFFER_OID: dict(c.buffers), FLAGS_OID: dict(c.flags)})
+    view = _view(ad)
+    return SystemState(data_store={BUFFER_OID: dict(zip(view.keys, c.buffers)),
+                                   FLAGS_OID: dict(zip(view.actions, c.flags))})
 
 
 def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
@@ -644,16 +644,16 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
 # Exports
 # ---------------------------------------------------------------------------
 
-def run_to_jsonl(run: Iterable[Configuration]) -> str:
-    return "\n".join(json.dumps(c.to_json(), sort_keys=True) for c in run) + "\n"
+def run_to_jsonl(ad: ActivityDiagram, run: Iterable[Configuration]) -> str:
+    return "\n".join(json.dumps(c.to_json(ad), sort_keys=True) for c in run) + "\n"
 
 
 def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:
-    index = {c: i for i, c in enumerate(result.configs)}
+    index, view = {c: i for i, c in enumerate(result.configs)}, _view(ad)
 
     def describe(c: Configuration) -> str:
-        parts = [f"{k}({len(buf)})" for k, buf in c.buffers if buf]
-        parts += [name for name, value in c.flags if value]
+        parts = [f"{k}({len(buf)})" for k, buf in zip(view.keys, c.buffers) if buf]
+        parts += [name for name, value in zip(view.actions, c.flags) if value]
         return "\\n".join(parts) if parts else "empty"
 
     lines = [f'digraph "{ad.name}-reachability" {{']

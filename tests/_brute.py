@@ -85,8 +85,10 @@ def brute_successors(ad: ActivityDiagram, c: Configuration,
                      action_mode: str = INSTANT) -> set[Configuration]:
     """All configurations one interleaving step away, by filtering."""
     guards = guards or ExploreAllBranches()
-    buffers = {k: list(buf) for k, buf in c.buffers}
-    flags0 = {name: value for name, value in c.flags}
+    # a configuration holds one buffer per layout position and one flag per action
+    buffers = {t.key: list(buf) for t, buf in zip(ad.layout.transitions, c.buffers)}
+    actions = dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION)
+    flags0 = dict(zip(actions, c.flags))
     consumable = [k for k, buf in buffers.items() if buf]
     transitions = [t.key for t in ad.transitions]
 

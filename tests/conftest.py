@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from adsem import diagram
-from adsem.tokengame import Configuration, TokenGameInstance, lift_config, lifted_binding
+from adsem.tokengame import (BUFFER_OID, FLAGS_OID, Configuration, TokenGameInstance, lift_config,
+                             lifted_binding)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -46,3 +47,10 @@ def pair(ad, bufs0=None, bufs1=None, flags0=None, flags1=None):
 
 def state_of(ad, bufs=None, flags=None):
     return lift_config(ad, Configuration.make(ad, bufs or {}, flags or {}))
+
+
+def keyed(ad, c):
+    """A configuration's buffers by transition key and flags by action name,
+    as fresh dicts, read through `lift_config`."""
+    store = lift_config(ad, c).data_store
+    return store[BUFFER_OID], store[FLAGS_OID]

@@ -69,7 +69,7 @@ class Parity(GuardOracle):
 
     def decide(self, guard, config):
         self.calls += 1
-        return (TRUE, FALSE, EITHER)[(len(guard) + config.token_count) % 3]
+        return (TRUE, FALSE, EITHER)[(len(guard) + sum(map(len, config.buffers))) % 3]
 
 
 def bfs(ad, mode, actions, guards, bound):
@@ -129,14 +129,14 @@ def test_reachable_equals_a_bfs_over_successors(name, ad, oracle, mode, actions,
 @pytest.mark.parametrize("name,ad", DIAGRAMS, ids=IDS)
 def test_random_runs_equal_runs_over_successors(name, ad, mode, actions, expansions):
     for seed in range(3):
-        run, cut = random_run(ad, seed, mode, actions, max_len=30)
+        run = random_run(ad, seed, mode, actions, max_len=30)
         rng, configs, choices = random.Random(seed), [initial_config(ad)], []
         while len(configs) < 30 and (succ := successors(ad, configs[-1], mode, action_mode=actions)):
             chs, c1 = succ[rng.randrange(len(succ))]
             configs.append(c1)
             choices.append(chs)
         assert (run.configs, run.choices) == (tuple(configs), tuple(choices))
-        assert cut == bool(successors(ad, configs[-1], mode, action_mode=actions))
+        assert run.cut == bool(successors(ad, configs[-1], mode, action_mode=actions))
     assert_full_scans(expansions, actions)
 
 
@@ -155,15 +155,15 @@ def test_maximal_runs_equal_runs_over_successors(name, ad, mode, actions, expans
         if len(out) >= 20:
             return
         succ = successors(ad, configs[-1], mode, action_mode=actions)
-        if not succ:
-            out.append((configs, choices))
-        elif len(configs) < 8:
+        if not succ or len(configs) >= 8:  # a run cut at the length bound is kept, marked cut
+            out.append((configs, choices, bool(succ)))
+        else:
             for chs, c1 in succ:
                 explore(configs + (c1,), choices + (chs,), out)
 
     expected = []
     explore((initial_config(ad),), (), expected)
-    assert [(r.configs, r.choices) for r in runs] == expected
+    assert [(r.configs, r.choices, r.cut) for r in runs] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,10 @@ def test_token_json_and_canonical_bytes_are_unchanged(grade):
         {"type": "Args", "payload": {"a": "x", "b": 2}}]
     c = Configuration.make(grade, {"start.s0->FileThesis.go": TOKENS[:2],
                                    "FileThesis.t->F1.x": TOKENS[2:]}, {"FileThesis": True})
-    assert c.canonical() == (
+    assert c.canonical(grade) == (
         '{"buffers":{"FileThesis.t->F1.x":[{"payload":null,"type":"Doc"},'
         '{"payload":{"a":"x","b":2},"type":"Args"}],'
         '"start.s0->FileThesis.go":["control",{"payload":"s->A.t#0","type":"Doc"}]},'
         '"exec":{"CreateCert":false,"DetainFailure":false,"Evaluate":false,"FileThesis":true,'
         '"ReviewThesis1":false,"ReviewThesis2":false}}')
-    assert Configuration.from_json(grade, json.loads(c.canonical())) == c
+    assert Configuration.from_json(grade, json.loads(c.canonical(grade))) == c

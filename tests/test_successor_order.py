@@ -2,11 +2,13 @@
 
 `successors` sorts by `_View.order_key`, which joins memoised JSON
 fragments instead of serialising each configuration; it must equal
-`Configuration.canonical()` exactly, or the BFS numbering, the order of
+`Configuration.canonical(ad)` exactly, or the BFS numbering, the order of
 deadlocks and the seeded pick of `simulate` change.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -19,7 +21,6 @@ from adsem.tokengame import (
     Configuration,
     StepChoice,
     _View,
-    _view,
     initial_config,
     reachable,
     successors,
@@ -71,30 +72,24 @@ DIAGRAMS = list(diagrams())
 @pytest.mark.parametrize("name,ad", DIAGRAMS + [("prefixed", parse(PREFIXED))],
                          ids=[name for name, _ in DIAGRAMS] + ["prefixed"])
 def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
-    kept = []  # each key read back from a configuration that already had one
+    made = Counter()  # the keys built, by configuration
     order_key = _View.order_key
 
-    def recording(view, c):
-        had_key = "_key" in c.__dict__
-        key = order_key(view, c)
-        if had_key:
-            kept.append((c, key))
+    def recording(view, ad, c):
+        key = order_key(view, ad, c)
+        assert key == c.canonical(ad)
+        made[c] += 1
         return key
 
     monkeypatch.setattr(_View, "order_key", recording)
-    view = _view(ad)
     result = reachable(ad, mode=mode, action_mode=actions)
     assert not result.truncated
-    # a revisited configuration is the instance first reached, with its key
+    # a revisited configuration is the instance first reached
     instances = {id(c) for c in result.configs}
     assert all(id(c1) in instances for _, _, c1 in result.edges)
-    # a few revisits may all come as sole successors, which are not sorted
-    hits = len(result.edges) - (len(result.configs) - 1)
-    assert kept or hits < 10
-    for c, key in kept:
-        assert key == c.canonical()
-    for c in result.configs:
-        assert view.order_key(c) == c.canonical()
+    # one key per distinct configuration, kept with it for every revisit
+    assert set(made) == set(result.configs)
+    assert max(made.values()) == 1
 
 
 SMALL = [(name, ad) for name, ad in DIAGRAMS + [("prefixed", parse(PREFIXED))]
@@ -118,13 +113,32 @@ def test_a_concurrent_edge_is_its_steps_taken_one_at_a_time(name, ad, actions):
         assert c == c1
 
 
+# Actions with no transitions: each instant step, alone or with others,
+# leads back to the same configuration, so the labels alone order them.
+IDLE = "activity Idle { initial i; final f; action B; action A; action C in x out y; i -> f; }"
+
+
+@pytest.mark.parametrize("mode,expected", [
+    (INTERLEAVING, [["A:instant"], ["B:instant"], ["C:instant"]]),
+    (CONCURRENT, [["A:instant"], ["A:instant", "B:instant"], ["A:instant", "B:instant", "C:instant"],
+                  ["A:instant", "C:instant"], ["B:instant"], ["B:instant", "C:instant"], ["C:instant"]]),
+])
+def test_equal_successors_are_ordered_by_their_labels(mode, expected):
+    ad = parse(IDLE)
+    assert validate(ad) == []
+    c = initial_config(ad)
+    succ = successors(ad, c, mode)
+    assert all(c1 == c for _, c1 in succ)
+    assert [sorted(ch.label() for ch in choices) for choices, _ in succ] == expected
+
+
 def test_prefixed_diagram_is_valid_and_reaches_multi_token_data_buffers():
     ad = parse(PREFIXED)
     assert validate(ad) == []
-    keys = [k for k, _ in initial_config(ad).buffers]
+    keys = [t.key for t in ad.layout.transitions]
     assert "F.y->A.t" in keys and "F.y1->A1.t" in keys
     configs = reachable(ad, mode=CONCURRENT, action_mode=TWO_PHASE).configs
-    data = [buf for c in configs for _, buf in c.buffers if buf and not buf[0].is_control]
+    data = [buf for c in configs for buf in c.buffers if buf and not buf[0].is_control]
     assert data and max(map(len, data)) >= 2
 
 
@@ -137,19 +151,28 @@ def test_concurrent_reaches_what_interleaving_reaches(name, ad, actions):
     assert set(concurrent.configs) == set(interleaved.configs)
 
 
-def test_equal_configurations_hash_alike_and_keep_their_hash():
+def test_equal_configurations_hash_alike_in_c():
     ad = load("grade_thesis.ad")
     (_, c1), = successors(ad, initial_config(ad))
-    rebuilt = Configuration.from_json(ad, c1.to_json())
+    rebuilt = Configuration.from_json(ad, c1.to_json(ad))
     assert rebuilt == c1 and rebuilt is not c1
-    assert "_hash" not in rebuilt.__dict__
     assert hash(rebuilt) == hash(c1) == hash((c1.buffers, c1.flags))
-    assert rebuilt.__dict__["_hash"] == hash(rebuilt)
+    # a plain tuple: no Python-level hash or equality, and nothing kept on it
+    assert Configuration.__hash__ is tuple.__hash__ and Configuration.__eq__ is tuple.__eq__
+    assert not hasattr(rebuilt, "__dict__")
+
+
+def test_configurations_of_two_parses_compare_equal_and_hash_alike():
+    text = (CORPUS / "grade_thesis.ad").read_text(encoding="utf-8")
+    first, second = (reachable(parse(text), mode=CONCURRENT, action_mode=TWO_PHASE) for _ in range(2))
+    assert first.configs == second.configs and first.edges == second.edges
+    assert [hash(c) for c in first.configs] == [hash(c) for c in second.configs]
+    assert not set(map(id, first.configs)) & set(map(id, second.configs))
 
 
 def test_representative_tokens_are_shared():
     tokens = {}
     for c in reachable(parse(PREFIXED), mode=CONCURRENT).configs:
-        for key, buf in c.buffers:
+        for p, buf in enumerate(c.buffers):
             for index, tok in enumerate(buf):
-                assert tokens.setdefault((key, index, tok), tok) is tok
+                assert tokens.setdefault((p, index, tok), tok) is tok

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from adsem import tokengame
 from adsem.diagram import NodeKind, parse
 from adsem.semantics import (CONTROL_TOKEN, VerdictKind, allows_step, buffer_law_holds, conforms,
                              is_initial_state)
@@ -35,6 +37,7 @@ from adsem.tokengame import (
 
 from ._brute import brute_successors
 from ._forks import fork
+from .conftest import keyed
 
 ORPHAN = parse("""
     activity Orphan {
@@ -65,6 +68,10 @@ class Decide(GuardOracle):
         return EITHER
 
 
+def token_count(c):
+    return sum(map(len, c.buffers))
+
+
 def lifted_is_initial(ad, c):
     return is_initial_state(TokenGameInstance(ad), lift_config(ad, c), lifted_binding(ad))
 
@@ -75,15 +82,15 @@ def lifted_is_initial(ad, c):
 
 def test_initial_config_grade(grade):
     c = initial_config(grade)
-    assert c.token_count == 1
-    assert dict(c.buffers)["start.s0->FileThesis.go"] == (CONTROL_TOKEN,)
+    assert token_count(c) == 1
+    assert keyed(grade, c)[0]["start.s0->FileThesis.go"] == (CONTROL_TOKEN,)
     assert lifted_is_initial(grade, c)
     assert not config_is_final(grade, c)
 
 
 def test_initial_config_minimal_is_also_final(minimal):
     c = initial_config(minimal)
-    assert c.token_count == 1
+    assert token_count(c) == 1
     assert lifted_is_initial(minimal, c)
     assert config_is_final(minimal, c)
 
@@ -99,7 +106,7 @@ def test_initial_config_two_initials():
         }
     """)
     c = initial_config(ad)
-    assert c.token_count == 2
+    assert token_count(c) == 2
 
 
 def test_initial_config_requires_initial_node():
@@ -111,7 +118,7 @@ def test_initial_config_requires_initial_node():
 def test_make_rejects_exec_for_unknown_or_non_action_nodes(grade):
     with pytest.raises(TokenGameError, match=r"\['F1', 'Ghost'\]"):
         Configuration.make(grade, {}, {"FileThesis": True, "F1": False, "Ghost": True})
-    assert dict(Configuration.make(grade, {}, {"FileThesis": True}).flags)["FileThesis"]
+    assert keyed(grade, Configuration.make(grade, {}, {"FileThesis": True}))[1]["FileThesis"]
 
 
 def test_initial_config_data_pin_uses_seeder():
@@ -123,7 +130,7 @@ def test_initial_config_data_pin_uses_seeder():
             i.s -> a.x; a.y -> f.z;
         }
     """)
-    (tok,) = dict(initial_config(ad).buffers)["i.s->a.x"]
+    (tok,) = keyed(ad, initial_config(ad))[0]["i.s->a.x"]
     assert tok.type_name == "Thesis"
 
 
@@ -136,7 +143,7 @@ def test_successors_only_entry_enabled(grade):
     assert len(succ) == 1
     (choices, c1), = succ
     assert {ch.label() for ch in choices} == {"FileThesis:instant"}
-    assert dict(c1.buffers)["FileThesis.t->F1.x"]
+    assert keyed(grade, c1)[0]["FileThesis.t->F1.x"]
 
 
 def test_successors_after_fork_two_orders(grade):
@@ -194,12 +201,12 @@ def test_two_phase_start_and_finish(grade):
     succ = successors(grade, c, action_mode=TWO_PHASE)
     assert [next(iter(ch)).kind for ch, _ in succ] == ["start"]
     _, started = succ[0]
-    assert dict(started.flags)["ReviewThesis1"]
+    assert keyed(grade, started)[1]["ReviewThesis1"]
     succ2 = successors(grade, started, action_mode=TWO_PHASE)
     assert [next(iter(ch)).kind for ch, _ in succ2] == ["finish"]
     _, finished = succ2[0]
-    assert not dict(finished.flags)["ReviewThesis1"]
-    assert dict(finished.buffers)["ReviewThesis1.r->J1.a"]
+    assert not keyed(grade, finished)[1]["ReviewThesis1"]
+    assert keyed(grade, finished)[0]["ReviewThesis1.r->J1.a"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +245,29 @@ def test_reachable_bound_truncates(grade):
     assert len(res.configs) == 3
 
 
-def test_reachable_hashes_each_successor_once(monkeypatch):
-    """One lookup per edge, plus an insertion per configuration kept."""
-    calls = [0]
-    configuration_hash = Configuration.__hash__
+def test_reachable_keys_each_configuration_once(monkeypatch):
+    """A configuration hashes in C, and its order key is built once, when it
+    is first reached; a revisit reads the key kept with it."""
+    made = Counter()
+    order_key = tokengame._View.order_key
 
-    def counting(c):
-        calls[0] += 1
-        return configuration_hash(c)
+    def counting(view, ad, c):
+        made[c] += 1
+        return order_key(view, ad, c)
 
     ad = fork(5, 2)
-    monkeypatch.setattr(Configuration, "__hash__", counting)
+    monkeypatch.setattr(tokengame._View, "order_key", counting)
     res = reachable(ad, mode=CONCURRENT, action_mode=TWO_PHASE)
     assert (len(res.configs), len(res.edges)) == (3127, 55926)
-    assert calls[0] <= len(res.edges) + 2 * len(res.configs)
+    assert sum(made.values()) == len(made) == len(res.configs)
+    assert Configuration.__hash__ is tuple.__hash__
+
+
+def test_a_revisit_yields_the_instance_first_reached(grade):
+    res = reachable(grade, mode=CONCURRENT, action_mode=TWO_PHASE)
+    first = {c: c for c in res.configs}
+    assert len(res.edges) > len(res.configs) - 1  # some edges revisit
+    assert all(first[c0] is c0 and first[c1] is c1 for c0, _, c1 in res.edges)
 
 
 def test_analyze_starved_join(split_join):
@@ -310,7 +326,7 @@ def test_forkjoin_conservation(grade):
             if node.kind is NodeKind.FORKJOIN:
                 from adsem.diagram import incoming, outgoing
                 delta = len(outgoing(grade, node)) - len(incoming(grade, node))
-                assert c1.token_count - c0.token_count == delta
+                assert token_count(c1) - token_count(c0) == delta
 
 
 def test_decision_exclusivity(grade, fac):
@@ -319,7 +335,7 @@ def test_decision_exclusivity(grade, fac):
         for c0, choices, c1 in res.edges:
             for ch in choices:
                 if ch.kind == "decision":
-                    assert c1.token_count == c0.token_count
+                    assert token_count(c1) == token_count(c0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +350,11 @@ def test_brute_force_equality(name, action_mode):
     assert len(ad.transitions) <= 12
     res = reachable(ad, action_mode=action_mode)
     for c in res.configs:
-        assert max((len(buf) for _, buf in c.buffers), default=0) <= 2
+        assert max(map(len, c.buffers), default=0) <= 2
         expected = brute_successors(ad, c, action_mode=action_mode)
         actual = {c1 for _, c1 in successors(ad, c, INTERLEAVING,
                                              action_mode=action_mode)}
-        assert actual == expected, f"{name} {action_mode}: mismatch at {c.canonical()}"
+        assert actual == expected, f"{name} {action_mode}: mismatch at {c.canonical(ad)}"
 
 
 def test_brute_force_respects_guard_oracle(split_join):
@@ -358,10 +374,27 @@ def test_maximal_runs_all_satisfied(grade):
     runs = maximal_runs(grade)
     assert len(runs) == 4  # two review orders x two branches
     for run in runs:
-        assert config_is_final(grade, run.configs[-1])
+        assert not run.cut and config_is_final(grade, run.configs[-1])
         inst, binding, trace = as_binding(grade, run.configs)
         assert not trace.truncated
         assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
+
+
+def test_maximal_runs_counts_and_marks_cut_runs(monkeypatch):
+    """A run cut at `max_len` counts against `max_runs` and is returned
+    marked cut, so a search in which no run ends that soon stops early."""
+    expansions = [0]
+    expand = tokengame._expand
+
+    def counting(*args):
+        expansions[0] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(tokengame, "_expand", counting)
+    runs = maximal_runs(fork(4, 3), INTERLEAVING, TWO_PHASE, max_runs=20, max_len=8)
+    assert len(runs) == 20
+    assert all(run.cut and len(run.configs) == 8 for run in runs)
+    assert expansions[0] <= 20 * 8
 
 
 def test_single_config_run_is_prefix(grade):
@@ -371,14 +404,14 @@ def test_single_config_run_is_prefix(grade):
 
 
 def test_random_run_reaches_final(grade):
-    run, cut = random_run(grade, seed=7)
-    assert not cut
+    run = random_run(grade, seed=7)
+    assert not run.cut
     assert config_is_final(grade, run.configs[-1])
 
 
 def test_run_jsonl_round_trip(grade):
-    run, _ = random_run(grade, seed=1)
-    text = run_to_jsonl(run.configs)
+    run = random_run(grade, seed=1)
+    text = run_to_jsonl(grade, run.configs)
     again = [Configuration.from_json(grade, json.loads(line)) for line in text.splitlines()]
     assert again == list(run.configs)
     for line in text.strip().splitlines():
