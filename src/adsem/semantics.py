@@ -49,10 +49,12 @@ class Token(NamedTuple):
             return CONTROL_TOKEN
         if not isinstance(d, dict):
             raise ValueError(f"not a token: {d!r}")
-        payload = d.get("payload")
+        type_name, payload = d["type"], d.get("payload")
+        if type(type_name) is not str:
+            raise ValueError(f"token type is not a string: {type_name!r}")
         if isinstance(payload, dict):
             payload = tuple(sorted(payload.items()))
-        return Token(d["type"], payload)
+        return Token(type_name, payload)
 
 
 CONTROL_TOKEN = Token()
@@ -109,10 +111,13 @@ Buffer = tuple[Token, ...]
 
 @dataclass(frozen=True)
 class VariationBinding:
-    """The bundle of open functions a variant supplies.  `delta(inst, s0, s1)` maps each
-    `layout` position a pair may touch to `(len(cons), len(prod), bool(buf_state(s1)))`, and
-    each node whose flag may differ to `executing(s1)`: any other position has empty `cons`
-    and `prod` and one buffer in both states, and any other node keeps its flag."""
+    """The bundle of open functions a variant supplies.  A state is whatever they read (a
+    `SystemState` of variant 1 or 2, a token-game `Configuration`); nothing else reads it.
+    `delta(inst, s0, s1)` maps each `layout` position a pair may touch to
+    `(len(cons), len(prod), bool(buf_state(s1)))`, and each node whose flag may differ to
+    `executing(s1)`: any other position has empty `cons` and `prod` and one buffer in both
+    states, and any other node keeps its flag.  The step predicates and `conforms` read a
+    pair only through `delta`; `cons` and `prod` state its contract and the buffer law."""
     diagram_of: Callable[[object], ActivityDiagram]
     executing: Callable[[Node, object, SystemState], bool]
     elems: Callable[[PinType], TokenSet]
@@ -243,17 +248,25 @@ def _allows(kind: NodeKind, ins, outs, f0: bool, f1: bool, out_edges: tuple[int,
     return False
 
 
+def _reaction(moves: dict, moved: dict[int, bool], i: int, ins: tuple[int, ...],
+              outs: tuple[int, ...], f0: bool) -> tuple[list[int], list[int], bool, bool]:
+    """The i-th node's counts and flags in a pair whose `delta` is `(moves, moved)`:
+    consumed per incoming and produced per outgoing position (0 where the pair
+    touches none), and its flag before (`f0`) and after."""
+    return ([moves[p][0] if p in moves else 0 for p in ins],
+            [moves[p][1] if p in moves else 0 for p in outs], f0, moved.get(i, f0))
+
+
 def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: VariationBinding):
     """One node's view of the pair, for the named predicates: the
-    arguments of `_allows` after the node's kind."""
+    arguments of `_allows` after the node's kind, read from `b.delta` as
+    `conforms` reads them."""
     ad = b.diagram_of(inst)
     i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
     if i is None:
         raise DiagramError(f"unknown node {n.name!r}")
-    transitions, outs = ad.layout.transitions, ad.layout.outs[i]
-    return ([len(b.cons(transitions[p], inst, s0, s1)) for p in ad.layout.ins[i]],
-            [len(b.prod(transitions[p], inst, s0, s1)) for p in outs],
-            b.executing(n, inst, s0), b.executing(n, inst, s1), outs,
+    ins, outs = ad.layout.ins[i], ad.layout.outs[i]
+    return (*_reaction(*b.delta(inst, s0, s1), i, ins, outs, b.executing(n, inst, s0)), outs,
             _guard_holds(ad, inst, s1, b))
 
 
@@ -399,9 +412,8 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
             judged.update(readers[p] if consumed else (), writers[p] if produced else ())
         for i in sorted(judged):
             n = nodes[i]
-            if not _allows(n.kind, [moves[p][0] if p in moves else 0 for p in ins[i]],
-                           [moves[p][1] if p in moves else 0 for p in outs[i]], flags[i],
-                           moved.get(i, flags[i]), outs[i], _guard_holds(ad, inst, s1, b)):
+            if not _allows(n.kind, *_reaction(moves, moved, i, ins[i], outs[i], flags[i]),
+                           outs[i], _guard_holds(ad, inst, s1, b)):
                 return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
         for i in {i for p in moves for i in readers[p]}.union(moved):
             flags[i] = moved.get(i, flags[i])

@@ -114,21 +114,6 @@ def top_frame(state: SystemState, oid: str, thread: str) -> Frame | None:
     return stack[0] if stack else None
 
 
-def advance_pc(stack: Stack, pc_order: Iterable[str]) -> Stack:
-    """Replace the top frame's pc by its successor in pc_order."""
-    if not stack:
-        raise SystemModelError("cannot advance pc on an empty stack")
-    order = list(pc_order)
-    top = stack[0]
-    try:
-        idx = order.index(top.pc)
-    except ValueError:
-        raise SystemModelError(f"pc {top.pc!r} not in the given order") from None
-    if idx + 1 >= len(order):
-        raise SystemModelError(f"pc {top.pc!r} is terminal in the given order")
-    return (top._replace(pc=order[idx + 1]),) + stack[1:]
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------

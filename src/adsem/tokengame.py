@@ -4,16 +4,17 @@ predicates permit, with no system-model encoding in the way.
 A configuration is a plain tuple of the token buffers, one per
 `ad.layout` position, and the executing flag of each action node, so the
 search hashes, compares and builds it in C.  Transition keys and action
-names appear only where it is read or written as JSON, DOT or a lifted
-state; a configuration means nothing without its diagram.
+names appear only where it is read or written as JSON or DOT; a
+configuration means nothing without its diagram.
 
 Successor enumeration supports one-node-at-a-time (interleaving) and
 simultaneous-disjoint (concurrent) steps, and instantaneous (one-step) or
 start/finish (two-phase) action execution.  Guards are resolved by a
 three-valued oracle; "either" explores both branches.
 
-Runs lift into the system model via `as_binding`, so the conformance
-checker can audit everything this module generates.
+`as_binding` hands a run to the conformance checker as a trace of its
+configurations, which `lifted_binding` reads by position, so the checker
+audits everything this module generates with no system state in between.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .semantics import (
     configuration_is,
     fifo_binding,
 )
-from .sysmodel import SystemState, Trace
+from .sysmodel import Trace
 
 Buffer = tuple[Token, ...]
 
@@ -83,6 +84,9 @@ class Configuration(NamedTuple):
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "Configuration":
+        unknown = d.keys() - {"buffers", "exec"}
+        if unknown:
+            raise TokenGameError(f"unknown configuration keys: {sorted(unknown)}")
         buffers = {k: [Token.from_json(tok) for tok in toks]
                    for k, toks in d.get("buffers", {}).items()}
         flags = dict(d.get("exec", {}))
@@ -582,52 +586,36 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
 
 
 # ---------------------------------------------------------------------------
-# Lifting configurations into the system model
+# Judging runs
 # ---------------------------------------------------------------------------
 
-BUFFER_OID = "buffers"
-FLAGS_OID = "executing"
-
-
-@dataclass(frozen=True)
-class TokenGameInstance:
-    """Degenerate diagram instance whose state is the lifted configuration."""
-    ad: ActivityDiagram
-
-
-def lift_config(ad: ActivityDiagram, c: Configuration) -> SystemState:
-    """The configuration as a state: buffers (`Token` tuples, shared with the
-    configuration) and flags as attributes of two bookkeeping objects.  A
-    lifted state is read by `lifted_binding` only and never serialised."""
-    view = _view(ad)
-    return SystemState(data_store={BUFFER_OID: dict(zip(view.keys, c.buffers)),
-                                   FLAGS_OID: dict(zip(view.actions, c.flags))})
-
-
 def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
-    position = _view(ad).position
+    """The open functions over configurations of `ad`, read by position:
+    a token-game trace holds the configurations themselves."""
+    view = _view(ad)
+    position, flag_position = view.position, view.flag_position
     node_index = {n.name: i for i, n in enumerate(ad.nodes)}
+    flag_node = [node_index[name] for name in view.actions]  # flag position -> node index
 
-    def touched(inst, s0: SystemState, s1: SystemState) -> tuple[list[int], list[int]]:
-        """The buffers and flags whose values differ; a lifted state holds them all."""
-        b0, b1, f0, f1 = (s.data_store.get(o, {}) for o in (BUFFER_OID, FLAGS_OID) for s in (s0, s1))
-        return ([position[k] for k, toks in b1.items() if b0.get(k, ()) != toks],
-                [node_index[name] for name, f in f1.items() if f0.get(name, False) != f])
+    def touched(inst, c0: Configuration, c1: Configuration) -> tuple[list[int], list[int]]:
+        """The positions whose buffers differ and the nodes whose flags differ."""
+        return ([p for p, (b0, b1) in enumerate(zip(c0.buffers, c1.buffers)) if b0 != b1],
+                [flag_node[f] for f, (f0, f1) in enumerate(zip(c0.flags, c1.flags)) if f0 != f1])
 
     return fifo_binding(
         diagram_of=lambda inst: ad,
-        executing=lambda n, inst, s: bool(s.data_store.get(FLAGS_OID, {}).get(n.name, False)),
-        buf_state=lambda t, inst, s: s.data_store.get(BUFFER_OID, {}).get(t.key, ()),
-        eval_guard=lambda guard, inst, s: True,
+        executing=lambda n, inst, c: n.name in flag_position and c.flags[flag_position[n.name]],
+        buf_state=lambda t, inst, c: c.buffers[position[t.key]],
+        eval_guard=lambda guard, inst, c: True,
         touched=touched,
     )
 
 
 def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
                mode: str = INTERLEAVING, action_mode: str = INSTANT,
-               truncated: bool | None = None) -> tuple[TokenGameInstance, VariationBinding, Trace]:
-    """Lift a run of configurations to a system-model trace plus a binding
-    that reads buffers and flags straight off the lifted states.
+               truncated: bool | None = None) -> tuple[ActivityDiagram, VariationBinding, Trace]:
+    """A run as a trace of its configurations, with the diagram as its
+    instance and `lifted_binding` to read them.
 
     When `truncated` is not given it is derived: a run whose last
     configuration still has successors is a prefix.
@@ -636,8 +624,7 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
         raise TokenGameError("empty run")
     if truncated is None:
         truncated = bool(successors(ad, run[-1], mode, action_mode=action_mode))
-    states = tuple(lift_config(ad, c) for c in run)
-    return TokenGameInstance(ad), lifted_binding(ad), Trace(states, truncated=truncated)
+    return ad, lifted_binding(ad), Trace(tuple(run), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

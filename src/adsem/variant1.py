@@ -31,7 +31,7 @@ from typing import Callable
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
-from .sysmodel import Frame, SystemState, Trace, Value, advance_pc, top_frame
+from .sysmodel import Frame, SystemState, Trace, Value, top_frame
 
 
 class ActionLanguageError(ValueError):
@@ -343,14 +343,13 @@ def _stores_equal_except(s0: SystemState, s1: SystemState, oid: str,
     return True
 
 
-def statement_holds(stmt: Stmt, oid: str, thread: str, s0: SystemState, s1: SystemState,
-                    pc_order: list[str] | None = None) -> bool:
+def statement_holds(stmt: Stmt, oid: str, thread: str, s0: SystemState, s1: SystemState) -> bool:
     """Does the state pair mirror executing `stmt` on (oid, thread)?
 
-    The pc must move (to the successor in `pc_order` when one is given;
-    the diagram dictates the jump otherwise), the rest of the frame and
-    every other store location must be untouched, and the data change
-    must be exactly the statement's effect evaluated in the pre-state.
+    The pc moves as the diagram dictates (not judged here); the rest of
+    the frame and every other store location must be untouched, and the
+    data change must be exactly the statement's effect evaluated in the
+    pre-state.
     """
     f0 = top_frame(s0, oid, thread)
     if f0 is None:
@@ -380,9 +379,6 @@ def statement_holds(stmt: Stmt, oid: str, thread: str, s0: SystemState, s1: Syst
             return False
     else:
         raise ActionLanguageError(f"unknown statement {stmt!r}")
-
-    if pc_order is not None:
-        return s1.stack(oid, thread) == advance_pc(s0.stack(oid, thread), pc_order)
     return True
 
 

@@ -64,9 +64,6 @@ class PinController:
     def is_set(self, pin: str) -> bool:
         return dict(self.arrived).get(pin, False)
 
-    def stashed(self) -> dict[str, Value]:
-        return dict(self.stash)
-
 
 def deliver(controller: PinController, pin: str, value: Value) -> tuple[PinController, bool]:
     """Record one arriving value; fire when every pin has one.

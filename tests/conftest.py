@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from adsem import diagram
-from adsem.tokengame import (BUFFER_OID, FLAGS_OID, Configuration, TokenGameInstance, lift_config,
-                             lifted_binding)
+from adsem.tokengame import Configuration, lifted_binding
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -36,21 +35,15 @@ def split_join() -> diagram.ActivityDiagram:
 
 
 def pair(ad, bufs0=None, bufs1=None, flags0=None, flags1=None):
-    """Hand-built (state, state') pair over the lifted token-game binding:
-    buffers keyed by transition key, flags by action name; consumption and
-    production are inferred from the buffer deltas."""
-    c0 = Configuration.make(ad, bufs0 or {}, flags0 or {})
-    c1 = Configuration.make(ad, bufs1 or {}, flags1 or {})
-    inst = TokenGameInstance(ad)
-    return inst, lift_config(ad, c0), lift_config(ad, c1), lifted_binding(ad)
-
-
-def state_of(ad, bufs=None, flags=None):
-    return lift_config(ad, Configuration.make(ad, bufs or {}, flags or {}))
+    """Hand-built (configuration, configuration') pair over the token-game
+    binding: buffers keyed by transition key, flags by action name;
+    consumption and production are inferred from the buffer deltas."""
+    return (ad, Configuration.make(ad, bufs0, flags0), Configuration.make(ad, bufs1, flags1),
+            lifted_binding(ad))
 
 
 def keyed(ad, c):
     """A configuration's buffers by transition key and flags by action name,
-    as fresh dicts, read through `lift_config`."""
-    store = lift_config(ad, c).data_store
-    return store[BUFFER_OID], store[FLAGS_OID]
+    as fresh dicts."""
+    actions = dict.fromkeys(n.name for n in ad.nodes if n.kind is diagram.NodeKind.ACTION)
+    return dict(zip((t.key for t in ad.layout.transitions), c.buffers)), dict(zip(actions, c.flags))

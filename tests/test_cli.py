@@ -378,11 +378,21 @@ def test_bad_token_trace_line_is_located(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     for bad, reason in (("{", "not JSON: Expecting property name enclosed in double quotes "
                               "at column 2"),
-                        ('{"buffers": {"start.s0->FileThesis.go": [7]}}', "not a token: 7")):
+                        ('{"buffers": {"start.s0->FileThesis.go": [7]}}', "not a token: 7"),
+                        ('{"bufers": {}}', "unknown configuration keys: ['bufers']"),
+                        ('{"buffers": {"FileThesis.t->F1.x": [{"type": null, "payload": "p"}]}}',
+                         "token type is not a string: None")):
         out_file.write_text("\n".join(lines[:1] + [bad] + lines[1:]) + "\n")
         code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {out_file}:2: {reason}\n"
+
+
+def test_a_v1_trace_checked_as_a_token_trace_is_located(tmp_path, capsys):
+    ad, trace, _ = _recorded(tmp_path, capsys, "v1")  # its header is no configuration
+    assert main(["check-trace", ad, str(trace), "--variant", "token"]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:1: unknown configuration keys: "
+                                       f"['diagram', 'params', 'truncated', 'variant']\n")
 
 
 def _recorded(tmp_path, capsys, variant) -> tuple[str, Path, list[dict]]:
@@ -426,9 +436,14 @@ def _first_frame(state: dict) -> dict:
      "expected JSON lists, got {'obj:x': 'ab'}"),
     ("v1", lambda lines: lines[2]["cs"]["obj:callee"].update(th0=""), 3,
      "expected JSON lists, got {'th0': ''}"),
+    # the first token the mailboxes hold
+    ("v2", lambda lines: lines[4]["ds"]["mbox:FileThesis.t->F1.x"].update(
+        tokens='[{"payload": {"x": "FileThesis#1"}, "type": null}]'), 5,
+     "token type is not a string: None"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
         "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute",
-        "v1-missing-attribute", "v1-store-of-pairs", "v2-string-events", "v1-string-stack"])
+        "v1-missing-attribute", "v1-store-of-pairs", "v2-string-events", "v1-string-stack",
+        "v2-null-token-type"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)

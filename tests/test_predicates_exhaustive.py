@@ -1,10 +1,16 @@
-"""The checker against the oracle on every small state pair of the corpus.
+"""The checker against the oracle on every small state pair of the corpus,
+and `allows_step` against `conforms` on every recorded verdict.
 
 For every node of every `corpus/*.ad` diagram, every consumed and
 produced count in {0, 1, 2} on the node's adjacent transitions and every
 executing-flag pair, `semantics.allows_step` over the lifted token-game
 binding must agree with the independent step formula in `tests/_brute.py`
 (instant mode, every guard true).
+
+On every case under `golden/verdicts/` that `check-trace` judged (v1, v2
+and token traces), `allows_step` must allow every node on every pair from
+the first initial state up to the one the verdict blames, and on a pair
+blamed by a `step:` predicate it must fail first for the blamed node.
 
 There is no known disagreement.  Like the oracle, the one-step clause
 requires the executing flag to stay unchanged, so an action that
@@ -15,16 +21,18 @@ flag is rejected by both.
 from __future__ import annotations
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
 
 from adsem.diagram import NodeKind, incoming, outgoing
-from adsem.semantics import Token, allows_step
+from adsem.semantics import Token, allows_step, is_initial_state
 from adsem.tokengame import INSTANT
 
 from ._brute import _formula_holds
 from .conftest import CORPUS, load, pair
+from .test_cli_golden_verdicts import bases, case_lines, decoded, golden_path
 
 COUNTS = (0, 1, 2)
 
@@ -51,7 +59,7 @@ def _cases(ad, n):
 
 
 def _pair_for(ad, n, cons_n, prod_n, f0, f1):
-    """A lifted state pair whose FIFO delta is exactly the given counts:
+    """A configuration pair whose FIFO delta is exactly the given counts:
     consumed tokens and produced tokens never look alike, so no token
     counts as staying put."""
     before = {k: [_old(i) for i in range(c)] for k, c in cons_n.items()}
@@ -77,3 +85,30 @@ def test_allows_step_agrees_with_oracle_on_every_small_pair(name):
                 disagreements.append((n.name, cons_n, prod_n, f0, f1, checker))
     assert judged >= len(ad.nodes)
     assert disagreements == []
+
+
+@pytest.mark.parametrize("name", sorted(bases()))
+def test_allows_step_agrees_with_conforms_on_every_golden_verdict(name):
+    record = json.loads(golden_path(name).read_text(encoding="utf-8"))
+    judged = 0
+    for case_name, case in record["cases"].items():
+        if case["exit"] == 3:  # rejected unjudged
+            continue
+        verdict = json.loads(case["stdout"])
+        if verdict["verdict"] == "no-initial-found":
+            continue
+        inst, b, trace = decoded(record, case_lines(record, case))
+        nodes = b.diagram_of(inst).nodes
+        start = next(j for j in range(len(trace)) if is_initial_state(inst, trace[j], b))
+        blamed = verdict["index"] if verdict["verdict"] == "violated" else len(trace) - 1
+        if verdict["predicate"] == "final-persistence":
+            blamed += 1  # every node's step on the blamed pair is allowed
+        for j in range(start, blamed):
+            s0, s1 = trace[j], trace[j + 1]
+            assert all(allows_step(n, inst, s0, s1, b) for n in nodes), (case_name, j)
+        if (verdict["predicate"] or "").startswith("step:"):
+            s0, s1 = trace[blamed], trace[blamed + 1]
+            refused = [n.name for n in nodes if not allows_step(n, inst, s0, s1, b)]
+            assert refused[:1] == [verdict["node"]], case_name
+        judged += 1
+    assert judged

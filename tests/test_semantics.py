@@ -371,7 +371,7 @@ def test_decision_guard_evaluated_in_post_state(grade):
     assert fires_decision(grade.node("D1"), inst, s0, s1, picky)
     # the evaluation state is the post-state: make eval depend on it
     state_sensitive = replace(
-        b, eval_guard=lambda g, _inst, s: bool(s.data_store.get("executing", {}).get("CreateCert")))
+        b, eval_guard=lambda g, _inst, s: b.executing(grade.node("CreateCert"), _inst, s))
     inst, s0, s1, _ = pair(grade, bufs0={T_EVAL: [CONTROL_TOKEN]},
                            bufs1={T_PASS: [CONTROL_TOKEN]}, flags1={"CreateCert": True})
     assert fires_decision(grade.node("D1"), inst, s0, s1, state_sensitive)

@@ -10,7 +10,6 @@ from adsem.sysmodel import (
     SystemState,
     Trace,
     Universe,
-    advance_pc,
     state_from_json,
     state_to_json,
     top_frame,
@@ -46,29 +45,6 @@ def test_universe_rejects_inconsistencies():
         Universe(oids=frozenset({"o"}))  # no class for o
     with pytest.raises(SystemModelError):
         Universe(meths=frozenset({"m"}), defined_in={"m": "C"})  # no pcs for m
-
-
-# ---------------------------------------------------------------------------
-# advance_pc
-# ---------------------------------------------------------------------------
-
-def test_advance_pc_moves_top():
-    stack = (frame("p1"), frame("p3"))
-    out = advance_pc(stack, ["p1", "p2", "p3"])
-    assert out[0].pc == "p2"
-    assert out[1:] == stack[1:]
-
-
-def test_advance_pc_terminal_errors():
-    with pytest.raises(SystemModelError):
-        advance_pc((frame("p3"),), ["p1", "p2", "p3"])
-
-
-def test_advance_pc_empty_and_unknown():
-    with pytest.raises(SystemModelError):
-        advance_pc((), ["p1"])
-    with pytest.raises(SystemModelError):
-        advance_pc((frame("zz"),), ["p1", "p2"])
 
 
 # ---------------------------------------------------------------------------

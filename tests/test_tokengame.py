@@ -20,12 +20,10 @@ from adsem.tokengame import (
     Configuration,
     GuardOracle,
     TokenGameError,
-    TokenGameInstance,
     analyze,
     as_binding,
     config_is_final,
     initial_config,
-    lift_config,
     lifted_binding,
     maximal_runs,
     random_run,
@@ -73,7 +71,7 @@ def token_count(c):
 
 
 def lifted_is_initial(ad, c):
-    return is_initial_state(TokenGameInstance(ad), lift_config(ad, c), lifted_binding(ad))
+    return is_initial_state(ad, c, lifted_binding(ad))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +303,7 @@ def test_soundness_every_edge_conforms(name, mode, action_mode):
     res = reachable(ad, mode=mode, action_mode=action_mode)
     binding = lifted_binding(ad)
     inst = object()
-    for c0, _, c1 in res.edges:
-        s0, s1 = lift_config(ad, c0), lift_config(ad, c1)
+    for s0, _, s1 in res.edges:
         for n in ad.nodes:
             assert allows_step(n, inst, s0, s1, binding)
         for t in ad.transitions:
@@ -367,7 +364,7 @@ def test_brute_force_respects_guard_oracle(split_join):
 
 
 # ---------------------------------------------------------------------------
-# Runs, lifting, exports
+# Runs, judging, exports
 # ---------------------------------------------------------------------------
 
 def test_maximal_runs_all_satisfied(grade):

@@ -41,7 +41,7 @@ from adsem.variant2 import (
 def test_controller_fires_on_last_delivery():
     c = PinController.for_pins(("r1", "r2"))
     c, fired = deliver(c, "r1", "a")
-    assert not fired and c.is_set("r1") and c.stashed() == {"r1": "a"}
+    assert not fired and c.is_set("r1") and dict(c.stash) == {"r1": "a"}
     c, fired = deliver(c, "r2", "b")
     assert fired
 
