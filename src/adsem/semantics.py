@@ -371,11 +371,16 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial state, then
     require every later step to be allowed for every node and finality to persist.  A
     pair is judged from its `b.delta`, in declaration order, at the readers of what it
-    consumed, the writers of what it produced and the nodes it lists.  A pair whose
-    second state holds a value its `delta` cannot read raises `StateError`."""
+    consumed, the writers of what it produced and the nodes it lists.  A state holding
+    a value the binding cannot read raises `StateError`."""
     ad = b.diagram_of(inst)
-    start = next((i for i in range(len(trace)) if is_initial_state(inst, trace[i], b)), None)
-    if start is None:
+    for start, s0 in enumerate(trace):
+        try:
+            if is_initial_state(inst, s0, b):
+                break
+        except (ValueError, TypeError) as e:  # a value of s0 the binding cannot read
+            raise StateError(start, str(e)) from e
+    else:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
     nodes, transitions, ins, outs = ad.nodes, ad.layout.transitions, ad.layout.ins, ad.layout.outs
@@ -386,7 +391,6 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
             readers[p].append(i)
         for p in outs[i]:
             writers[p].append(i)
-    s0 = trace[start]
     flags = [b.executing(n, inst, s0) for n in nodes]
     buffered = [len(b.buf_state(t, inst, s0)) != 0 for t in transitions]
     busy, full = set(), set()  # the final clause: busy non-final nodes, filled final nodes

@@ -23,9 +23,10 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
@@ -248,17 +249,20 @@ class _View:
     def __init__(self, ad: ActivityDiagram):
         layout = ad.layout
         self.by_key = {t.key: t for t in layout.transitions}
-        self.keys = tuple(self.by_key)
+        self.keys = keys = tuple(self.by_key)
         self.position = {k: i for i, k in enumerate(self.keys)}
         self.key_order = [p for _, p in sorted(self.position.items())]
-        self.actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
+        self.actions = actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
         self.reader = {p: i for i, ins in enumerate(layout.ins) for p in ins}
         self.nodes = [_NodeView(ad, self, i, n, ins, outs)
                       for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs))]
         self.tokens: dict[tuple[int, int], Token] = {}
-        self.fragments: list[dict[Buffer, str]] = [{} for _ in self.keys]
-        self.exec_json: dict[tuple[bool, ...], str] = {}
+        # `order_key`'s texts, each made once: "key":[ by position, a token's, a one-token buffer's, flags'
+        self.prefix = prefix = cache(lambda p: json.dumps(keys[p]) + ":[")
+        self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
+        self.single = cache(lambda p, tok: prefix(p) + text(tok) + "]")
+        self.exec_json = cache(lambda flags: _dumps(dict(zip(actions, flags))))
 
     def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
         """The enabled set of `c`: each node's non-stutter steps by node
@@ -286,20 +290,16 @@ class _View:
             (p, index), representative_token(ad, ad.layout.transitions[p], index))
 
     def order_key(self, ad: ActivityDiagram, c: Configuration) -> str:
-        """`c.canonical(ad)`, joined from memoised JSON fragments: one per
-        nonempty buffer, in key order, and one for the flags."""
-        keys, frags, execs = self.keys, self.fragments, self.exec_json
-        parts = []
+        """`c.canonical(ad)`, joined from memoised texts: each nonempty buffer
+        in key order, whole if it holds one token, else by token, and the
+        flags.  No buffer is kept, so a growing one costs no memory."""
+        prefix, single, buffers, text = self.prefix, self.single, c.buffers, self.token_json
         try:
-            for p in self.key_order:
-                if buf := c.buffers[p]:
-                    memo = frags[p]
-                    parts.append(memo.get(buf) or memo.setdefault(
-                        buf, _dumps({keys[p]: [tok.to_json() for tok in buf]})[1:-1]))
+            parts = [single(p, buf[0]) if len(buf) == 1 else prefix(p) + ",".join(map(text, buf)) + "]"
+                     for p in self.key_order if (buf := buffers[p])]
         except TypeError:  # unhashable: a payload read from a file may be a list
             return c.canonical(ad)
-        flags = execs.get(c.flags) or execs.setdefault(c.flags, _dumps(dict(zip(self.actions, c.flags))))
-        return '{"buffers":{' + ",".join(parts) + '},"exec":' + flags + "}"
+        return '{"buffers":{' + ",".join(parts) + '},"exec":' + self.exec_json(c.flags) + "}"
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -341,49 +341,40 @@ def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
                            c.flags if f is None else (*c.flags[:f], c1.flags[f], *c.flags[f + 1:])))
 
 
-_order_key = itemgetter(3)  # of an `_expand` result
-
-
-def _expand(ad: ActivityDiagram, view: _View, c: Configuration,
-            enabled: dict[int, tuple[Step, ...]], mode: str, guards: GuardOracle,
-            visited: Mapping[Configuration, tuple[Configuration, str]] | None
-            ) -> list[tuple[frozenset, tuple[Step, ...], Configuration, str | None, bool]]:
-    """`successors` of `c`, whose enabled set is `enabled`, each with the
-    steps that made it, its order key (made when it is sorted or new to
-    `visited`) and whether `visited` lacks it.  Each step is applied to `c`
-    once; a concurrent selection is patched together from its steps' single
-    results, at the positions and flag each touches.  A successor found in
-    `visited` is replaced by the instance and key kept there, so a
-    revisited configuration costs one lookup and an equality, both in C."""
+def _expand(ad: ActivityDiagram, view: _View, c: Configuration, enabled: dict[int, tuple[Step, ...]],
+            mode: str, guards: GuardOracle) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
+    """The successors of `c`, whose enabled set is `enabled`, unsorted, each
+    with its choices and steps.  Each step is applied to `c` once; a
+    concurrent selection is patched together from its steps' results."""
     # each node's steps; of a decision's branches, those whose guards may hold
     pools = [steps if steps[0].guard is None else
              [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
              for steps in enabled.values()]
     if mode == INTERLEAVING:
-        results = [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
-    elif mode == CONCURRENT:
-        # at most one step per node and no two touching one position; the nodes
-        # in label order (a name holds no ":"), so each selection's labels come sorted
-        grown = [((), frozenset(), frozenset(), c)]
-        for steps in sorted(filter(None, pools), key=lambda steps: steps[0].label):
-            singles = [(step, _apply(ad, view, c, step)) for step in steps]
-            grown += [(selection + (step,), touched | step.touches, choices | step.choices,
-                       _patch(c0, step, c1) if selection else c1)
-                      for selection, touched, choices, c0 in grown
-                      for step, c1 in singles if touched.isdisjoint(step.touches)]
-        results = [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
-    else:
+        return [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
+    if mode != CONCURRENT:
         raise TokenGameError(f"unknown mode {mode!r}")
-    # no lookup without `visited`: a configuration read from a file may be unhashable
-    find, keyed = (visited.get, True) if visited is not None else (lambda c1: None, len(results) > 1)
-    results = [(choices, selection, c1, view.order_key(ad, c1) if keyed else None, True)
-               if (entry := find(c1)) is None else (choices, selection, *entry, False)
-               for choices, selection, c1 in results]
-    if len(results) > 1:  # the order of canonical(), with the labels breaking ties, if any
-        results.sort(key=_order_key)
-        if len(set(map(_order_key, results))) < len(results):
-            results.sort(key=lambda r: (r[3], tuple(step.label for step in r[1])))
-    return results
+    # at most one step per node and no two touching one position
+    grown = [((), frozenset(), frozenset(), c)]
+    for steps in filter(None, pools):
+        singles = [(step, _apply(ad, view, c, step)) for step in steps]
+        grown += [(selection + (step,), touched | step.touches, choices | step.choices,
+                   _patch(c0, step, c1) if selection else c1)
+                  for selection, touched, choices, c0 in grown
+                  for step, c1 in singles if touched.isdisjoint(step.touches)]
+    return [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
+
+
+def _ordered(items: list, key: Callable[..., str], choices=itemgetter(0)) -> list:
+    """`items`, each with its configuration third, in the order of every
+    successor list: by `key` of the configuration, its `canonical(ad)`,
+    the sorted step labels breaking ties."""
+    if len(items) < 2:
+        return items
+    keys = list(map(key, map(itemgetter(2), items)))
+    if len(set(keys)) < len(keys):  # a tie, which the labels break
+        keys = [(k, sorted(ch.label() for ch in chs)) for k, chs in zip(keys, map(choices, items))]
+    return list(map(items.__getitem__, sorted(range(len(items)), key=keys.__getitem__)))
 
 
 _EXPLORE_ALL = ExploreAllBranches()
@@ -398,8 +389,8 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    return [(choices, c1) for choices, _, c1, _, _
-            in _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL, None)]
+    succ = _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL)
+    return [(choices, c1) for choices, _, c1 in _ordered(succ, partial(view.order_key, ad))]
 
 
 # ---------------------------------------------------------------------------
@@ -430,36 +421,37 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
               guards: GuardOracle | None = None, action_mode: str = INSTANT,
               bound: int = DEFAULT_BOUND) -> ReachabilityResult:
     """BFS closure of `successors` from the initial configuration, up to
-    `bound` distinct configurations.  Each queued configuration carries its
-    enabled set, made from its parent's when it is first reached.  A new
-    configuration costs its steps, two hashes and an order key; a revisited
-    one costs one lookup and an equality, which give `_expand` the instance
-    first reached and its key.  The keys go with `visited`."""
+    `bound` distinct configurations, each queued with its enabled set, made
+    from its parent's.  Only new successors number configurations, so only
+    they are sorted; a revisit costs one lookup, and its edge leads to the
+    instance first reached.  `reachability_to_dot` sorts the edges."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
-    view, guards = _view(ad), guards or _EXPLORE_ALL
-    start = initial_config(ad)
-    visited = {start: (start, view.order_key(ad, start))}  # in BFS order
+    view, guards, start = _view(ad), guards or _EXPLORE_ALL, initial_config(ad)
+    visited = {start: start}  # each configuration's first instance, in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
     truncated = False
     queue = deque([(start, view.scan(start, action_mode))])
     while queue:
         c, enabled = queue.popleft()
-        succ = _expand(ad, view, c, enabled, mode, guards, visited)
+        succ = _expand(ad, view, c, enabled, mode, guards)
         if not succ:
             dead_ends.append(c)
-        for choices, selection, c1, key, new in succ:
-            if new:  # when `_expand` looked; an equal successor may have been kept since
-                if len(visited) < bound:
-                    kept = visited.setdefault(c1, (c1, key))[0]
-                    if kept is c1:
-                        queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
-                    c1 = kept
-                elif c1 not in visited:
-                    truncated = True
-                    continue
-            edges.append((c, choices, c1))
+        new = []
+        for r in succ:
+            if (kept := visited.get(r[2])) is None:
+                new.append(r)
+            else:
+                edges.append((c, r[0], kept))
+        for choices, selection, c1 in _ordered(new, partial(view.order_key, ad)) if len(new) > 1 else new:
+            if len(visited) < bound or c1 in visited:  # in: reached by an earlier selection
+                kept = visited.setdefault(c1, c1)
+                if kept is c1:
+                    queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
+                edges.append((c, choices, kept))
+            else:
+                truncated = True
     return ReachabilityResult(start, list(visited), edges, truncated, dead_ends)
 
 
@@ -552,11 +544,11 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
                 enabled: dict[int, tuple[Step, ...]]) -> None:
         if len(out) >= max_runs:
             return
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)
+        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL), partial(view.order_key, ad))
         if not succ or len(configs) >= max_len:
             out.append(Run(configs, choices, bool(succ)))
             return
-        for chs, selection, c1, _, _ in succ:
+        for chs, selection, c1 in succ:
             explore(configs + (c1,), choices + (chs,), view.carry(enabled, selection, c1, action_mode))
 
     start = initial_config(ad)
@@ -575,14 +567,14 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     enabled = view.scan(configs[0], action_mode)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)
+        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL), partial(view.order_key, ad))
         if not succ:
             return Run(configs, choices)
-        chs, selection, c1, _, _ = succ[rng.randrange(len(succ))]
+        chs, selection, c1 = succ[rng.randrange(len(succ))]
         enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)
-    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL, None)))
+    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +639,10 @@ def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:
     for c, i in index.items():
         shape = "doublecircle" if config_is_final(ad, c) else "box"
         lines.append(f'    n{i} [shape={shape}, label="{describe(c)}"];')
-    for c0, choices, c1 in result.edges:
-        label = ", ".join(sorted(ch.label() for ch in choices))
-        lines.append(f'    n{index[c0]} -> n{index[c1]} [label="{label}"];')
+    keys = [view.order_key(ad, c) for c in index]  # one per configuration, not per edge
+    for i, out in groupby(((index[c0], chs, index[c1]) for c0, chs, c1 in result.edges), key=itemgetter(0)):
+        for _, choices, j in _ordered(list(out), keys.__getitem__, itemgetter(1)):  # as its successors
+            label = ", ".join(sorted(ch.label() for ch in choices))
+            lines.append(f'    n{i} -> n{j} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -440,10 +440,13 @@ def _first_frame(state: dict) -> dict:
     ("v2", lambda lines: lines[4]["ds"]["mbox:FileThesis.t->F1.x"].update(
         tokens='[{"payload": {"x": "FileThesis#1"}, "type": null}]'), 5,
      "token type is not a string: None"),
+    # the one token of the first state, read while the initial state is sought
+    ("v2", lambda lines: lines[1]["ds"]["mbox:start.s0->FileThesis.go"].update(
+        tokens='[{"payload": 1, "type": null}]'), 2, "token type is not a string: None"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
         "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute",
         "v1-missing-attribute", "v1-store-of-pairs", "v2-string-events", "v1-string-stack",
-        "v2-null-token-type"])
+        "v2-null-token-type", "v2-null-token-type-in-first-state"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)

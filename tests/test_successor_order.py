@@ -1,9 +1,10 @@
 """The order of successors and the reachable sets it must not change.
 
-`successors` sorts by `_View.order_key`, which joins memoised JSON
-fragments instead of serialising each configuration; it must equal
+Successor lists, `reach`'s new successors and each configuration's DOT
+edges sort by `_View.order_key`, which joins memoised JSON instead of
+serialising each configuration; it must equal
 `Configuration.canonical(ad)` exactly, or the BFS numbering, the order of
-deadlocks and the seeded pick of `simulate` change.
+deadlocks, the DOT file and the seeded pick of `simulate` change.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from adsem.tokengame import (
     StepChoice,
     _View,
     initial_config,
+    reachability_to_dot,
     reachable,
     successors,
 )
@@ -87,9 +89,12 @@ def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
     # a revisited configuration is the instance first reached
     instances = {id(c) for c in result.configs}
     assert all(id(c1) in instances for _, _, c1 in result.edges)
-    # one key per distinct configuration, kept with it for every revisit
-    assert set(made) == set(result.configs)
-    assert max(made.values()) == 1
+    # the search keys only successors it has not seen, so never the start
+    assert result.initial not in made and set(made) < set(result.configs)
+    # the DOT writer keys every configuration once more to order its edges
+    searched = made.copy()
+    reachability_to_dot(ad, result)
+    assert made - searched == Counter(result.configs)
 
 
 SMALL = [(name, ad) for name, ad in DIAGRAMS + [("prefixed", parse(PREFIXED))]
