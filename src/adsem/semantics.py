@@ -49,6 +49,10 @@ class Token(NamedTuple):
             return CONTROL_TOKEN
         if not isinstance(d, dict):
             raise ValueError(f"not a token: {d!r}")
+        if "type" not in d:
+            raise ValueError("missing key 'type'")
+        if not d.keys() <= {"type", "payload"}:
+            raise ValueError(f"unknown token keys: {sorted(d.keys() - {'type', 'payload'})}")
         type_name, payload = d["type"], d.get("payload")
         if type(type_name) is not str:
             raise ValueError(f"token type is not a string: {type_name!r}")
@@ -265,17 +269,9 @@ def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: Varia
     i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
     if i is None:
         raise DiagramError(f"unknown node {n.name!r}")
-    ins, outs = ad.layout.ins[i], ad.layout.outs[i]
+    ins, outs, ts = ad.layout.ins[i], ad.layout.outs[i], ad.layout.transitions
     return (*_reaction(*b.delta(inst, s0, s1), i, ins, outs, b.executing(n, inst, s0)), outs,
-            _guard_holds(ad, inst, s1, b))
-
-
-def _guard_holds(ad: ActivityDiagram, inst: object, s1: SystemState,
-                 b: VariationBinding) -> Callable[[int], bool]:
-    def holds(p: int) -> bool:
-        t = ad.layout.transitions[p]
-        return b.eval_guard(ad.guard(t.src, t.out_pin), inst, s1)
-    return holds
+            lambda p: b.eval_guard(ad.guard(ts[p].src, ts[p].out_pin), inst, s1))
 
 
 def stutters(n: Node, inst: object, s0: SystemState, s1: SystemState,
@@ -369,10 +365,10 @@ _STEP_PREDICATE = {
 
 def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     """Check a trace against the diagram instance: find the first initial state, then
-    require every later step to be allowed for every node and finality to persist.  A
-    pair is judged from its `b.delta`, in declaration order, at the readers of what it
-    consumed, the writers of what it produced and the nodes it lists.  A state holding
-    a value the binding cannot read raises `StateError`."""
+    require every later step to be allowed for every node and finality to persist.  A pair
+    is judged from its `b.delta` at the readers of what it consumed, the writers of what it
+    produced and the nodes it lists, in declaration order, by a plan (`_checks`) made once
+    per delta and flags.  A state the binding cannot read raises `StateError`."""
     ad = b.diagram_of(inst)
     for start, s0 in enumerate(trace):
         try:
@@ -384,45 +380,51 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
     nodes, transitions, ins, outs = ad.nodes, ad.layout.transitions, ad.layout.ins, ad.layout.outs
-    readers: list[list[int]] = [[] for _ in transitions]  # position -> the nodes it enters
-    writers: list[list[int]] = [[] for _ in transitions]  # position -> the nodes it leaves
-    for i in range(len(nodes)):
-        for p in ins[i]:
-            readers[p].append(i)
-        for p in outs[i]:
-            writers[p].append(i)
+    readers = {p: i for i, ps in enumerate(ins) for p in ps}  # position -> the node it enters
+    writers = {p: i for i, ps in enumerate(outs) for p in ps}  # position -> the node it leaves
     flags = [b.executing(n, inst, s0) for n in nodes]
     buffered = [len(b.buf_state(t, inst, s0)) != 0 for t in transitions]
-    busy, full = set(), set()  # the final clause: busy non-final nodes, filled final nodes
+    # the final clause as two counts: lit[False] of the busy non-final nodes, lit[True] of the
+    # filled final nodes; a node's load is its filled inputs, plus its flag if it is not final
+    final = [n.kind is NodeKind.FINAL for n in nodes]
+    load = [sum(buffered[p] for p in ins[i]) + (flags[i] and not final[i]) for i in range(len(nodes))]
+    lit = [sum(1 for i, n in enumerate(load) if n and final[i] is f) for f in (False, True)]
 
-    def update(i: int) -> None:
-        filled = any(buffered[p] for p in ins[i])
-        if nodes[i].kind is NodeKind.FINAL:
-            (full.add if filled else full.discard)(i)
-        else:
-            (busy.add if filled or flags[i] else busy.discard)(i)
-    for i in range(len(nodes)):
-        update(i)
+    def shift(i: int, d: int) -> None:  # node i's load changes by d, one of -1, 0 and 1
+        load[i] += d
+        if load[i] == (d > 0):  # 0 -> 1 or 1 -> 0
+            lit[final[i]] += d
+    plans: dict = {}  # delta as items -> (its judged nodes, {their flags before: checks})
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
         try:
             moves, moved = b.delta(inst, s0, s1)
         except (ValueError, TypeError) as e:  # a value of s1 the binding cannot read
             raise StateError(j + 1, str(e)) from e
-        final0 = not busy and full
-        judged = set(moved)
-        for p, (consumed, produced, filled) in moves.items():
+        key = (tuple(moves.items()), tuple(moved.items()))
+        if (plan := plans.get(key)) is None:
+            judged = set(moved)
+            for p, (consumed, produced, _) in moves.items():
+                if consumed:
+                    judged.add(readers[p])
+                if produced:
+                    judged.add(writers[p])
+            plan = plans[key] = (sorted(judged), {})
+        judged, by_flags = plan
+        f0 = tuple([flags[i] for i in judged])
+        if (checks := by_flags.get(f0)) is None:
+            checks = by_flags[f0] = _checks(ad, moves, moved, judged, f0)
+        for i, guard in checks:
+            if guard is None or not b.eval_guard(guard, inst, s1):
+                return Verdict(VerdictKind.VIOLATED, j, nodes[i].name, _STEP_PREDICATE[nodes[i].kind])
+        final0 = not lit[False] and lit[True]
+        for p, (_, _, filled) in moves.items():
+            shift(readers[p], filled - buffered[p])
             buffered[p] = filled
-            judged.update(readers[p] if consumed else (), writers[p] if produced else ())
-        for i in sorted(judged):
-            n = nodes[i]
-            if not _allows(n.kind, *_reaction(moves, moved, i, ins[i], outs[i], flags[i]),
-                           outs[i], _guard_holds(ad, inst, s1, b)):
-                return Verdict(VerdictKind.VIOLATED, j, n.name, _STEP_PREDICATE[n.kind])
-        for i in {i for p in moves for i in readers[p]}.union(moved):
-            flags[i] = moved.get(i, flags[i])
-            update(i)
-        if final0 and (busy or not full):
+        for i, f1 in moved.items():
+            shift(i, 0 if final[i] else f1 - flags[i])
+            flags[i] = f1
+        if final0 and (lit[False] or not lit[True]):
             # a final node exists, for s0 was final; blame a busy node before it
             blamed = (_busy(ad, NodeKind.FINAL, buffered.__getitem__, flags.__getitem__)
                       or next(n for n in nodes if n.kind is NodeKind.FINAL))
@@ -431,6 +433,21 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     if trace.truncated:
         return Verdict(VerdictKind.SATISFIED_SO_FAR)
     return Verdict(VerdictKind.SATISFIED)
+
+
+def _checks(ad: ActivityDiagram, moves: dict, moved: dict[int, bool], judged: list[int],
+            f0: tuple[bool, ...]) -> list[tuple[int, str | None]]:
+    """What judging nodes `judged`, flags `f0` before, asks of a pair whose `delta` is `(moves,
+    moved)`, in node order: `(i, guard)` where decision i needs its branch's guard to hold in
+    the pair's second state, and a last `(i, None)` where node i refuses whatever the guards."""
+    checks, (transitions, ins, outs) = [], (ad.layout.transitions, ad.layout.ins, ad.layout.outs)
+    for i, flag in zip(judged, f0):
+        asked: list[int] = []  # the branch whose guard `_allows` reads, if it reads one
+        if not _allows(ad.nodes[i].kind, *_reaction(moves, moved, i, ins[i], outs[i], flag), outs[i],
+                       lambda p: not asked.append(p)):
+            return checks + [(i, None)]
+        checks += [(i, ad.guard(transitions[p].src, transitions[p].out_pin)) for p in asked]
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -365,7 +364,7 @@ def _expand(ad: ActivityDiagram, view: _View, c: Configuration, enabled: dict[in
     return [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
 
 
-def _ordered(items: list, key: Callable[..., str], choices=itemgetter(0)) -> list:
+def _ordered(items: list, key: Callable[..., str]) -> list:
     """`items`, each with its configuration third, in the order of every
     successor list: by `key` of the configuration, its `canonical(ad)`,
     the sorted step labels breaking ties."""
@@ -373,7 +372,7 @@ def _ordered(items: list, key: Callable[..., str], choices=itemgetter(0)) -> lis
         return items
     keys = list(map(key, map(itemgetter(2), items)))
     if len(set(keys)) < len(keys):  # a tie, which the labels break
-        keys = [(k, sorted(ch.label() for ch in chs)) for k, chs in zip(keys, map(choices, items))]
+        keys = [(k, sorted(ch.label() for ch in chs)) for k, (chs, _, _) in zip(keys, items)]
     return list(map(items.__getitem__, sorted(range(len(items)), key=keys.__getitem__)))
 
 
@@ -639,10 +638,10 @@ def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:
     for c, i in index.items():
         shape = "doublecircle" if config_is_final(ad, c) else "box"
         lines.append(f'    n{i} [shape={shape}, label="{describe(c)}"];')
-    keys = [view.order_key(ad, c) for c in index]  # one per configuration, not per edge
-    for i, out in groupby(((index[c0], chs, index[c1]) for c0, chs, c1 in result.edges), key=itemgetter(0)):
-        for _, choices, j in _ordered(list(out), keys.__getitem__, itemgetter(1)):  # as its successors
-            label = ", ".join(sorted(ch.label() for ch in choices))
-            lines.append(f'    n{i} -> n{j} [label="{label}"];')
+    # sources as `reachable` expands them, each one's targets by key rank, then by their labels
+    rank = {c: r for r, c in enumerate(sorted(index, key=partial(view.order_key, ad)))}
+    for i, _, labels, j in sorted((index[c0], rank[c1], sorted(ch.label() for ch in chs), index[c1])
+                                  for c0, chs, c1 in result.edges):
+        lines.append(f'    n{i} -> n{j} [label="{", ".join(labels)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

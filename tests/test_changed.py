@@ -3,11 +3,16 @@ and `conforms` against a full scan of every node on every pair.
 
 Hypothesis draws a recorded trace of `golden/verdicts/` (variant 1,
 variant 2 and token runs of every diagram and mode there) and applies up
-to three mutations of `test_cli_golden_verdicts` to it.  On each pair of
-states, `delta` must give each position it lists the `cons` and `prod`
-counts and the filled bit of the second buffer, and each node it lists
-the flag in the second state; any other position has no counts and one
-buffer in both states, and any other node keeps its flag.  `conforms`
+to three mutations of `test_cli_golden_verdicts` to it.  The full scan
+also gets seeded `random_run`s, mutated alike, in all four modes of
+`corpus/fac.ad` (a loop), `corpus/split_join.ad` and
+`fixtures/orphan.ad` (an action with no input, which starts and finishes
+again and again), so that steps recur under both flag values and
+`conforms` judges them from the plan it made the first time.  On each
+pair of states, `delta` must give each position it lists the `cons` and
+`prod` counts and the filled bit of the second buffer, and each node it
+lists the flag in the second state; any other position has no counts and
+one buffer in both states, and any other node keeps its flag.  `conforms`
 judges a pair from `delta` alone; `full_scan` is the loop it replaced,
 which judges every node and reads every buffer and flag of every state,
 and the two must give the same verdict, or raise the same error.
@@ -16,6 +21,8 @@ and the two must give the same verdict, or raise the same error.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from functools import cache
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,11 +30,13 @@ from hypothesis import strategies as st
 from adsem import diagram, tokengame, variant1
 from adsem.diagram import NodeKind
 from adsem.semantics import (_STEP_PREDICATE, CONTROL_TOKEN, Verdict, VerdictKind, _allows, _busy,
-                             _guard_holds, configuration_is, conforms, is_initial_state)
+                             configuration_is, conforms, is_initial_state)
 
-from .test_cli_golden_verdicts import bases, decoded, golden_path, mutate
+from .conftest import CORPUS
+from .test_cli_golden_verdicts import MODES, bases, decoded, golden_path, mutate
 
 RECORDS = {name: json.loads(golden_path(name).read_text(encoding="utf-8")) for name in bases()}
+LOOPING = ["corpus/fac.ad", "corpus/split_join.ad", "tests/fixtures/orphan.ad"]
 
 
 def full_scan(trace, inst, b) -> Verdict:
@@ -48,6 +57,9 @@ def full_scan(trace, inst, b) -> Verdict:
     def buffered(s):
         return lambda p: len(b.buf_state(transitions[p], inst, s)) != 0
 
+    def guards_in(s):
+        return lambda p: b.eval_guard(ad.guard(transitions[p].src, transitions[p].out_pin), inst, s)
+
     s0 = trace[start]
     flags0 = flags_of(s0)
     final0 = final(s0, flags0)
@@ -56,7 +68,7 @@ def full_scan(trace, inst, b) -> Verdict:
         consumed = [len(b.cons(t, inst, s0, s1)) for t in transitions]
         produced = [len(b.prod(t, inst, s0, s1)) for t in transitions]
         flags1 = flags_of(s1)
-        holds = _guard_holds(ad, inst, s1, b)
+        holds = guards_in(s1)
         for i, n in enumerate(ad.nodes):
             if not _allows(n.kind, [consumed[p] for p in ins[i]], [produced[p] for p in outs[i]],
                            flags0[i], flags1[i], outs[i], holds):
@@ -77,10 +89,24 @@ def outcome(judge, *args):
         return type(e), str(e)
 
 
+@cache
+def random_record(path: str, mode: str, actions: str, seed: int) -> dict:
+    """A record like those of `golden/verdicts/` whose base is a seeded `random_run`."""
+    ad = diagram.parse((CORPUS.parent / path).read_text(encoding="utf-8"))
+    run = tokengame.random_run(ad, seed, mode, actions, max_len=60)
+    return {"diagram": path, "options": ["--variant", "token", "--mode", mode, "--actions", actions],
+            "base": [json.dumps(c.to_json(ad), sort_keys=True) for c in run.configs]}
+
+
 @st.composite
-def traces(draw):
-    """(instance, binding, trace) of a recorded trace, mutated up to three times."""
-    record = RECORDS[draw(st.sampled_from(sorted(RECORDS)))]
+def traces(draw, looping: bool = False):
+    """(instance, binding, trace) of a recorded trace, or with `looping` maybe of a
+    `random_run` of a `LOOPING` diagram, mutated up to three times."""
+    if looping and draw(st.booleans()):
+        record = random_record(draw(st.sampled_from(LOOPING)), *draw(st.sampled_from(MODES)),
+                               draw(st.integers(0, 40)))
+    else:
+        record = RECORDS[draw(st.sampled_from(sorted(RECORDS)))]
     lines = record["base"]
     ops = draw(st.integers(0, 3))
     if ops:
@@ -117,8 +143,8 @@ def test_delta_gives_the_counts_buffers_and_flags_of_every_pair(case):
             assert flags[i] == flags1[i] if i in flags else flags0[i] == flags1[i]
 
 
-@settings(max_examples=300, deadline=None)
-@given(traces())
+@settings(max_examples=500, deadline=None)
+@given(traces(looping=True))
 def test_conforms_agrees_with_a_full_scan(case):
     inst, b, trace = case
     assert outcome(conforms, trace, inst, b) == outcome(full_scan, trace, inst, b)
@@ -135,6 +161,47 @@ def test_finality_reached_by_a_token_and_lost_by_a_start_is_blamed_on_the_starte
         ({into_f: [CONTROL_TOKEN]}, {"X": True})]]
     inst, b, trace = tokengame.as_binding(ad, run, action_mode=tokengame.TWO_PHASE)
     expected = Verdict(VerdictKind.VIOLATED, 2, "X", "final-persistence")
+    assert conforms(trace, inst, b) == full_scan(trace, inst, b) == expected
+
+
+def test_a_recurring_decision_step_reads_its_guard_on_every_occurrence(fac):
+    # seed 2 loops three times: steps 4 and 7 both take Loop from b to its body, one
+    # delta under the same flags, which `conforms` plans once
+    run = tokengame.random_run(fac, 2)
+    assert [sorted(ch.label() for ch in chs) for chs in run.choices][4:8:3] == [
+        ["Loop:DecN.r->Loop.b=>Loop.body->MulRes.go"]] * 2
+    inst, lifted, trace = tokengame.as_binding(fac, run.configs)
+    assert trace[5] == trace[8] and trace[5] is not trace[8]
+    asked = []
+
+    def fails_at(k: int | None):
+        """The lifted binding, its guards holding in every configuration but `trace[k]`."""
+        def eval_guard(guard, _inst, c):
+            asked.append((guard, next(i for i, s in enumerate(trace) if s is c)))
+            return k is None or c is not trace[k]
+        return replace(lifted, eval_guard=eval_guard)
+    assert conforms(trace, inst, fails_at(None)) == Verdict(VerdictKind.SATISFIED)
+    assert asked == [("n > 1", 2), ("n > 1", 5), ("n > 1", 8), ("n <= 1", 11)]
+    for k in (5, 8):
+        asked.clear()
+        assert conforms(trace, inst, fails_at(k)) == Verdict(
+            VerdictKind.VIOLATED, k - 1, "Loop", "step:decisionmerge")
+        assert asked == [("n > 1", i) for i in (2, 5, 8) if i <= k]
+
+
+def test_one_delta_is_judged_again_under_other_flags(fac):
+    # a binding may list nodes whose flags do not change: listing every node,
+    # the stutter of step 0 and the flag SetRes drops without producing in
+    # step 2 have one delta, and only SetRes's flag before tells them apart
+    lifted = tokengame.lifted_binding(fac)
+    b = replace(lifted, delta=lambda inst, s0, s1: (lifted.delta(inst, s0, s1)[0], {
+        i: lifted.executing(n, inst, s1) for i, n in enumerate(fac.nodes)}))
+    start = tokengame.initial_config(fac)
+    started = tokengame.Configuration.make(fac, flags={"SetRes": True})
+    trace = [start, start, started, tokengame.Configuration.make(fac)]
+    inst, _, trace = tokengame.as_binding(fac, trace, action_mode=tokengame.TWO_PHASE)
+    assert b.delta(inst, trace[0], trace[1]) == b.delta(inst, trace[2], trace[3])
+    expected = Verdict(VerdictKind.VIOLATED, 2, "SetRes", "step:action")
     assert conforms(trace, inst, b) == full_scan(trace, inst, b) == expected
 
 

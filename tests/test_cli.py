@@ -381,7 +381,11 @@ def test_bad_token_trace_line_is_located(tmp_path, capsys):
                         ('{"buffers": {"start.s0->FileThesis.go": [7]}}', "not a token: 7"),
                         ('{"bufers": {}}', "unknown configuration keys: ['bufers']"),
                         ('{"buffers": {"FileThesis.t->F1.x": [{"type": null, "payload": "p"}]}}',
-                         "token type is not a string: None")):
+                         "token type is not a string: None"),
+                        ('{"buffers": {"FileThesis.t->F1.x": [{"payload": "p"}]}}',
+                         "missing key 'type'"),
+                        ('{"buffers": {"FileThesis.t->F1.x": [{"type": "Thesis", "paylod": "p"}]}}',
+                         "unknown token keys: ['paylod']")):
         out_file.write_text("\n".join(lines[:1] + [bad] + lines[1:]) + "\n")
         code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
         assert code == 3
@@ -443,10 +447,17 @@ def _first_frame(state: dict) -> dict:
     # the one token of the first state, read while the initial state is sought
     ("v2", lambda lines: lines[1]["ds"]["mbox:start.s0->FileThesis.go"].update(
         tokens='[{"payload": 1, "type": null}]'), 2, "token type is not a string: None"),
+    # a mailbox token without a type, and one with a key besides type and payload
+    ("v2", lambda lines: lines[4]["ds"]["mbox:FileThesis.t->F1.x"].update(
+        tokens='[{"payload": {"x": "FileThesis#1"}}]'), 5, "missing key 'type'"),
+    ("v2", lambda lines: lines[4]["ds"]["mbox:FileThesis.t->F1.x"].update(
+        tokens='[{"paylod": {"x": "FileThesis#1"}, "type": "Thesis"}]'), 5,
+     "unknown token keys: ['paylod']"),
 ], ids=["v1-list-pc", "v2-list-method", "v1-int-callee", "v1-string-truncated",
         "v2-int-truncated", "v1-recorded-as-v2", "v2-recorded-as-v1", "v1-string-attribute",
         "v1-missing-attribute", "v1-store-of-pairs", "v2-string-events", "v1-string-stack",
-        "v2-null-token-type", "v2-null-token-type-in-first-state"])
+        "v2-null-token-type", "v2-null-token-type-in-first-state", "v2-token-without-type",
+        "v2-misspelt-token-key"])
 def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, variant, edit,
                                                          line, reason):
     ad, trace, lines = _recorded(tmp_path, capsys, variant)
