@@ -79,6 +79,41 @@ def test_updates_leave_the_source_unchanged_and_share_the_rest():
 
 
 # ---------------------------------------------------------------------------
+# States as values
+# ---------------------------------------------------------------------------
+
+def stores() -> tuple[dict, dict, dict]:
+    """Fresh stores, equal on every call."""
+    return {"obj:a": {"x": 1}}, {"obj:a": {"th": (frame("p1", {"i": 2}),)}}, {"obj:a": ("ping",)}
+
+
+def test_states_from_equal_stores_are_equal():
+    a, b = SystemState(*stores()), SystemState(*stores())
+    assert a == b and a is not b
+    assert SystemState(*stores()).set_attr("obj:a", "x", 2) != a
+    assert SystemState() == SystemState({}, {}, {})
+    assert (SystemState().set_attr("obj:a", "x", 1).push("obj:a", "th", frame("p1", {"i": 2}))
+            == SystemState(stores()[0], stores()[1]))
+
+
+@pytest.mark.parametrize("state", [SystemState(), SystemState(*stores())], ids=["empty", "full"])
+def test_states_are_unhashable(state):
+    with pytest.raises(TypeError):
+        hash(state)
+
+
+def test_updates_never_write_into_the_default_stores():
+    s = SystemState()
+    s.set_attr("obj:a", "x", 1)
+    s.push("obj:a", "th", frame())
+    s.with_stack("obj:b", "th", (frame("p2"),))
+    SystemState().set_attr("obj:c", "y", 2).push("obj:c", "th", frame()).pop("obj:c", "th")
+    fresh = SystemState()
+    assert (fresh.data_store, fresh.control_store, fresh.event_store) == ({}, {}, {})
+    assert (fresh.attrs("obj:a"), fresh.stack("obj:a", "th")) == ({}, ())
+
+
+# ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
 

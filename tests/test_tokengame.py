@@ -447,6 +447,36 @@ def test_run_jsonl_round_trip(grade):
         assert set(payload) == {"buffers", "exec"}
 
 
+def assert_run_written_like_json_dumps(ad, configs) -> None:
+    text = run_to_jsonl(ad, configs)
+    assert text.endswith("\n")
+    assert text.splitlines() == [json.dumps(c.to_json(ad), sort_keys=True) for c in configs]
+
+
+@pytest.mark.parametrize("mode", [INTERLEAVING, CONCURRENT])
+@pytest.mark.parametrize("actions", [INSTANT, TWO_PHASE])
+def test_run_jsonl_is_json_dumps_of_each_configuration(grade, mode, actions):
+    for seed in range(4):
+        assert_run_written_like_json_dumps(grade, random_run(grade, seed, mode, actions).configs)
+    assert_run_written_like_json_dumps(fork(3, 2), random_run(fork(3, 2), 5, mode, actions).configs)
+
+
+def test_run_jsonl_writes_payloads_read_from_a_file_like_json_dumps(grade):
+    """List and nested-object payloads, unhashable once read, non-ASCII and quoted texts,
+    several tokens in one buffer, and configurations that repeat."""
+    read = [Configuration.from_json(grade, d) for d in [
+        {"buffers": {"FileThesis.t->F1.x": [
+            {"type": "Thesis", "payload": [1, [2, "a"], {"k": None}]},
+            {"type": "Thesis", "payload": {"b": {"c": [1, 2.5]}, "a": "Zoë \"q\""}},
+            "control"]},
+         "exec": {"Evaluate": True}},
+        {"buffers": {"F1.y2->ReviewThesis2.t": [{"type": "Thesis", "payload": [1, [2, "a"]]}],
+                     "F1.y1->ReviewThesis1.t": [{"type": "Thesis"}, {"type": "Thesis", "payload": 7}]},
+         "exec": {"ReviewThesis1": True, "FileThesis": True}},
+        {}]]
+    assert_run_written_like_json_dumps(grade, read + read[::-1] + [initial_config(grade)])
+
+
 def test_reachability_dot(grade):
     import re
 

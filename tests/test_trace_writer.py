@@ -3,8 +3,9 @@
 `sysmodel.states_to_jsonl` joins memoised fragments, so it is checked
 line by line against `json.dumps(state_to_json(s), sort_keys=True)` on
 generated runs: variant-1 counting loops (store values, loop lengths,
-a counter held in an attribute or a local) and variant-2 scenarios
-(seeds, durations, decisions, caller mode, sub-variant).  Each line must
+a counter held in an attribute or a local), variant-2 scenarios
+(seeds, durations, decisions, caller mode, sub-variant) and states read
+from generated JSON (any value in the data store).  Each line must
 read back to its state, and `check-trace` must accept the file that
 `run-v1` or `run-v2` writes.  The memoised reader `sysmodel.state_reader`
 is checked against the per-line path on the same runs, on single-edit
@@ -20,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from adsem import cli, diagram, variant1, variant2
@@ -142,6 +143,30 @@ def test_v2_writer_matches_json_dumps_and_the_reader(run, monkeypatch):
         assert written.read_text(encoding="utf-8").splitlines()[1:] == [
             json.dumps(state_to_json(s), sort_keys=True) for s in states]
         assert_checked_satisfied(path, written, "v2")
+
+
+NAMES = st.text(min_size=1, max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3), lambda inner: st.lists(inner, max_size=2) | st.dictionaries(NAMES, inner, max_size=2),
+    max_leaves=4)
+FRAMES = st.fixed_dictionaries({"callee": NAMES, "m": NAMES, "pc": NAMES, "caller": NAMES,
+                                "vars": st.dictionaries(NAMES, st.integers() | st.booleans(), max_size=2)})
+JSON_STATES = st.fixed_dictionaries({
+    "ds": st.dictionaries(NAMES, st.dictionaries(NAMES, JSON_VALUES, max_size=3), max_size=2),
+    "cs": st.dictionaries(NAMES, st.dictionaries(NAMES, st.lists(FRAMES, max_size=2), max_size=2), max_size=2),
+    "es": st.dictionaries(NAMES, st.lists(NAMES, max_size=2), max_size=2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(JSON_STATES, min_size=1, max_size=4))
+@example(docs=[{"ds": {"o": {"t": True, "1": 1, "f": 1.0, "é": [False, 0, {"b": None, "a": "\""}]}},
+                "cs": {}, "es": {"o": ["ping"]}}])
+def test_writer_matches_json_dumps_on_states_read_from_json(docs):
+    """Any JSON value in the data store (`1` and `true` side by side, floats, nested
+    objects, non-ASCII keys), and states that share stores."""
+    states = [state_from_json(d) for d in docs]
+    assert_written_like_json_dumps(states + states[::-1] + [s.set_attr("o", "x", 1) for s in states])
 
 
 # ---------------------------------------------------------------------------
