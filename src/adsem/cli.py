@@ -51,6 +51,8 @@ def _parse_store(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise CliError(f"expected key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
+        if key in store:
+            raise CliError(f"repeated key {key!r}")
         try:
             store[key] = int(raw)
         except ValueError:

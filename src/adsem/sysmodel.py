@@ -76,11 +76,11 @@ class Frame(NamedTuple):
 Stack = tuple[Frame, ...]
 
 
-@dataclass(frozen=True)
-class SystemState:
-    data_store: dict[str, dict[str, Value]] = field(default_factory=dict)
-    control_store: dict[str, dict[str, Stack]] = field(default_factory=dict)
-    event_store: dict[str, tuple[str, ...]] = field(default_factory=dict)
+class SystemState(NamedTuple):
+    """The three stores as one tuple; no update writes into the shared default dicts."""
+    data_store: dict[str, dict[str, Value]] = {}
+    control_store: dict[str, dict[str, Stack]] = {}
+    event_store: dict[str, tuple[str, ...]] = {}
 
     def attrs(self, oid: str) -> dict[str, Value]:
         return dict(self.data_store.get(oid, {}))
@@ -91,12 +91,12 @@ class SystemState:
     def set_attr(self, oid: str, var: str, value: Value) -> "SystemState":
         ds = dict(self.data_store)
         ds[oid] = {**ds.get(oid, {}), var: value}
-        return SystemState(ds, self.control_store, self.event_store)
+        return new_state((ds, self.control_store, self.event_store))
 
     def with_stack(self, oid: str, thread: str, stack: Stack) -> "SystemState":
         cs = dict(self.control_store)
         cs[oid] = {**cs.get(oid, {}), thread: stack}
-        return SystemState(self.data_store, cs, self.event_store)
+        return new_state((self.data_store, cs, self.event_store))
 
     def push(self, oid: str, thread: str, frame: Frame) -> "SystemState":
         return self.with_stack(oid, thread, (frame,) + self.stack(oid, thread))
@@ -106,6 +106,9 @@ class SystemState:
         if not stack:
             raise SystemModelError(f"pop on empty stack for ({oid!r}, {thread!r})")
         return self.with_stack(oid, thread, stack[1:])
+
+
+new_state = partial(tuple.__new__, SystemState)  # of a (data, control, events) triple, built in C
 
 
 def top_frame(state: SystemState, oid: str, thread: str) -> Frame | None:
@@ -165,28 +168,33 @@ _encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(value, sort_keys
 
 
 def states_to_jsonl(states: Iterable[SystemState]) -> str:
-    """One `json.dumps(state_to_json(s), sort_keys=True)` line per state,
-    joined from fragments memoised by identity: each distinct store,
-    per-object store, stack and stored value is encoded once per call.  The
-    caller holds every state until this returns, so no id is reused."""
-    keys: dict[str, str] = {}
-
-    def memoised(encode):
-        memo: dict[int, str] = {}
-        return lambda x: memo.get(id(x)) or memo.setdefault(id(x), encode(x))
-
-    def sorted_object(encode_value):
-        return lambda d: "{" + ", ".join([
-            (keys.get(k) or keys.setdefault(k, _encode(k) + ": ")) + encode_value(d[k])
-            for k in sorted(d)]) + "}"
-
-    value = memoised(lambda v: repr(v) if type(v) is int else _encode(v))
-    stack = memoised(lambda st: _encode([frame_to_json(f) for f in st]))
-    control = memoised(sorted_object(memoised(sorted_object(stack))))
-    data = memoised(sorted_object(memoised(sorted_object(value))))
-    events = memoised(lambda es: _encode({o: list(msgs) for o, msgs in es.items()}))
-    return "".join([f'{{"cs": {control(s.control_store)}, "ds": {data(s.data_store)}, '
-                    f'"es": {events(s.event_store)}}}\n' for s in states])
+    """One `json.dumps(state_to_json(s), sort_keys=True)` line per state, joined from texts
+    memoised by identity: each distinct store, per-object store, stack and stored value is
+    encoded once per call.  The states are held until this returns, so no id is reused."""
+    texts: dict[int, str] = {}  # by id: a store's, a per-object store's, a stack's or a value's
+    keys: dict[str, str] = {}  # '"key": ' by key
+    lines, get = [], texts.get
+    for ds, cs, es in tuple(states):
+        for store in cs, ds:
+            if id(store) in texts:
+                continue
+            objects = []
+            for o in sorted(store):
+                inner = store[o]
+                text = get(id(inner))
+                if text is None:
+                    items = []
+                    for k in sorted(inner):
+                        v = inner[k]
+                        leaf = get(id(v)) or texts.setdefault(id(v), repr(v) if type(v) is int else _encode(
+                            [frame_to_json(f) for f in v] if store is cs else v))
+                        items.append((keys.get(k) or keys.setdefault(k, _encode(k) + ": ")) + leaf)
+                    text = texts[id(inner)] = "{" + ", ".join(items) + "}"
+                objects.append((keys.get(o) or keys.setdefault(o, _encode(o) + ": ")) + text)
+            texts[id(store)] = "{" + ", ".join(objects) + "}"
+        events = get(id(es)) or texts.setdefault(id(es), _encode({o: list(m) for o, m in es.items()}))
+        lines.append(f'{{"cs": {texts[id(cs)]}, "ds": {texts[id(ds)]}, "es": {events}}}\n')
+    return "".join(lines)
 
 
 def _each(kind: type, build: Callable, stores: dict) -> dict:
@@ -230,7 +238,7 @@ def state_reader() -> Callable[[str], SystemState]:
         j = line.find(', "es": ', i + 8)
         if 0 < i < j and line.startswith('{"cs": ') and line.endswith("}"):
             try:
-                return SystemState(data(line[i + 8:j]), control(line[7:i]), events(line[j + 8:-1]))
+                return new_state((data(line[i + 8:j]), control(line[7:i]), events(line[j + 8:-1])))
             except Exception:
                 pass
         return state_from_json(json.loads(line))

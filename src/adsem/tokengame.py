@@ -261,7 +261,10 @@ class _View:
         self.prefix = prefix = cache(lambda p: json.dumps(keys[p]) + ":[")
         self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
         self.single = cache(lambda p, tok: prefix(p) + text(tok) + "]")
-        self.exec_json = cache(lambda flags: _dumps(dict(zip(actions, flags))))
+        # per action by name: flag position, "name":false/true texts compact (order_key), spaced (run_to_jsonl)
+        self.flag_texts = flags = [(i, (f"{q}:false", f"{q}:true"), (f"{q}: false", f"{q}: true"))
+                                   for _, i, q in sorted((a, i, json.dumps(a)) for i, a in enumerate(actions))]
+        self.exec_json = cache(lambda c_flags: "{" + ",".join([t[c_flags[i]] for i, t, _ in flags]) + "}")
 
     def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
         """The enabled set of `c`: each node's non-stutter steps by node
@@ -623,7 +626,17 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
 # ---------------------------------------------------------------------------
 
 def run_to_jsonl(ad: ActivityDiagram, run: Iterable[Configuration]) -> str:
-    return "\n".join(json.dumps(c.to_json(ad), sort_keys=True) for c in run) + "\n"
+    """A `json.dumps(c.to_json(ad), sort_keys=True)` line per configuration, joined from key, flag
+    and token texts; tokens are memoised by identity, safe as the run is held until this returns."""
+    view, tokens, lines = _view(ad), {}, []
+    keys = [(p, json.dumps(view.keys[p]) + ": [") for p in view.key_order]
+    for buffers, flags in tuple(run):
+        parts = [key + ", ".join([tokens.get(id(tok)) or tokens.setdefault(
+                     id(tok), json.dumps(tok.to_json(), sort_keys=True)) for tok in buf]) + "]"
+                 for p, key in keys if (buf := buffers[p])]
+        lines.append('{"buffers": {' + ", ".join(parts) + '}, "exec": {'
+                     + ", ".join([t[flags[i]] for i, _, t in view.flag_texts]) + "}}\n")
+    return "".join(lines)
 
 
 def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:

@@ -31,7 +31,7 @@ from typing import Callable
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
 from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
-from .sysmodel import Frame, SystemState, Trace, Value, top_frame
+from .sysmodel import Frame, SystemState, Trace, Value, new_state, top_frame
 
 
 class ActionLanguageError(ValueError):
@@ -512,6 +512,8 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
     conformance-relevant part and is not recorded.  Cut at `max_steps`
     with the truncation flag.
     """
+    if max_steps < 0:
+        raise VariantError("max_steps must be >= 0")
     _check_shape(ad)
     entry = _entry(ad)
     if len(incoming(ad, ad.node(entry.dst))) > 1:
@@ -522,7 +524,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
     frame = Frame.make(callee, inst.meth, {p: 0 for p in inst.params}, pc_map[entry.dst],
                        inst.caller)
     data, control, events = {callee: attrs}, {callee: {thread: (frame,)}}, {}
-    states = [SystemState(data, control, events)]
+    states = [new_state((data, control, events))]
     # States share stores: one data store per attribute change, one control store per (pc, locals).
     controls = {(frame.pc, frame.vars): control}
     steps: dict[str, tuple] = {}  # pc -> `_pc_step`, built on the pc's first visit
@@ -549,7 +551,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
             control = controls[pc, vars_] = {
                 callee: {thread: (Frame(callee, frame.mname, vars_, pc, frame.caller),)}}
         frame = control[callee][thread][0]
-        states.append(SystemState(data, control, events))
+        states.append(new_state((data, control, events)))
     return Trace(tuple(states), truncated=True)
 
 

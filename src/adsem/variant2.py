@@ -157,11 +157,6 @@ class Scenario:
     sub_variant: bool = True
     caller_mode: str = ROLE_CALLER
 
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "decisions": dict(self.decisions),
-                "durations": dict(self.durations), "sub_variant": self.sub_variant,
-                "caller_mode": self.caller_mode}
-
     @staticmethod
     def from_json(ad: ActivityDiagram, d: object) -> "Scenario":
         """Raises ValueError for unknown keys, names of nodes the diagram lacks

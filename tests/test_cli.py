@@ -82,6 +82,21 @@ def test_run_v1_bad_store_pair(capsys):
     assert code == 3
 
 
+def test_run_v1_rejects_a_repeated_store_key(capsys):
+    code = main(["run-v1", FAC, "n=3", "n=4"])
+    assert (code, *capsys.readouterr()) == (3, "", "error: repeated key 'n'\n")
+
+
+def test_run_v1_rejects_a_negative_max_steps(tmp_path, capsys):
+    trace = tmp_path / "fac.trace.jsonl"
+    code = main(["run-v1", FAC, "n=3", "--max-steps", "-1", "--trace", str(trace)])
+    assert (code, *capsys.readouterr()) == (3, "", "error: max_steps must be >= 0\n")
+    assert not trace.exists()
+    code, out = run(capsys, "run-v1", FAC, "n=3", "--max-steps", "0", "--trace", str(trace))
+    assert (code, json.loads(out)["states"], json.loads(out)["truncated"]) == (0, 1, True)
+    assert len(trace.read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_run_v1_check_trace_pipeline(tmp_path, capsys):
     trace = tmp_path / "fac.trace.jsonl"
     code, _ = run(capsys, "run-v1", FAC, "n=4", "--trace", str(trace))

