@@ -39,7 +39,6 @@ from .semantics import (
 from .sysmodel import Frame, SystemState, Trace, Universe
 from .tokengame import (
     Configuration,
-    GuardOracle,
     StepChoice,
     analyze,
     as_binding,

@@ -297,6 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a store's integers print and read at any length
     try:
         return args.fn(args)
     except diagram.ParseError as e:
@@ -305,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, KeyError, ValueError, diagram.AdsemError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ configuration means nothing without its diagram.
 
 Successor enumeration supports one-node-at-a-time (interleaving) and
 simultaneous-disjoint (concurrent) steps, and instantaneous (one-step) or
-start/finish (two-phase) action execution.  Guards are resolved by a
-three-valued oracle; "either" explores both branches.
+start/finish (two-phase) action execution.  A configuration holds no data,
+so a guard is only text here: every branch of a decision is explored, and
+only a variant's `eval_guard` reads guards.
 
 `as_binding` hands a run to the conformance checker as a trace of its
 configurations, which `lifted_binding` reads by position, so the checker
@@ -107,27 +108,6 @@ def _dumps(value: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Guard oracles
-# ---------------------------------------------------------------------------
-
-TRUE, FALSE, EITHER = "true", "false", "either"
-
-
-class GuardOracle:
-    """Three-valued guard resolution; "either" explores both branches."""
-
-    def decide(self, guard: str, config: Configuration) -> str:
-        raise NotImplementedError
-
-
-class ExploreAllBranches(GuardOracle):
-    """The literal guard "true" holds; everything else is unresolved."""
-
-    def decide(self, guard: str, config: Configuration) -> str:
-        return TRUE if guard == "true" else EITHER
-
-
-# ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
 
@@ -169,16 +149,14 @@ def initial_config(ad: ActivityDiagram) -> Configuration:
 
 
 class Step(NamedTuple):
-    """One reaction of a node, with its choice set and label made once."""
+    """One reaction of a node, with its choice set made once."""
     choice: StepChoice
     cons: tuple[int, ...]  # positions it consumes from
     prod: tuple[int, ...]  # positions it produces to
     choices: frozenset
-    label: str
     reach: tuple[int, ...]  # the nodes whose enabled steps it can change
     touches: frozenset[int]  # cons and prod, which no other step of a selection may touch
     flag: int | None  # the flag position that start and finish flip
-    guard: str | None = None  # a decision branch's, judged at expansion
 
 
 class _NodeView:
@@ -190,8 +168,7 @@ class _NodeView:
         self.flag = view.flag_position.get(n.name)
         self.ins = ins
 
-        def step(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...],
-                 guard: str | None = None) -> tuple[Step, ...]:
+        def step(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...]) -> tuple[Step, ...]:
             # none if it consumes from a transition it produces to: it never fires
             touches = frozenset(cons + prod)
             if len(touches) < len(cons) + len(prod):
@@ -200,8 +177,7 @@ class _NodeView:
             # whose flag start and finish flip
             reach = dict.fromkeys([index, *(view.reader[p] for p in touches if p in view.reader)])
             flag = self.flag if choice.kind in ("start", "finish") else None
-            return (Step(choice, cons, prod, frozenset((choice,)), choice.label(), tuple(reach),
-                         touches, flag, guard),)
+            return (Step(choice, cons, prod, frozenset((choice,)), tuple(reach), touches, flag),)
 
         shapes = {NodeKind.ACTION: (("start", ins, ()), ("finish", (), outs), ("instant", ins, outs)),
                   NodeKind.FORKJOIN: (("forkjoin", ins, outs),)}
@@ -211,8 +187,7 @@ class _NodeView:
         self.branches: list[Step] = [
             branch for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
             for branch in step(StepChoice(n.name, "decision", t_in.key, t_out.key),
-                               (view.position[t_in.key],), (view.position[t_out.key],),
-                               ad.guard(t_out.src, t_out.out_pin))
+                               (view.position[t_in.key],), (view.position[t_out.key],))
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
     def executing(self, c: Configuration) -> bool:
@@ -268,7 +243,7 @@ class _View:
 
     def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
         """The enabled set of `c`: each node's non-stutter steps by node
-        index, for decisions before their guards are judged."""
+        index, every branch of a decision whose input holds a token."""
         return {i: steps for i, nv in enumerate(self.nodes) if (steps := nv.enabled(c, action_mode))}
 
     def carry(self, enabled: dict[int, tuple[Step, ...]], selection: Sequence[Step],
@@ -344,21 +319,18 @@ def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
 
 
 def _expand(ad: ActivityDiagram, view: _View, c: Configuration, enabled: dict[int, tuple[Step, ...]],
-            mode: str, guards: GuardOracle) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
+            mode: str) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
     """The successors of `c`, whose enabled set is `enabled`, unsorted, each
     with its choices and steps.  Each step is applied to `c` once; a
     concurrent selection is patched together from its steps' results."""
-    # each node's steps; of a decision's branches, those whose guards may hold
-    pools = [steps if steps[0].guard is None else
-             [step for step in steps if guards.decide(step.guard, c) in (TRUE, EITHER)]
-             for steps in enabled.values()]
     if mode == INTERLEAVING:
-        return [(step.choices, (step,), _apply(ad, view, c, step)) for steps in pools for step in steps]
+        return [(step.choices, (step,), _apply(ad, view, c, step))
+                for steps in enabled.values() for step in steps]
     if mode != CONCURRENT:
         raise TokenGameError(f"unknown mode {mode!r}")
     # at most one step per node and no two touching one position
     grown = [((), frozenset(), frozenset(), c)]
-    for steps in filter(None, pools):
+    for steps in enabled.values():
         singles = [(step, _apply(ad, view, c, step)) for step in steps]
         grown += [(selection + (step,), touched | step.touches, choices | step.choices,
                    _patch(c0, step, c1) if selection else c1)
@@ -379,11 +351,7 @@ def _ordered(items: list, key: Callable[..., str]) -> list:
     return list(map(items.__getitem__, sorted(range(len(items)), key=keys.__getitem__)))
 
 
-_EXPLORE_ALL = ExploreAllBranches()
-
-
 def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
-               guards: GuardOracle | None = None,
                action_mode: str = INSTANT) -> list[tuple[frozenset, Configuration]]:
     """All permitted next configurations with the choices that reach them,
     sorted by `canonical()`, the step labels breaking ties.  Interleaving:
@@ -391,7 +359,7 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    succ = _expand(ad, view, c, view.scan(c, action_mode), mode, guards or _EXPLORE_ALL)
+    succ = _expand(ad, view, c, view.scan(c, action_mode), mode)
     return [(choices, c1) for choices, _, c1 in _ordered(succ, partial(view.order_key, ad))]
 
 
@@ -419,8 +387,7 @@ class ReachabilityResult:
     dead_ends: list[Configuration]  # expanded to no successor at all, before any bound
 
 
-def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
-              guards: GuardOracle | None = None, action_mode: str = INSTANT,
+def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = INSTANT,
               bound: int = DEFAULT_BOUND) -> ReachabilityResult:
     """BFS closure of `successors` from the initial configuration, up to
     `bound` distinct configurations, each queued with its enabled set, made
@@ -429,7 +396,7 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
     instance first reached.  `reachability_to_dot` sorts the edges."""
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
-    view, guards, start = _view(ad), guards or _EXPLORE_ALL, initial_config(ad)
+    view, start = _view(ad), initial_config(ad)
     visited = {start: start}  # each configuration's first instance, in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
@@ -437,7 +404,7 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING,
     queue = deque([(start, view.scan(start, action_mode))])
     while queue:
         c, enabled = queue.popleft()
-        succ = _expand(ad, view, c, enabled, mode, guards)
+        succ = _expand(ad, view, c, enabled, mode)
         if not succ:
             dead_ends.append(c)
         new = []
@@ -546,7 +513,7 @@ def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str
                 enabled: dict[int, tuple[Step, ...]]) -> None:
         if len(out) >= max_runs:
             return
-        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL), partial(view.order_key, ad))
+        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), partial(view.order_key, ad))
         if not succ or len(configs) >= max_len:
             out.append(Run(configs, choices, bool(succ)))
             return
@@ -569,14 +536,14 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     enabled = view.scan(configs[0], action_mode)
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL), partial(view.order_key, ad))
+        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), partial(view.order_key, ad))
         if not succ:
             return Run(configs, choices)
         chs, selection, c1 = succ[rng.randrange(len(succ))]
         enabled = view.carry(enabled, selection, c1, action_mode)
         configs += (c1,)
         choices += (chs,)
-    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode, _EXPLORE_ALL)))
+    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode)))
 
 
 # ---------------------------------------------------------------------------

@@ -406,9 +406,11 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
     carry over, derived again only where inputs changed and at the node that moved.  The
     final check reads `boxes` and `running`, so each action needs a stack of its own.
 
-    Raises SimulationError when nothing can move before `max_steps`
-    states, or on a stuck (deadlocked, non-final) configuration.
+    Raises SimulationError on a negative `max_steps`, when nothing can move
+    before `max_steps` states, or on a stuck (deadlocked, non-final) configuration.
     """
+    if max_steps < 0:
+        raise SimulationError("max_steps must be >= 0")
     rng = random.Random(scenario.seed)
     state, boxes = _initial_state(ad, inst)
     states = [state]

@@ -19,26 +19,17 @@ import itertools
 
 from adsem.diagram import ActivityDiagram, NodeKind, incoming, outgoing
 from adsem.semantics import admissible_tokens
-from adsem.tokengame import (
-    EITHER,
-    INSTANT,
-    TRUE,
-    TWO_PHASE,
-    Configuration,
-    ExploreAllBranches,
-    GuardOracle,
-    representative_token,
-)
+from adsem.tokengame import INSTANT, TWO_PHASE, Configuration, representative_token
 
 
-def _formula_holds(ad, node, flags0, flags1, cons_n, prod_n, guard_true,
-                   action_mode) -> bool:
+def _formula_holds(ad, node, flags0, flags1, cons_n, prod_n, action_mode) -> bool:
     """Definition of a permitted per-node step, over raw counts.
 
     The action clause is a disjunction of start, finish, and one-step
     execution; the comparison runs under a mode's discipline, so the
     two-phase filter drops the one-step disjunct (a two-phase generator
-    never emits it) and the instant filter drops start/finish.
+    never emits it) and the instant filter drops start/finish.  A
+    decision may take any branch: guards are opaque to the token game.
     """
     ins = incoming(ad, node)
     outs = outgoing(ad, node)
@@ -72,7 +63,7 @@ def _formula_holds(ad, node, flags0, flags1, cons_n, prod_n, guard_true,
             for t in ins
         )
         one_out = any(
-            prod_n.get(t.key, 0) == 1 and guard_true(t)
+            prod_n.get(t.key, 0) == 1
             and all(prod_n.get(t2.key, 0) == 0 for t2 in outs if t2 != t)
             for t in outs
         )
@@ -81,10 +72,8 @@ def _formula_holds(ad, node, flags0, flags1, cons_n, prod_n, guard_true,
 
 
 def brute_successors(ad: ActivityDiagram, c: Configuration,
-                     guards: GuardOracle | None = None,
                      action_mode: str = INSTANT) -> set[Configuration]:
     """All configurations one interleaving step away, by filtering."""
-    guards = guards or ExploreAllBranches()
     # a configuration holds one buffer per layout position and one flag per action
     buffers = {t.key: list(buf) for t, buf in zip(ad.layout.transitions, c.buffers)}
     actions = dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION)
@@ -109,10 +98,6 @@ def brute_successors(ad: ActivityDiagram, c: Configuration,
                 for produced in _content_options(ad, buffers, cons_keys,
                                                  consumed_tokens, prod_keys):
                     c1 = _apply(ad, buffers, cons_keys, prod_keys, produced, flags1)
-
-                    def guard_true(t, _c1=c1):
-                        return guards.decide(ad.guard(t.src, t.out_pin), _c1) in (TRUE, EITHER)
-
                     non_stutter = 0
                     all_ok = True
                     for node in ad.nodes:
@@ -123,8 +108,7 @@ def brute_successors(ad: ActivityDiagram, c: Configuration,
                                  and all(prod_n.get(t.key, 0) == 0 for t in outs))
                         if not quiet:
                             non_stutter += 1
-                        if not _formula_holds(ad, node, flags0, flags1,
-                                              cons_n, prod_n, guard_true, action_mode):
+                        if not _formula_holds(ad, node, flags0, flags1, cons_n, prod_n, action_mode):
                             all_ok = False
                             break
                     if all_ok and non_stutter == 1:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import adsem
 from adsem.cli import _build_parser, main
+from adsem.diagram import parse
+from adsem.tokengame import initial_config, successors
 
 from .conftest import CORPUS
 
@@ -97,6 +100,22 @@ def test_run_v1_rejects_a_negative_max_steps(tmp_path, capsys):
     assert len(trace.read_text(encoding="utf-8").splitlines()) == 2
 
 
+def test_run_v1_prints_and_reads_integers_of_any_length(tmp_path, capsys):
+    trace = tmp_path / "fac.trace.jsonl"
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "run-v1", FAC, "n=1700", "--trace", str(trace))
+    assert (code, sys.get_int_max_str_digits()) == (0, limit)
+    res = json.loads(out, parse_int=str)["store"]["res"]
+    assert len(res) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(res) == math.factorial(1700)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out = run(capsys, "check-trace", FAC, str(trace), "--variant", "v1")
+    assert (code, json.loads(out)["verdict"], sys.get_int_max_str_digits()) == (0, "satisfied", limit)
+
+
 def test_run_v1_check_trace_pipeline(tmp_path, capsys):
     trace = tmp_path / "fac.trace.jsonl"
     code, _ = run(capsys, "run-v1", FAC, "n=4", "--trace", str(trace))
@@ -137,6 +156,40 @@ def test_simulate_check_trace_pipeline(tmp_path, capsys):
     code, out = run(capsys, "check-trace", GRADE, str(out_file), "--variant", "token")
     assert code == 0
     assert json.loads(out)["verdict"] == "satisfied"
+
+
+OPAQUE = """
+    activity Opaque {
+        initial i out s;
+        decisionmerge D in v out no guard "false", big guard "x > 1";
+        action A in x out y;
+        final f in z;
+        final g in w;
+        i.s -> D.v;
+        D.no -> A.x;
+        A.y -> f.z;
+        D.big -> g.w;
+    }
+"""
+
+
+def test_guards_are_opaque_to_the_token_game(tmp_path, capsys):
+    # a configuration holds no data: even a literal "false" guard is a branch it may take
+    ad = parse(OPAQUE)
+    outs = {next(iter(chs)).out_edge for chs, _ in successors(ad, initial_config(ad))}
+    assert outs == {"D.no->A.x", "D.big->g.w"}
+    path = tmp_path / "opaque.ad"
+    path.write_text(OPAQUE)
+    code, out = run(capsys, "reach", str(path))
+    assert (code, json.loads(out)["decision_coverage"]) == (0, {"D.no": True, "D.big": True})
+    taken = set()
+    for seed in range(8):
+        trace = tmp_path / f"run{seed}.jsonl"
+        run(capsys, "simulate", str(path), "--seed", str(seed), "--out", str(trace))
+        taken.add("D.big->g.w" in trace.read_text())
+        code, out = run(capsys, "check-trace", str(path), str(trace), "--variant", "token")
+        assert (code, json.loads(out)["verdict"]) == (0, "satisfied")
+    assert taken == {True, False}
 
 
 def test_check_trace_detects_mutation(tmp_path, capsys):
@@ -187,6 +240,16 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # run-v2
 # ---------------------------------------------------------------------------
+
+def test_run_v2_rejects_a_negative_max_steps(tmp_path, capsys):
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "grade.trace.jsonl"
+    scenario.write_text(json.dumps({"seed": 2}))
+    code = main(["run-v2", GRADE, str(scenario), "--max-steps", "-1", "--trace", str(trace)])
+    assert (code, *capsys.readouterr()) == (3, "", "error: max_steps must be >= 0\n")
+    assert not trace.exists()
+    code = main(["run-v2", GRADE, str(scenario), "--max-steps", "0"])
+    assert (code, *capsys.readouterr()) == (3, "", "error: no final configuration within 0 states\n")
+
 
 def test_run_v2_check_trace_pipeline(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"

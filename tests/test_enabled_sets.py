@@ -4,9 +4,7 @@
 enabled set from its parent's, re-deriving only the nodes the parent's
 step reached.  Here every set they expand must equal a full scan, and
 what they return must equal a search over the public `successors`, which
-scans every node of every configuration.  A guard oracle whose answer
-depends on the configuration shows that guards are judged at expansion
-and never kept in an enabled set.
+scans every node of every configuration.
 """
 
 from __future__ import annotations
@@ -25,14 +23,10 @@ from adsem.diagram import parse
 from adsem.semantics import CONTROL_TOKEN, Token, call_token
 from adsem.tokengame import (
     CONCURRENT,
-    EITHER,
-    FALSE,
     INSTANT,
     INTERLEAVING,
-    TRUE,
     TWO_PHASE,
     Configuration,
-    GuardOracle,
     initial_config,
     maximal_runs,
     random_run,
@@ -61,27 +55,14 @@ DIAGRAMS = list(diagrams())
 IDS = [name for name, _ in DIAGRAMS]
 
 
-class Parity(GuardOracle):
-    """Answers by the guard text and the parity of the token count, so the
-    same branch is taken in one configuration and not in the next; counts
-    its calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def decide(self, guard, config):
-        self.calls += 1
-        return (TRUE, FALSE, EITHER)[(len(guard) + sum(map(len, config.buffers))) % 3]
-
-
-def bfs(ad, mode, actions, guards, bound):
+def bfs(ad, mode, actions, bound):
     """`reachable`, written as a plain BFS over the public `successors`."""
     start = initial_config(ad)
     visited, edges, queue = {start: None}, [], deque([start])
     truncated = False
     while queue:
         c = queue.popleft()
-        for choices, c1 in successors(ad, c, mode, guards, actions):
+        for choices, c1 in successors(ad, c, mode, actions):
             if c1 not in visited:
                 if len(visited) >= bound:
                     truncated = True
@@ -104,9 +85,9 @@ def expansions(monkeypatch):
     seen = []
     expand = tokengame._expand
 
-    def recording(ad, view, c, enabled, mode, guards):
+    def recording(ad, view, c, enabled, mode):
         seen.append((ad, c, enabled))
-        return expand(ad, view, c, enabled, mode, guards)
+        return expand(ad, view, c, enabled, mode)
 
     monkeypatch.setattr(tokengame, "_expand", recording)
     return seen
@@ -119,19 +100,15 @@ def assert_full_scans(seen, actions):
 
 
 @pytest.mark.parametrize("mode,actions", MODES)
-@pytest.mark.parametrize("oracle", [None, Parity], ids=["explore-all", "parity"])
 @pytest.mark.parametrize("name,ad", DIAGRAMS, ids=IDS)
-def test_reachable_equals_a_bfs_over_successors(name, ad, oracle, mode, actions, expansions):
-    ours, theirs = (oracle and oracle()), (oracle and oracle())
-    result = reachable(ad, mode=mode, guards=ours, action_mode=actions, bound=BOUND)
+def test_reachable_equals_a_bfs_over_successors(name, ad, mode, actions, expansions):
+    result = reachable(ad, mode=mode, action_mode=actions, bound=BOUND)
     assert len(expansions) == len(result.configs)
     assert_full_scans(expansions, actions)
     expansions.clear()
-    configs, edges, truncated = bfs(ad, mode, actions, theirs, BOUND)
+    configs, edges, truncated = bfs(ad, mode, actions, BOUND)
     assert (result.configs, result.truncated) == (configs, truncated)
     assert by_source(result.edges) == by_source(edges)
-    if oracle:  # one call per branch with a token on its input, in both
-        assert ours.calls == theirs.calls
 
 
 @pytest.mark.parametrize("mode,actions", MODES)

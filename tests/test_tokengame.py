@@ -17,11 +17,7 @@ from adsem.tokengame import (
     INSTANT,
     INTERLEAVING,
     TWO_PHASE,
-    EITHER,
-    FALSE,
-    TRUE,
     Configuration,
-    GuardOracle,
     TokenGameError,
     analyze,
     as_binding,
@@ -53,20 +49,6 @@ ORPHAN = parse("""
         Q.y -> P.x;
     }
 """)
-
-
-class Decide(GuardOracle):
-    """Listed guard texts resolve to fixed booleans; others are unresolved."""
-
-    def __init__(self, choices):
-        self.choices = choices
-
-    def decide(self, guard, config):
-        if guard == "true":
-            return TRUE
-        if guard in self.choices:
-            return TRUE if self.choices[guard] else FALSE
-        return EITHER
 
 
 def token_count(c):
@@ -163,13 +145,6 @@ def test_successors_decision_explores_both_branches(grade):
     succ = successors(grade, c)
     outs = {next(iter(ch)).out_edge for ch, _ in succ}
     assert outs == {"D1.p->CreateCert.go", "D1.f->DetainFailure.go"}
-
-
-def test_successors_guard_oracle_prunes(grade):
-    c = Configuration.make(grade, {"Evaluate.res->D1.v": [CONTROL_TOKEN]})
-    succ = successors(grade, c, guards=Decide({"passed": True, "failed": False}))
-    assert len(succ) == 1
-    assert next(iter(succ[0][0])).out_edge == "D1.p->CreateCert.go"
 
 
 def test_successors_final_never_consumes(minimal):
@@ -300,11 +275,7 @@ def test_a_revisit_yields_the_instance_first_reached(grade):
 
 
 def test_analyze_starved_join(split_join):
-    res = reachable(split_join, guards=Decide({"left": True, "right": False}))
-    report = analyze(split_join, res)
-    assert len(report.deadlocks) == 1
-    assert report.final_reachability == {"J.c->f.z": False}
-    # with both branches explored there are two starvation states
+    # either branch starves the join: two starvation states
     both = analyze(split_join, reachable(split_join))
     assert len(both.deadlocks) == 2
     # under a bound, a starvation state it expanded is still a deadlock, and
@@ -383,15 +354,6 @@ def test_brute_force_equality(name, action_mode):
         actual = {c1 for _, c1 in successors(ad, c, INTERLEAVING,
                                              action_mode=action_mode)}
         assert actual == expected, f"{name} {action_mode}: mismatch at {c.canonical(ad)}"
-
-
-def test_brute_force_respects_guard_oracle(split_join):
-    oracle = Decide({"left": True, "right": False})
-    c = initial_config(split_join)
-    expected = brute_successors(split_join, c, guards=oracle)
-    actual = {c1 for _, c1 in successors(split_join, c, guards=oracle)}
-    assert actual == expected
-    assert len(actual) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from adsem.diagram import NodeKind, parse
 from adsem.semantics import CONTROL_ONLY, CONTROL_TOKEN, VerdictKind, conforms
 from adsem.sysmodel import Frame, SystemState, Trace, top_frame
-from adsem.tokengame import (
-    FALSE,
-    TRUE,
-    GuardOracle,
-    initial_config,
-    successors,
-)
+from adsem.tokengame import initial_config, successors
 from adsem.variant1 import (
     ActionLanguageError,
     Arith,
@@ -418,24 +412,25 @@ def test_a_guard_that_does_not_parse_raises_only_when_it_is_evaluated():
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the token game under a store-evaluating oracle
+# Equivalence with the token game, its decisions judged in a store
 # ---------------------------------------------------------------------------
 
-class StoreOracle(GuardOracle):
-    def __init__(self, store: dict):
-        self.store = dict(store)
-
-    def decide(self, guard: str, config) -> str:
-        return TRUE if eval_guard_expr(parse_guard(guard), self.store, {}) else FALSE
-
-
 def simulated_firing_runs(ad, store0: dict) -> list[list[str]]:
-    """Token-game runs of a variant-1 diagram, with guards resolved
-    against a store updated by the fired actions' effects."""
+    """Token-game runs of a variant-1 diagram, keeping of a decision's
+    branches those whose guard holds in a store updated by the fired
+    actions' effects."""
     runs: list[list[str]] = []
+    by_key = {t.key: t for t in ad.transitions}
+
+    def holds(choices, store) -> bool:
+        (choice,) = tuple(choices)
+        if choice.kind != "decision":
+            return True
+        t = by_key[choice.out_edge]
+        return eval_guard_expr(parse_guard(ad.guard(t.src, t.out_pin)), store, {})
 
     def explore(config, store, fired):
-        succ = successors(ad, config, guards=StoreOracle(store))
+        succ = [(choices, c1) for choices, c1 in successors(ad, config) if holds(choices, store)]
         if not succ:
             runs.append(fired)
             return
