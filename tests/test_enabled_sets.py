@@ -4,7 +4,8 @@
 enabled set from its parent's, re-deriving only the nodes the parent's
 step reached.  Here every set they expand must equal a full scan, and
 what they return must equal a search over the public `successors`, which
-scans every node of every configuration.
+scans every node of every configuration.  A search cut at a small bound
+must stop where the plain search stops.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .conftest import CORPUS, load
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MODES = [(mode, actions) for mode in (INTERLEAVING, CONCURRENT) for actions in (INSTANT, TWO_PHASE)]
 BOUND = 3000  # above every other diagram here; tests/fixtures/orphan.ad never dies out
+CUT = 10  # below most diagrams here, so the search stops part way
 
 
 def diagrams():
@@ -100,13 +102,14 @@ def assert_full_scans(seen, actions):
 
 
 @pytest.mark.parametrize("mode,actions", MODES)
+@pytest.mark.parametrize("bound", [BOUND, CUT], ids=["full", "cut"])
 @pytest.mark.parametrize("name,ad", DIAGRAMS, ids=IDS)
-def test_reachable_equals_a_bfs_over_successors(name, ad, mode, actions, expansions):
-    result = reachable(ad, mode=mode, action_mode=actions, bound=BOUND)
+def test_reachable_equals_a_bfs_over_successors(name, ad, bound, mode, actions, expansions):
+    result = reachable(ad, mode=mode, action_mode=actions, bound=bound)
     assert len(expansions) == len(result.configs)
     assert_full_scans(expansions, actions)
     expansions.clear()
-    configs, edges, truncated = bfs(ad, mode, actions, BOUND)
+    configs, edges, truncated = bfs(ad, mode, actions, bound)
     assert (result.configs, result.truncated) == (configs, truncated)
     assert by_source(result.edges) == by_source(edges)
 
