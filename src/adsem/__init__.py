@@ -31,12 +31,11 @@ from .semantics import (
     Verdict,
     VerdictKind,
     allows_step,
-    buffer_law_holds,
     conforms,
     is_final_state,
     is_initial_state,
 )
-from .sysmodel import Frame, SystemState, Trace, Universe
+from .sysmodel import Frame, SystemState, Trace
 from .tokengame import (
     Configuration,
     StepChoice,

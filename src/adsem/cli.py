@@ -62,7 +62,10 @@ def _parse_store(pairs: list[str]) -> dict[str, int]:
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("ADSEM_SEED")
-    return int(env) if env else seed
+    try:
+        return int(env) if env else seed
+    except ValueError:
+        raise CliError(f"ADSEM_SEED is not an integer: {env!r}") from None
 
 
 # ---------------------------------------------------------------------------

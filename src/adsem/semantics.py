@@ -454,20 +454,6 @@ def _checks(ad: ActivityDiagram, moves: dict, moved: dict[int, bool], judged: li
 # Buffer discipline
 # ---------------------------------------------------------------------------
 
-def buffer_law_holds(t: Transition, inst: object, s0: SystemState, s1: SystemState,
-                     b: VariationBinding) -> bool:
-    """FIFO law: the consumed tokens are a prefix of the old buffer and
-    the new buffer is the remainder plus the produced tokens."""
-    before = b.buf_state(t, inst, s0)
-    after = b.buf_state(t, inst, s1)
-    consumed = b.cons(t, inst, s0, s1)
-    produced = b.prod(t, inst, s0, s1)
-    if before[:len(consumed)] != consumed:
-        return False
-    rest = before[len(consumed):]
-    return after == rest + produced
-
-
 def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
     """Infer (consumed, produced) from two buffer snapshots under the
     FIFO law, choosing the decomposition with minimal movement (the
@@ -477,7 +463,6 @@ def fifo_delta(before: Buffer, after: Buffer) -> tuple[Buffer, Buffer]:
     for keep in range(min(len(before), len(after)), -1, -1):
         if keep == 0 or before[-keep:] == after[:keep]:
             return before[:len(before) - keep], after[keep:]
-    return before, after
 
 
 def fifo_binding(diagram_of, executing, buf_state, eval_guard, touched) -> VariationBinding:

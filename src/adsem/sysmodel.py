@@ -15,7 +15,7 @@ are tuples with the top frame at index 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -26,35 +26,6 @@ Value = int | bool | str
 
 class SystemModelError(AdsemError):
     pass
-
-
-@dataclass(frozen=True)
-class Universe:
-    """Finite, explicitly enumerated entity sets for one scenario.
-
-    `vals` lists distinguished values a scenario wants named; the value
-    space itself is int | bool | str and is not enumerated.
-    """
-    oids: frozenset[str] = frozenset()
-    classes: frozenset[str] = frozenset()
-    vars: frozenset[str] = frozenset()
-    vals: frozenset = frozenset()
-    meths: frozenset[str] = frozenset()
-    threads: frozenset[str] = frozenset()
-    pcs: frozenset[str] = frozenset()
-    class_of: dict[str, str] = field(default_factory=dict)
-    defined_in: dict[str, str] = field(default_factory=dict)
-    pc_of: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for oid in self.oids:
-            if oid not in self.class_of:
-                raise SystemModelError(f"no class for object {oid!r}")
-        for m in self.meths:
-            if m not in self.defined_in:
-                raise SystemModelError(f"no defining class for method {m!r}")
-            if not self.pc_of.get(m):
-                raise SystemModelError(f"empty program counter set for method {m!r}")
 
 
 class Frame(NamedTuple):

@@ -88,9 +88,15 @@ class Configuration(NamedTuple):
         unknown = d.keys() - {"buffers", "exec"}
         if unknown:
             raise TokenGameError(f"unknown configuration keys: {sorted(unknown)}")
-        buffers = {k: [Token.from_json(tok) for tok in toks]
-                   for k, toks in d.get("buffers", {}).items()}
-        flags = dict(d.get("exec", {}))
+        raw, flags = d.get("buffers", {}), d.get("exec", {})
+        for key, value in (("buffers", raw), ("exec", flags)):
+            if type(value) is not dict:
+                raise TokenGameError(f"{key} is not a JSON object")
+        buffers = {}
+        for k, toks in raw.items():
+            if type(toks) is not list:
+                raise TokenGameError(f"buffer {k!r} is not a JSON list")
+            buffers[k] = [Token.from_json(tok) for tok in toks]
         bad = {name: v for name, v in flags.items() if type(v) is not bool}
         if bad:
             raise TokenGameError(f"exec flags are not all true or false: {bad}")
@@ -499,30 +505,6 @@ class Run:
     def __post_init__(self):
         if len(self.choices) != len(self.configs) - 1:
             raise TokenGameError("a run has one choice set per step")
-
-
-def maximal_runs(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = INSTANT,
-                 max_runs: int = 1000, max_len: int = 200) -> list[Run]:
-    """Runs from the initial configuration, depth-first, each ending in a
-    configuration with no successors or cut at `max_len` configurations;
-    the first `max_runs` of them, cut runs counted."""
-    out: list[Run] = []
-    view = _view(ad)
-
-    def explore(configs: tuple[Configuration, ...], choices: tuple[frozenset, ...],
-                enabled: dict[int, tuple[Step, ...]]) -> None:
-        if len(out) >= max_runs:
-            return
-        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), partial(view.order_key, ad))
-        if not succ or len(configs) >= max_len:
-            out.append(Run(configs, choices, bool(succ)))
-            return
-        for chs, selection, c1 in succ:
-            explore(configs + (c1,), choices + (chs,), view.carry(enabled, selection, c1, action_mode))
-
-    start = initial_config(ad)
-    explore((start,), (), view.scan(start, action_mode))
-    return out
 
 
 def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable
 
@@ -380,18 +380,6 @@ def statement_holds(stmt: Stmt, oid: str, thread: str, s0: SystemState, s1: Syst
     else:
         raise ActionLanguageError(f"unknown statement {stmt!r}")
     return True
-
-
-def guard_effect_holds(guard: GuardExpr, oid: str, thread: str,
-                       s0: SystemState, s1: SystemState) -> bool:
-    """A guard's only effect is the pc jump: it must evaluate true and the
-    step must otherwise look like a skip."""
-    f1 = top_frame(s1, oid, thread)
-    if f1 is None:
-        return False
-    if not eval_guard_expr(guard, s1.attrs(oid), f1.locals):
-        return False
-    return statement_holds(Skip(), oid, thread, s0, s1)
 
 
 # ---------------------------------------------------------------------------

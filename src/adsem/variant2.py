@@ -31,7 +31,7 @@ from .semantics import (
     configuration_is,
     remember_states,
 )
-from .sysmodel import Frame, SystemState, Trace, Universe, Value
+from .sysmodel import Frame, SystemState, Trace, Value
 
 MAILBOX_PREFIX = "mbox:"
 CHOICE_PREFIX = "choice:"
@@ -220,38 +220,6 @@ def standard_instance(ad: ActivityDiagram, scenario: Scenario | None = None) -> 
     )
 
 
-def instance_universe(inst: ActionMethodsInstance) -> Universe:
-    ad = inst.ad
-    role_class = {role: f"C_{role}" for role in ad.roles}
-    oids = set(inst.rrep.values())
-    class_of = {inst.rrep[role]: role_class[role] for role in ad.roles}
-    for t in ad.transitions:
-        oids.add(MAILBOX_PREFIX + t.key)
-        class_of[MAILBOX_PREFIX + t.key] = "Bookkeeping"
-    for n in ad.nodes:
-        if n.kind is NodeKind.DECISIONMERGE:
-            oids.add(CHOICE_PREFIX + n.name)
-            class_of[CHOICE_PREFIX + n.name] = "Bookkeeping"
-        if n.kind is NodeKind.ACTION and inst.caller_mode == COMMAND_CALLER:
-            oids.add(f"cmd:{n.name}")
-            class_of[f"cmd:{n.name}"] = "CommandHolder"
-    meths = dict(inst.meth)
-    vars_ = {MAILBOX_VAR, RESULT_VAR}
-    for n in ad.nodes:
-        vars_.update(n.in_pins)
-    return Universe(
-        oids=frozenset(oids),
-        classes=frozenset(set(role_class.values()) | {"Bookkeeping", "CommandHolder"}),
-        vars=frozenset(vars_),
-        meths=frozenset(meths.values()),
-        threads=inst.threads,
-        pcs=frozenset(inst.method_pc(n) for n in meths),
-        class_of=class_of,
-        defined_in={meths[n]: role_class[ad.role_of[n]] for n in meths},
-        pc_of={meths[n]: frozenset({inst.method_pc(n)}) for n in meths},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Mailboxes and the binding
 # ---------------------------------------------------------------------------
@@ -325,11 +293,10 @@ def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
     )
 
 
-def check_role_constraint(inst: ActionMethodsInstance, trace: Trace,
-                          universe: Universe) -> bool:
-    """Sub-variant equation on every pushed action frame: the method is
-    defined in the class of the role's object, which is the class of the
-    object the frame runs on."""
+def check_role_constraint(inst: ActionMethodsInstance, trace: Trace) -> bool:
+    """Sub-variant equation on every pushed action frame: the frame runs
+    on the stack of its callee, which is the action's object, which is
+    the object that represents the action's role."""
     node_of_meth = {m: n for n, m in inst.meth.items()}
     for i in range(len(trace)):
         s = trace[i]
@@ -337,14 +304,8 @@ def check_role_constraint(inst: ActionMethodsInstance, trace: Trace,
             for stack in per_thread.values():
                 for f in stack:
                     n = node_of_meth.get(f.mname)
-                    if n is None:
-                        continue
-                    role_oid = inst.rrep[inst.ad.role_of[n]]
-                    if f.callee != inst.oid[n] or f.callee != oid:
-                        return False
-                    if universe.defined_in[f.mname] != universe.class_of[role_oid]:
-                        return False
-                    if universe.class_of[inst.oid[n]] != universe.class_of[role_oid]:
+                    if n is not None and not (
+                            f.callee == oid == inst.oid[n] == inst.rrep[inst.ad.role_of[n]]):
                         return False
     return True
 

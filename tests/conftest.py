@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from adsem import diagram
-from adsem.tokengame import Configuration, lifted_binding
+from adsem.tokengame import (INSTANT, INTERLEAVING, Configuration, Run, initial_config, lifted_binding,
+                             successors)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -47,3 +48,24 @@ def keyed(ad, c):
     as fresh dicts."""
     actions = dict.fromkeys(n.name for n in ad.nodes if n.kind is diagram.NodeKind.ACTION)
     return dict(zip((t.key for t in ad.layout.transitions), c.buffers)), dict(zip(actions, c.flags))
+
+
+def runs(ad, mode=INTERLEAVING, action_mode=INSTANT, max_runs=1000, max_len=200):
+    """Runs from the initial configuration, depth-first over the public
+    `successors`, each ending in a configuration with no successors or cut
+    at `max_len` configurations and marked cut; the first `max_runs` of
+    them, cut runs counted."""
+    out = []
+
+    def explore(configs, choices):
+        if len(out) >= max_runs:
+            return
+        succ = successors(ad, configs[-1], mode, action_mode)
+        if not succ or len(configs) >= max_len:
+            out.append(Run(configs, choices, bool(succ)))
+            return
+        for chs, c1 in succ:
+            explore(configs + (c1,), choices + (chs,))
+
+    explore((initial_config(ad),), ())
+    return out

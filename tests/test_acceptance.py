@@ -39,7 +39,6 @@ from adsem.tokengame import (
     analyze,
     as_binding,
     config_is_final,
-    maximal_runs,
     reachable,
     successors,
 )
@@ -54,7 +53,6 @@ from adsem.variant2 import (
     PinController,
     Scenario,
     deliver,
-    instance_universe,
     check_role_constraint,
     method_frame_present,
     methods_binding,
@@ -63,7 +61,7 @@ from adsem.variant2 import (
 )
 
 from ._brute import brute_successors
-from .conftest import CORPUS, keyed, load, pair
+from .conftest import CORPUS, keyed, load, pair, runs
 
 # Locked by the enumeration oracle: reachable configurations of
 # GradeThesis under interleaving + instant.
@@ -252,8 +250,7 @@ def _run_corpus():
         ad = load(name)
         for mode in (INTERLEAVING, CONCURRENT):
             for action_mode in (INSTANT, TWO_PHASE):
-                for run in maximal_runs(ad, mode=mode, action_mode=action_mode,
-                                        max_runs=400, max_len=max_len):
+                for run in runs(ad, mode, action_mode, max_runs=400, max_len=max_len):
                     if not run.cut:
                         corpus.append((ad, mode, action_mode, run))
     return corpus
@@ -343,7 +340,7 @@ def test_c3_mutation_rejection():
     for name in ("grade_thesis.ad", "fac.ad"):
         ad = load(name)
         for action_mode in (INSTANT, TWO_PHASE):
-            for run in maximal_runs(ad, action_mode=action_mode, max_runs=5, max_len=30):
+            for run in runs(ad, action_mode=action_mode, max_runs=5, max_len=30):
                 if not run.cut:
                     base.append((ad, action_mode, run))
     rejected = 0
@@ -442,12 +439,10 @@ def test_c7_variant2_end_to_end(grade):
         scenario = Scenario(seed=seed)
         inst = standard_instance(grade, scenario)
         binding = methods_binding(inst)
-        universe = instance_universe(inst)
         trace = simulate(grade, inst, scenario)
         assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
-        assert check_role_constraint(inst, trace, universe)
-        assert (universe.defined_in[inst.meth["Evaluate"]]
-                == universe.class_of[inst.rrep["Referee1"]])
+        assert check_role_constraint(inst, trace)
+        assert inst.oid["Evaluate"] == inst.rrep["Referee1"]
 
         for n in grade.nodes:
             if n.kind is not NodeKind.ACTION:

@@ -237,6 +237,12 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+def test_a_seed_env_override_that_is_not_an_integer_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("ADSEM_SEED", "abc")
+    assert main(["simulate", GRADE]) == 3
+    assert capsys.readouterr() == ("", "error: ADSEM_SEED is not an integer: 'abc'\n")
+
+
 # ---------------------------------------------------------------------------
 # run-v2
 # ---------------------------------------------------------------------------
@@ -587,6 +593,33 @@ def test_token_trace_naming_unknown_action_exits_three(tmp_path, capsys):
     code = main(["check-trace", GRADE, str(out_file), "--variant", "token"])
     assert code == 3
     assert "Ghost" in capsys.readouterr().err
+
+
+def _exec_as_pairs(c):
+    c["exec"] = [list(item) for item in c["exec"].items()]
+
+
+def _buffers_as_pairs(c):
+    c["buffers"] = [list(item) for item in c["buffers"].items()]
+
+
+def _buffer_as_text(c):
+    c["buffers"]["start.s0->FileThesis.go"] = "control"
+
+
+@pytest.mark.parametrize("rewrite,reason", [
+    (_exec_as_pairs, "exec is not a JSON object"),
+    (_buffers_as_pairs, "buffers is not a JSON object"),
+    (_buffer_as_text, "buffer 'start.s0->FileThesis.go' is not a JSON list"),
+], ids=["exec-pairs", "buffers-pairs", "buffer-text"])
+def test_a_token_trace_field_of_the_wrong_json_kind_is_located(tmp_path, capsys, rewrite, reason):
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--out", str(out_file))
+    configs = [json.loads(line) for line in out_file.read_text().splitlines()]
+    rewrite(configs[0])
+    out_file.write_text("".join(json.dumps(c) + "\n" for c in configs))
+    assert main(["check-trace", GRADE, str(out_file), "--variant", "token"]) == 3
+    assert capsys.readouterr() == ("", f"error: {out_file}:1: {reason}\n")
 
 
 def test_token_trace_with_list_payloads_gets_a_verdict(tmp_path, capsys):

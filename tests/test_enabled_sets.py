@@ -1,11 +1,12 @@
 """Carried enabled sets against a full scan, and `Token` as a value.
 
-`reachable`, `random_run` and `maximal_runs` make each configuration's
-enabled set from its parent's, re-deriving only the nodes the parent's
-step reached.  Here every set they expand must equal a full scan, and
-what they return must equal a search over the public `successors`, which
-scans every node of every configuration.  A search cut at a small bound
-must stop where the plain search stops.
+`reachable` and `random_run` make each configuration's enabled set from
+its parent's, re-deriving only the nodes the parent's step reached.  Here
+every set they expand must equal a full scan, and what they return must
+equal a search over the public `successors`, which scans every node of
+every configuration.  A search cut at a small bound must stop where the
+plain search stops.  Tests that need whole runs take them from
+`conftest.runs`, a depth-first search over the same `successors`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from adsem.tokengame import (
     TWO_PHASE,
     Configuration,
     initial_config,
-    maximal_runs,
     random_run,
     reachable,
     successors,
@@ -127,32 +127,6 @@ def test_random_runs_equal_runs_over_successors(name, ad, mode, actions, expansi
         assert (run.configs, run.choices) == (tuple(configs), tuple(choices))
         assert run.cut == bool(successors(ad, configs[-1], mode, action_mode=actions))
     assert_full_scans(expansions, actions)
-
-
-# depth-first to a fixed length, so only the diagrams with few runs
-SMALL = [(name, ad) for name, ad in DIAGRAMS if name in ("fork2x1", "fork2x2", "fork3x1")
-         or not name.startswith("fork")]
-
-
-@pytest.mark.parametrize("mode,actions", MODES)
-@pytest.mark.parametrize("name,ad", SMALL, ids=[name for name, _ in SMALL])
-def test_maximal_runs_equal_runs_over_successors(name, ad, mode, actions, expansions):
-    runs = maximal_runs(ad, mode, actions, max_runs=20, max_len=8)
-    assert_full_scans(expansions, actions)
-
-    def explore(configs, choices, out):
-        if len(out) >= 20:
-            return
-        succ = successors(ad, configs[-1], mode, action_mode=actions)
-        if not succ or len(configs) >= 8:  # a run cut at the length bound is kept, marked cut
-            out.append((configs, choices, bool(succ)))
-        else:
-            for chs, c1 in succ:
-                explore(configs + (c1,), choices + (chs,), out)
-
-    expected = []
-    explore((initial_config(ad),), (), expected)
-    assert [(r.configs, r.choices, r.cut) for r in runs] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from adsem.sysmodel import (
     SystemModelError,
     SystemState,
     Trace,
-    Universe,
     state_from_json,
     state_to_json,
     top_frame,
@@ -38,13 +37,6 @@ def test_top_frame_lifo():
     s = SystemState().push("obj:a", "th", f1).push("obj:a", "th", f2)
     assert top_frame(s, "obj:a", "th") == f2
     assert top_frame(s.pop("obj:a", "th"), "obj:a", "th") == f1
-
-
-def test_universe_rejects_inconsistencies():
-    with pytest.raises(SystemModelError):
-        Universe(oids=frozenset({"o"}))  # no class for o
-    with pytest.raises(SystemModelError):
-        Universe(meths=frozenset({"m"}), defined_in={"m": "C"})  # no pcs for m
 
 
 # ---------------------------------------------------------------------------

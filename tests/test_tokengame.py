@@ -10,7 +10,7 @@ import pytest
 
 from adsem import tokengame
 from adsem.diagram import NodeKind, parse
-from adsem.semantics import (CONTROL_TOKEN, VerdictKind, allows_step, buffer_law_holds, conforms,
+from adsem.semantics import (CONTROL_TOKEN, VerdictKind, allows_step, conforms,
                              is_initial_state)
 from adsem.tokengame import (
     CONCURRENT,
@@ -24,7 +24,6 @@ from adsem.tokengame import (
     config_is_final,
     initial_config,
     lifted_binding,
-    maximal_runs,
     random_run,
     reachable,
     reachability_to_dot,
@@ -34,7 +33,7 @@ from adsem.tokengame import (
 
 from ._brute import brute_successors
 from ._forks import fork
-from .conftest import keyed
+from .conftest import keyed, runs
 
 ORPHAN = parse("""
     activity Orphan {
@@ -309,7 +308,6 @@ def test_soundness_every_edge_conforms(name, mode, action_mode):
         for n in ad.nodes:
             assert allows_step(n, inst, s0, s1, binding)
         for t in ad.transitions:
-            assert buffer_law_holds(t, inst, s0, s1, binding)
             before = binding.buf_state(t, inst, s0)
             after = binding.buf_state(t, inst, s1)
             consumed = binding.cons(t, inst, s0, s1)
@@ -360,31 +358,14 @@ def test_brute_force_equality(name, action_mode):
 # Runs, judging, exports
 # ---------------------------------------------------------------------------
 
-def test_maximal_runs_all_satisfied(grade):
-    runs = maximal_runs(grade)
-    assert len(runs) == 4  # two review orders x two branches
-    for run in runs:
+def test_every_maximal_run_satisfied(grade):
+    maximal = runs(grade)
+    assert len(maximal) == 4  # two review orders x two branches
+    for run in maximal:
         assert not run.cut and config_is_final(grade, run.configs[-1])
         inst, binding, trace = as_binding(grade, run.configs)
         assert not trace.truncated
         assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
-
-
-def test_maximal_runs_counts_and_marks_cut_runs(monkeypatch):
-    """A run cut at `max_len` counts against `max_runs` and is returned
-    marked cut, so a search in which no run ends that soon stops early."""
-    expansions = [0]
-    expand = tokengame._expand
-
-    def counting(*args):
-        expansions[0] += 1
-        return expand(*args)
-
-    monkeypatch.setattr(tokengame, "_expand", counting)
-    runs = maximal_runs(fork(4, 3), INTERLEAVING, TWO_PHASE, max_runs=20, max_len=8)
-    assert len(runs) == 20
-    assert all(run.cut and len(run.configs) == 8 for run in runs)
-    assert expansions[0] <= 20 * 8
 
 
 def test_single_config_run_is_prefix(grade):

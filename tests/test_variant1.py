@@ -25,7 +25,6 @@ from adsem.variant1 import (
     eval_expr,
     eval_guard_expr,
     flow_walk,
-    guard_effect_holds,
     method_instance,
     parse_guard,
     parse_statement,
@@ -173,16 +172,6 @@ def test_statement_holds_missing_frame():
     s0 = SystemState(data_store={"obj:callee": {}})
     with pytest.raises(VariantError):
         statement_holds(Skip(), "obj:callee", "th0", s0, s0)
-
-
-def test_guard_effect_holds():
-    s0 = v1_state("p1", {"n": 3})
-    s1 = v1_state("p2", {"n": 3})
-    assert guard_effect_holds(parse_guard("n > 1"), "obj:callee", "th0", s0, s1)
-    assert not guard_effect_holds(parse_guard("n <= 1"), "obj:callee", "th0", s0, s1)
-    # a guard may not touch the store
-    s1_bad = v1_state("p2", {"n": 4})
-    assert not guard_effect_holds(parse_guard("n > 1"), "obj:callee", "th0", s0, s1_bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from adsem.diagram import NodeKind, parse
 from adsem.semantics import (
     VerdictKind,
-    buffer_law_holds,
     conforms,
     finishes_action,
     fires_instantly,
@@ -24,7 +23,6 @@ from adsem.variant2 import (
     check_role_constraint,
     deliver,
     evaluate_guard,
-    instance_universe,
     mailbox_tokens,
     method_frame_present,
     methods_binding,
@@ -183,13 +181,14 @@ def test_simulate_two_phase_alternation(grade):
 
 
 def test_simulate_buffer_law_everywhere(grade):
+    """One event per step: each mailbox loses its head, gains a tail or stays."""
     scenario = Scenario(seed=5)
     inst = standard_instance(grade, scenario)
     trace = simulate(grade, inst, scenario)
-    binding = methods_binding(inst)
     for j in range(len(trace) - 1):
         for t in grade.transitions:
-            assert buffer_law_holds(t, inst, trace[j], trace[j + 1], binding)
+            before, after = mailbox_tokens(trace[j], t), mailbox_tokens(trace[j + 1], t)
+            assert after in (before, before[1:], before + after[-1:])
 
 
 def test_binding_invariants_on_states(grade):
@@ -300,18 +299,15 @@ def test_evaluate_guard_reads_recorded_result(grade):
 def test_role_constraint_holds_on_simulated_traces(grade):
     scenario = Scenario(seed=4)
     inst = standard_instance(grade, scenario)
-    uni = instance_universe(inst)
     trace = simulate(grade, inst, scenario)
-    assert check_role_constraint(inst, trace, uni)
+    assert check_role_constraint(inst, trace)
     # the GradeThesis-specific instance of the equation
-    assert (uni.defined_in[inst.meth["Evaluate"]]
-            == uni.class_of[inst.rrep["Referee1"]])
+    assert inst.oid["Evaluate"] == inst.rrep["Referee1"]
 
 
 def test_role_constraint_rejects_wrong_class_frame(grade):
     scenario = Scenario(seed=4)
     inst = standard_instance(grade, scenario)
-    uni = instance_universe(inst)
     trace = simulate(grade, inst, scenario)
     # re-home one Evaluate frame onto the Student object
     student = inst.rrep["Student"]
@@ -328,7 +324,7 @@ def test_role_constraint_rejects_wrong_class_frame(grade):
         mutated_states.append(s)
     assert moved
     mutated = Trace(tuple(mutated_states), truncated=trace.truncated)
-    assert not check_role_constraint(inst, mutated, uni)
+    assert not check_role_constraint(inst, mutated)
     # the verdict mechanism is a separate concern and also notices
     binding = methods_binding(inst)
     assert conforms(mutated, inst, binding).kind is VerdictKind.VIOLATED
@@ -377,11 +373,3 @@ def test_instance_json_round_trip(grade):
     inst = standard_instance(grade, Scenario(caller_mode="command"))
     again = ActionMethodsInstance.from_json(grade, inst.to_json())
     assert again == inst
-
-
-def test_universe_covers_instance(grade):
-    inst = standard_instance(grade)
-    uni = instance_universe(inst)
-    assert set(inst.rrep.values()) <= set(uni.oids)
-    assert set(inst.meth.values()) == set(uni.meths)
-    assert inst.threads == uni.threads
