@@ -6,7 +6,9 @@ every set they expand must equal a full scan, and what they return must
 equal a search over the public `successors`, which scans every node of
 every configuration.  A search cut at a small bound must stop where the
 plain search stops.  Tests that need whole runs take them from
-`conftest.runs`, a depth-first search over the same `successors`.
+`conftest.runs`, a depth-first search over the same `successors`; here
+its runs must walk `reachable`'s edges and, where it sees every run,
+hold each seeded `random_run`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from adsem.tokengame import (
 )
 
 from ._forks import FAMILIES, fork
-from .conftest import CORPUS, load
+from .conftest import CORPUS, load, runs
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 MODES = [(mode, actions) for mode in (INTERLEAVING, CONCURRENT) for actions in (INSTANT, TWO_PHASE)]
@@ -127,6 +129,31 @@ def test_random_runs_equal_runs_over_successors(name, ad, mode, actions, expansi
         assert (run.configs, run.choices) == (tuple(configs), tuple(choices))
         assert run.cut == bool(successors(ad, configs[-1], mode, action_mode=actions))
     assert_full_scans(expansions, actions)
+
+
+# depth-first to a fixed length, so only the diagrams with few runs
+SMALL = [(name, ad) for name, ad in DIAGRAMS if name in ("fork2x1", "fork2x2", "fork3x1")
+         or not name.startswith("fork")]
+
+
+@pytest.mark.parametrize("mode,actions", MODES)
+@pytest.mark.parametrize("name,ad", SMALL, ids=[name for name, _ in SMALL])
+def test_runs_over_successors_walk_reachable_edges(name, ad, mode, actions):
+    found = runs(ad, mode, actions, max_runs=20, max_len=8)
+    result = reachable(ad, mode=mode, action_mode=actions, bound=BOUND)
+    edges, dead = set(result.edges), set(result.dead_ends)
+    keys = [(r.configs, r.choices, r.cut) for r in found]
+    assert 0 < len(keys) <= 20 and len(set(keys)) == len(keys)
+    for run in found:
+        assert run.configs[0] == result.initial
+        assert all(step in edges for step in zip(run.configs, run.choices, run.configs[1:]))
+        # a run ends in a dead end, or is cut at the length bound
+        assert run.cut == (run.configs[-1] not in dead)
+        assert run.cut <= (len(run.configs) == 8)
+    if len(found) < 20:  # the search saw every run
+        for seed in range(3):
+            r = random_run(ad, seed, mode, actions, max_len=8)
+            assert (r.configs, r.choices, r.cut) in keys
 
 
 # ---------------------------------------------------------------------------
