@@ -197,7 +197,7 @@ def _cmd_check_trace(args) -> int:
                                                     action_mode=args.actions)
     else:
         with _located(args.trace, lines[0][0]):
-            header = json.loads(lines[0][1])
+            header = sysmodel.json_object(json.loads(lines[0][1]))
             if header.get("variant") not in (args.variant, None):
                 raise ValueError(f"trace was recorded for variant {header.get('variant')!r}")
             if args.variant == "v1":

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from functools import cached_property
 
 DEFAULT_ROLE = "unassigned"
@@ -80,26 +80,29 @@ class Node:
     effect: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transition:
     src: str
     out_pin: str
     dst: str
     in_pin: str
+    key: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def key(self) -> str:
-        return f"{self.src}.{self.out_pin}->{self.dst}.{self.in_pin}"
+    def __init__(self, src: str, out_pin: str, dst: str, in_pin: str):  # the key is made here, once
+        self.__dict__.update(src=src, out_pin=out_pin, dst=dst, in_pin=in_pin,
+                             key=f"{src}.{out_pin}->{dst}.{in_pin}")
 
 
 @dataclass(frozen=True)
 class EdgeLayout:
     """A diagram's transitions, one per key (two declarations of one pinned
     edge are one edge), and per node, in the order of `nodes`, its incoming
-    and outgoing transitions as positions among them, in declaration order."""
+    and outgoing transitions as positions among them, in declaration order;
+    `position` maps each key to its position."""
     transitions: tuple[Transition, ...]
     ins: tuple[tuple[int, ...], ...]
     outs: tuple[tuple[int, ...], ...]
+    position: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -125,14 +128,17 @@ class ActivityDiagram:
 
     @cached_property
     def layout(self) -> EdgeLayout:
-        by_key = {t.key: t for t in self.transitions}
-        position = {k: i for i, k in enumerate(by_key)}
-
-        def positions(ts: tuple[Transition, ...]) -> tuple[int, ...]:
-            return tuple(dict.fromkeys(position[t.key] for t in ts))
-        return EdgeLayout(tuple(by_key.values()),
-                          tuple(positions(self._index[n.name][1]) for n in self.nodes),
-                          tuple(positions(self._index[n.name][2]) for n in self.nodes))
+        """Built on first use, in one pass over the transitions."""
+        position: dict[str, int] = {}
+        by_key: dict[str, Transition] = {}
+        ins: defaultdict[str, dict[int, None]] = defaultdict(dict)  # by node name, positions as keys
+        outs: defaultdict[str, dict[int, None]] = defaultdict(dict)
+        for t in self.transitions:
+            p = position.setdefault(t.key, len(position))
+            by_key[t.key] = t
+            ins[t.dst][p] = outs[t.src][p] = None
+        return EdgeLayout(tuple(by_key.values()), tuple(tuple(ins[n.name]) for n in self.nodes),
+                          tuple(tuple(outs[n.name]) for n in self.nodes), position)
 
     def node(self, name: str) -> Node:
         if name not in self._index:

@@ -183,8 +183,15 @@ _control_from_json = partial(_each, dict, partial(
 _events_from_json = partial(_each, list, tuple)
 
 
+def json_object(value: object) -> dict:
+    """`value`, decoded from one JSON text; raises ValueError unless it is an object."""
+    if type(value) is not dict:
+        raise ValueError(f"not a JSON object: {type(value).__name__}")
+    return value
+
+
 def state_from_json(d: dict) -> SystemState:
-    return SystemState(_data_from_json(d.get("ds", {})), _control_from_json(d.get("cs", {})),
+    return SystemState(_data_from_json(json_object(d).get("ds", {})), _control_from_json(d.get("cs", {})),
                        _events_from_json(d.get("es", {})))
 
 

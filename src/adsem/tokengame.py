@@ -25,10 +25,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -37,7 +38,7 @@ from .semantics import (
     configuration_is,
     fifo_binding,
 )
-from .sysmodel import Trace
+from .sysmodel import Trace, json_object
 
 Buffer = tuple[Token, ...]
 
@@ -68,7 +69,7 @@ class Configuration(NamedTuple):
         buffers = dict(buffers or {})
         flags = dict(flags or {})
         view = _view(ad)
-        unknown = set(buffers) - view.by_key.keys()
+        unknown = set(buffers) - ad.layout.position.keys()
         if unknown:
             raise TokenGameError(f"buffers for unknown transitions: {sorted(unknown)}")
         unknown = set(flags) - view.flag_position.keys()
@@ -85,7 +86,7 @@ class Configuration(NamedTuple):
 
     @staticmethod
     def from_json(ad: ActivityDiagram, d: dict) -> "Configuration":
-        unknown = d.keys() - {"buffers", "exec"}
+        unknown = json_object(d).keys() - {"buffers", "exec"}
         if unknown:
             raise TokenGameError(f"unknown configuration keys: {sorted(unknown)}")
         raw, flags = d.get("buffers", {}), d.get("exec", {})
@@ -144,14 +145,12 @@ def representative_token(ad: ActivityDiagram, t: Transition, position: int) -> T
 
 def initial_config(ad: ActivityDiagram) -> Configuration:
     """One token on every outgoing transition of every initial node."""
-    initials = [n for n in ad.nodes if n.kind is NodeKind.INITIAL]
-    if not initials:
+    view, outs = _view(ad), ad.layout.outs
+    if not any(n.kind is NodeKind.INITIAL for n in ad.nodes):
         raise TokenGameError(f"activity {ad.name!r} has no initial node")
-    buffers: dict[str, list[Token]] = {}
-    for n in initials:
-        for t in outgoing(ad, n):
-            buffers[t.key] = [representative_token(ad, t, 0)]
-    return Configuration.make(ad, buffers)
+    filled = {p for n, ps in zip(ad.nodes, outs) if n.kind is NodeKind.INITIAL for p in ps}
+    return _configuration((tuple((view.token(ad, p, 0),) if p in filled else () for p in range(len(view.keys))),
+                           (False,) * len(view.actions)))
 
 
 class Step(NamedTuple):
@@ -165,14 +164,15 @@ class Step(NamedTuple):
     flag: int | None  # the flag position that start and finish flip
 
 
-class _NodeView:
-    """A node's inputs and flag as positions in the `Configuration` layout,
-    and the steps it can take."""
+class _NodeSteps:
+    """A node's non-stutter steps in one action mode, with its inputs and,
+    under twoPhase, its flag as positions in the `Configuration` layout."""
 
-    def __init__(self, ad: ActivityDiagram, view: _View, index: int, n: Node,
-                 ins: tuple[int, ...], outs: tuple[int, ...]):
-        self.flag = view.flag_position.get(n.name)
+    def __init__(self, view: _View, reader: dict[int, int], index: int, n: Node,
+                 ins: tuple[int, ...], outs: tuple[int, ...], action_mode: str):
         self.ins = ins
+        # under twoPhase an action's flag, which start and finish flip; set, it can only finish
+        self.flag = view.flag_of[index] if action_mode == TWO_PHASE and n.kind is NodeKind.ACTION else None
 
         def step(choice: StepChoice, cons: tuple[int, ...], prod: tuple[int, ...]) -> tuple[Step, ...]:
             # none if it consumes from a transition it produces to: it never fires
@@ -181,90 +181,95 @@ class _NodeView:
                 return ()
             # the readers of what it consumes and produces, and its own node,
             # whose flag start and finish flip
-            reach = dict.fromkeys([index, *(view.reader[p] for p in touches if p in view.reader)])
-            flag = self.flag if choice.kind in ("start", "finish") else None
-            return (Step(choice, cons, prod, frozenset((choice,)), tuple(reach), touches, flag),)
+            reach = dict.fromkeys([index, *[reader[p] for p in touches if p in reader]])
+            return (Step(choice, cons, prod, frozenset((choice,)), tuple(reach), touches, self.flag),)
 
-        shapes = {NodeKind.ACTION: (("start", ins, ()), ("finish", (), outs), ("instant", ins, outs)),
-                  NodeKind.FORKJOIN: (("forkjoin", ins, outs),)}
-        self.steps: dict[str, tuple[Step, ...]] = {kind: step(StepChoice(n.name, kind), cons, prod)
-                                                   for kind, cons, prod in shapes.get(n.kind, ())}
+        self.steps = self.finish = ()
+        if n.kind is NodeKind.ACTION and action_mode == INSTANT:
+            self.steps = step(StepChoice(n.name, "instant"), ins, outs)
+        elif n.kind is NodeKind.ACTION:
+            self.steps = step(StepChoice(n.name, "start"), ins, ())
+            self.finish = step(StepChoice(n.name, "finish"), (), outs)
+        elif n.kind is NodeKind.FORKJOIN:
+            self.steps = step(StepChoice(n.name, "forkjoin"), ins, outs)
         # a decision's steps, one per input x output pair
         self.branches: list[Step] = [
-            branch for t_in in incoming(ad, n) for t_out in outgoing(ad, n)
-            for branch in step(StepChoice(n.name, "decision", t_in.key, t_out.key),
-                               (view.position[t_in.key],), (view.position[t_out.key],))
+            branch for p in ins for q in outs
+            for branch in step(StepChoice(n.name, "decision", view.keys[p], view.keys[q]), (p,), (q,))
         ] if n.kind is NodeKind.DECISIONMERGE else []
 
-    def executing(self, c: Configuration) -> bool:
-        return self.flag is not None and c.flags[self.flag]
-
-    def enabled(self, c: Configuration, action_mode: str) -> tuple[Step, ...]:
+    def enabled(self, c: Configuration) -> tuple[Step, ...]:
         """The non-stutter steps that token presence and the flag allow;
         initial and final nodes only stutter."""
         buffers = c.buffers
         if self.branches:
             return tuple(step for step in self.branches if buffers[step.cons[0]])
-        if self.flag is None:
-            steps = self.steps.get("forkjoin", ())
-        elif action_mode == INSTANT:
-            steps = self.steps["instant"]
-        elif action_mode == TWO_PHASE:
-            if c.flags[self.flag]:
-                return self.steps["finish"]
-            steps = self.steps["start"]
-        else:
-            raise TokenGameError(f"unknown action mode {action_mode!r}")
+        if self.flag is not None and c.flags[self.flag]:
+            return self.finish
         for p in self.ins:
             if not buffers[p]:
                 return ()
-        return steps
+        return self.steps
 
 
-class _View:
-    """What the token game reads of a diagram on every step: buffers and
-    flags by their position in the `Configuration` layout, which holds one
-    buffer per transition key and one flag per action name."""
+class _Steps(tuple):
+    """The step table of one action mode: each node's steps, by node index."""
 
-    def __init__(self, ad: ActivityDiagram):
-        layout = ad.layout
-        self.by_key = {t.key: t for t in layout.transitions}
-        self.keys = keys = tuple(self.by_key)
-        self.position = {k: i for i, k in enumerate(self.keys)}
-        self.key_order = [p for _, p in sorted(self.position.items())]
-        self.actions = actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
-        self.flag_position = {name: i for i, name in enumerate(self.actions)}
-        self.reader = {p: i for i, ins in enumerate(layout.ins) for p in ins}
-        self.nodes = [_NodeView(ad, self, i, n, ins, outs)
-                      for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs))]
-        self.tokens: dict[tuple[int, int], Token] = {}
-        # `order_key`'s texts, each made once: "key":[ by position, a token's, a one-token buffer's, flags'
-        self.prefix = prefix = cache(lambda p: json.dumps(keys[p]) + ":[")
-        self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
-        self.single = cache(lambda p, tok: prefix(p) + text(tok) + "]")
-        # per action by name: flag position, "name":false/true texts compact (order_key), spaced (run_to_jsonl)
-        self.flag_texts = flags = [(i, (f"{q}:false", f"{q}:true"), (f"{q}: false", f"{q}: true"))
-                                   for _, i, q in sorted((a, i, json.dumps(a)) for i, a in enumerate(actions))]
-        self.exec_json = cache(lambda c_flags: "{" + ",".join([t[c_flags[i]] for i, t, _ in flags]) + "}")
-
-    def scan(self, c: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
+    def scan(self, c: Configuration) -> dict[int, tuple[Step, ...]]:
         """The enabled set of `c`: each node's non-stutter steps by node
         index, every branch of a decision whose input holds a token."""
-        return {i: steps for i, nv in enumerate(self.nodes) if (steps := nv.enabled(c, action_mode))}
+        return {i: steps for i, ns in enumerate(self) if (steps := ns.enabled(c))}
 
     def carry(self, enabled: dict[int, tuple[Step, ...]], selection: Sequence[Step],
-              c1: Configuration, action_mode: str) -> dict[int, tuple[Step, ...]]:
+              c1: Configuration) -> dict[int, tuple[Step, ...]]:
         """`scan(c1)` for the configuration that `selection` made from one
         whose enabled set is `enabled`: only the nodes it reaches change."""
         enabled = enabled.copy()
         for step in selection:
             for i in step.reach:
-                steps = self.nodes[i].enabled(c1, action_mode)
+                steps = self[i].enabled(c1)
                 if steps:
                     enabled[i] = steps
                 else:
                     enabled.pop(i, None)
         return enabled
+
+
+class _View:
+    """What the token game reads of a diagram on every step: buffers and
+    flags by their position in the `Configuration` layout, which holds one
+    buffer per transition key and one flag per action name, and the step
+    table of each action mode asked for."""
+
+    def __init__(self, ad: ActivityDiagram):
+        self.keys = keys = tuple(ad.layout.position)
+        self.key_order = [p for _, p in sorted(ad.layout.position.items())]
+        self.actions = actions = tuple(dict.fromkeys(n.name for n in ad.nodes if n.kind is NodeKind.ACTION))
+        self.flag_position = {name: i for i, name in enumerate(self.actions)}
+        self.flag_of = [self.flag_position.get(n.name) for n in ad.nodes]  # by node index
+        self.tables: dict[str, _Steps] = {}
+        self.tokens: dict[tuple[int, int], Token] = {}
+        # `order_key`'s texts, each made once: "key":[ by position, a token's, a one-token buffer's, flags'
+        self.prefix = prefix = [_quote(k) + ":[" for k in keys]
+        self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
+        self.single = cache(lambda p, tok: prefix[p] + text(tok) + "]")
+        # per action by name: flag position, "name":false/true texts compact (order_key), spaced (run_to_jsonl)
+        self.flag_texts = flags = [(i, (f"{q}:false", f"{q}:true"), (f"{q}: false", f"{q}: true"))
+                                   for _, i, q in sorted((a, i, _quote(a)) for i, a in enumerate(actions))]
+        self.exec_json = cache(lambda c_flags: "{" + ",".join([t[c_flags[i]] for i, t, _ in flags]) + "}")
+
+    def table(self, ad: ActivityDiagram, action_mode: str) -> _Steps:
+        """The step table of `action_mode`, built on first use and kept."""
+        table = self.tables.get(action_mode)
+        if table is None:
+            if action_mode not in (INSTANT, TWO_PHASE):
+                raise TokenGameError(f"unknown action mode {action_mode!r}")
+            layout = ad.layout
+            reader = {p: i for i, ins in enumerate(layout.ins) for p in ins}
+            table = self.tables[action_mode] = _Steps(
+                _NodeSteps(self, reader, i, n, ins, outs, action_mode)
+                for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs)))
+        return table
 
     def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:
         """`representative_token`, one object per (position, index), so that
@@ -278,7 +283,7 @@ class _View:
         flags.  No buffer is kept, so a growing one costs no memory."""
         prefix, single, buffers, text = self.prefix, self.single, c.buffers, self.token_json
         try:
-            parts = [single(p, buf[0]) if len(buf) == 1 else prefix(p) + ",".join(map(text, buf)) + "]"
+            parts = [single(p, buf[0]) if len(buf) == 1 else prefix[p] + ",".join(map(text, buf)) + "]"
                      for p in self.key_order if (buf := buffers[p])]
         except TypeError:  # unhashable: a payload read from a file may be a list
             return c.canonical(ad)
@@ -365,7 +370,7 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    succ = _expand(ad, view, c, view.scan(c, action_mode), mode)
+    succ = _expand(ad, view, c, view.table(ad, action_mode).scan(c), mode)
     return [(choices, c1) for choices, _, c1 in _ordered(succ, partial(view.order_key, ad))]
 
 
@@ -375,9 +380,9 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
 
 def config_is_final(ad: ActivityDiagram, c: Configuration) -> bool:
     """`semantics.is_final_state`, read off the configuration."""
-    nodes = _view(ad).nodes
+    flag_of = _view(ad).flag_of
     return configuration_is(ad, NodeKind.FINAL, lambda p: bool(c.buffers[p]),
-                            lambda i: nodes[i].executing(c))
+                            lambda i: flag_of[i] is not None and c.flags[flag_of[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +408,12 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
     view, start = _view(ad), initial_config(ad)
+    table = view.table(ad, action_mode)
     visited = {start: start}  # each configuration's first instance, in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
     truncated = False
-    queue = deque([(start, view.scan(start, action_mode))])
+    queue = deque([(start, table.scan(start))])
     while queue:
         c, enabled = queue.popleft()
         succ = _expand(ad, view, c, enabled, mode)
@@ -423,7 +429,7 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
             if len(visited) < bound or c1 in visited:  # in: reached by an earlier selection
                 kept = visited.setdefault(c1, c1)
                 if kept is c1:
-                    queue.append((c1, view.carry(enabled, selection, c1, action_mode)))
+                    queue.append((c1, table.carry(enabled, selection, c1)))
                 edges.append((c, choices, kept))
             else:
                 truncated = True
@@ -460,11 +466,10 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
 
     view = _view(ad)
     final_reach: dict[str, bool] = {}
-    for n in ad.nodes:
+    for n, ps in zip(ad.nodes, ad.layout.ins):
         if n.kind is NodeKind.FINAL:
-            for t in incoming(ad, n):
-                p = view.position[t.key]
-                final_reach[t.key] = any(c.buffers[p] for c in result.configs)
+            for p in ps:
+                final_reach[view.keys[p]] = any(c.buffers[p] for c in result.configs)
 
     coverage: dict[str, bool] = {}
     for n in ad.nodes:
@@ -476,7 +481,7 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
         for ch in choices:
             fired.add(ch.node)
             if ch.kind == "decision" and ch.out_edge:
-                t = view.by_key[ch.out_edge]
+                t = ad.layout.transitions[ad.layout.position[ch.out_edge]]
                 coverage[f"{t.src}.{t.out_pin}"] = True
 
     never = [n.name for n in ad.nodes
@@ -514,15 +519,16 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     if max_len < 1:
         raise TokenGameError("bound must be >= 1")
     rng, view = random.Random(seed), _view(ad)
+    table = view.table(ad, action_mode)
     configs: tuple[Configuration, ...] = (initial_config(ad),)
-    enabled = view.scan(configs[0], action_mode)
+    enabled = table.scan(configs[0])
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
         succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), partial(view.order_key, ad))
         if not succ:
             return Run(configs, choices)
         chs, selection, c1 = succ[rng.randrange(len(succ))]
-        enabled = view.carry(enabled, selection, c1, action_mode)
+        enabled = table.carry(enabled, selection, c1)
         configs += (c1,)
         choices += (chs,)
     return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode)))
@@ -536,9 +542,8 @@ def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
     """The open functions over configurations of `ad`, read by position:
     a token-game trace holds the configurations themselves."""
     view = _view(ad)
-    position, flag_position = view.position, view.flag_position
-    node_index = {n.name: i for i, n in enumerate(ad.nodes)}
-    flag_node = [node_index[name] for name in view.actions]  # flag position -> node index
+    position, flag_position = ad.layout.position, view.flag_position
+    flag_node = {f: i for i, f in enumerate(view.flag_of) if f is not None}  # flag position -> node index
 
     def touched(inst, c0: Configuration, c1: Configuration) -> tuple[list[int], list[int]]:
         """The positions whose buffers differ and the nodes whose flags differ."""
@@ -578,7 +583,7 @@ def run_to_jsonl(ad: ActivityDiagram, run: Iterable[Configuration]) -> str:
     """A `json.dumps(c.to_json(ad), sort_keys=True)` line per configuration, joined from key, flag
     and token texts; tokens are memoised by identity, safe as the run is held until this returns."""
     view, tokens, lines = _view(ad), {}, []
-    keys = [(p, json.dumps(view.keys[p]) + ": [") for p in view.key_order]
+    keys = [(p, _quote(view.keys[p]) + ": [") for p in view.key_order]
     for buffers, flags in tuple(run):
         parts = [key + ", ".join([tokens.get(id(tok)) or tokens.setdefault(
                      id(tok), json.dumps(tok.to_json(), sort_keys=True)) for tok in buf]) + "]"

@@ -582,7 +582,6 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     at_pc: dict[str | None, list[int]] = {}  # pc -> positions whose buffer holds the token there
     for p, t in enumerate(ts):
         at_pc.setdefault(inst.pc_map.get(t.dst), []).append(p)
-    position = {t.key: p for p, t in enumerate(ts)}
     into_decisions = frozenset(t.key for t in ts if ad.node(t.dst).kind is NodeKind.DECISIONMERGE)
     # the pcs of the nodes whose flow may cross a decision; from any other pc none is crossed
     walks = {inst.pc_map.get(n.name) for n in ad.nodes if n.kind is NodeKind.DECISIONMERGE
@@ -615,7 +614,7 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
         with one movement share the result, so no caller may change it."""
         pc0, pc1, crossed = move
         listed = [] if pc0 == pc1 else (at_pc.get(pc0, []) + at_pc.get(pc1, [])
-                                        + [position[k] for k in crossed])
+                                        + [ad.layout.position[k] for k in crossed])
         return {p: (len(moved(ts[p], move, False)), len(moved(ts[p], move, True)),
                     pc1 == inst.pc_map.get(ts[p].dst)) for p in listed}, {}
 

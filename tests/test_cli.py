@@ -483,6 +483,27 @@ def test_a_v1_trace_checked_as_a_token_trace_is_located(tmp_path, capsys):
                                        f"['diagram', 'params', 'truncated', 'variant']\n")
 
 
+@pytest.mark.parametrize("variant,lineno,text,reason", [
+    ("token", 1, "[1, 2]", "not a JSON object: list"),
+    ("token", 2, '"x"', "not a JSON object: str"),
+    ("v1", 1, "[1]", "not a JSON object: list"),
+    ("v1", 3, "[1]", "not a JSON object: list"),
+    ("v2", 1, "7", "not a JSON object: int"),
+    ("v2", 2, "null", "not a JSON object: NoneType"),
+])
+def test_a_trace_line_that_is_json_but_no_object_is_named(tmp_path, capsys, variant, lineno, text, reason):
+    if variant == "token":
+        ad, trace = GRADE, tmp_path / "run.jsonl"
+        run(capsys, "simulate", GRADE, "--out", str(trace))
+    else:
+        ad, trace, _ = _recorded(tmp_path, capsys, variant)
+    lines = trace.read_text().splitlines()
+    lines[lineno - 1] = text
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check-trace", ad, str(trace), "--variant", variant]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:{lineno}: {reason}\n")
+
+
 def _recorded(tmp_path, capsys, variant) -> tuple[str, Path, list[dict]]:
     """The diagram, the file and the decoded lines of a `run-v1` trace of fac
     n=3 or a `run-v2` trace of grade_thesis."""

@@ -100,7 +100,7 @@ def expansions(monkeypatch):
 def assert_full_scans(seen, actions):
     assert seen
     for ad, c, enabled in seen:
-        assert enabled == tokengame._view(ad).scan(c, actions)
+        assert enabled == tokengame._view(ad).table(ad, actions).scan(c)
 
 
 @pytest.mark.parametrize("mode,actions", MODES)
