@@ -368,7 +368,8 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     require every later step to be allowed for every node and finality to persist.  A pair
     is judged from its `b.delta` at the readers of what it consumed, the writers of what it
     produced and the nodes it lists, in declaration order, by a plan (`_checks`) made once
-    per delta and flags.  A state the binding cannot read raises `StateError`."""
+    per delta and flags, and found by identity once the binding has returned one delta
+    object again.  A state the binding cannot read raises `StateError`."""
     ad = b.diagram_of(inst)
     for start, s0 in enumerate(trace):
         try:
@@ -394,23 +395,30 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         load[i] += d
         if load[i] == (d > 0):  # 0 -> 1 or 1 -> 0
             lit[final[i]] += d
-    plans: dict = {}  # delta as items -> (its judged nodes, {their flags before: checks})
+    plans: dict = {}  # delta as items -> (id of the delta it was made from, judged nodes, {flags before: checks})
+    held: dict = {}  # id of a delta met again -> (that delta, kept so that no other object takes its id, its plan)
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
         try:
-            moves, moved = b.delta(inst, s0, s1)
+            delta = b.delta(inst, s0, s1)
         except (ValueError, TypeError) as e:  # a value of s1 the binding cannot read
             raise StateError(j + 1, str(e)) from e
-        key = (tuple(moves.items()), tuple(moved.items()))
-        if (plan := plans.get(key)) is None:
-            judged = set(moved)
-            for p, (consumed, produced, _) in moves.items():
-                if consumed:
-                    judged.add(readers[p])
-                if produced:
-                    judged.add(writers[p])
-            plan = plans[key] = (sorted(judged), {})
-        judged, by_flags = plan
+        moves, moved = delta
+        if held and (hit := held.get(id(delta))) is not None:  # a binding may return one delta object again
+            plan = hit[1]
+        else:
+            key = (tuple(moves.items()), tuple(moved.items()))
+            if (plan := plans.get(key)) is None:
+                judged = set(moved)
+                for p, (consumed, produced, _) in moves.items():
+                    if consumed:
+                        judged.add(readers[p])
+                    if produced:
+                        judged.add(writers[p])
+                plan = plans[key] = (id(delta), sorted(judged), {})
+            elif plan[0] == id(delta):  # made from this object, or from a freed one at its address
+                held[id(delta)] = (delta, plan)  # either way its plan, found by identity from now on
+        _, judged, by_flags = plan
         f0 = tuple([flags[i] for i in judged])
         if (checks := by_flags.get(f0)) is None:
             checks = by_flags[f0] = _checks(ad, moves, moved, judged, f0)

@@ -66,17 +66,20 @@ class Configuration(NamedTuple):
     def make(ad: ActivityDiagram,
              buffers: Mapping[str, Sequence[Token]] | None = None,
              flags: Mapping[str, bool] | None = None) -> "Configuration":
-        buffers = dict(buffers or {})
-        flags = dict(flags or {})
-        view = _view(ad)
-        unknown = set(buffers) - ad.layout.position.keys()
+        """Each buffer and flag given written at its position, in one pass over what is given."""
+        buffers, flags, view, position = buffers or {}, flags or {}, _view(ad), ad.layout.position
+        unknown = buffers.keys() - position.keys()
         if unknown:
             raise TokenGameError(f"buffers for unknown transitions: {sorted(unknown)}")
-        unknown = set(flags) - view.flag_position.keys()
+        unknown = flags.keys() - view.flag_position.keys()
         if unknown:
             raise TokenGameError(f"exec flags for unknown or non-action nodes: {sorted(unknown)}")
-        return Configuration(tuple(tuple(buffers.get(k, ())) for k in view.keys),
-                             tuple(bool(flags.get(name, False)) for name in view.actions))
+        filled, set_ = [()] * len(view.keys), [False] * len(view.actions)
+        for k, toks in buffers.items():
+            filled[position[k]] = tuple(toks)
+        for name, flag in flags.items():
+            set_[view.flag_position[name]] = bool(flag)
+        return _configuration((tuple(filled), tuple(set_)))
 
     def to_json(self, ad: ActivityDiagram) -> dict:
         view = _view(ad)
@@ -97,7 +100,7 @@ class Configuration(NamedTuple):
         for k, toks in raw.items():
             if type(toks) is not list:
                 raise TokenGameError(f"buffer {k!r} is not a JSON list")
-            buffers[k] = [Token.from_json(tok) for tok in toks]
+            buffers[k] = tuple(map(Token.from_json, toks))
         bad = {name: v for name, v in flags.items() if type(v) is not bool}
         if bad:
             raise TokenGameError(f"exec flags are not all true or false: {bad}")
@@ -477,7 +480,7 @@ def analyze(ad: ActivityDiagram, result: ReachabilityResult) -> AnalysisReport:
             for pin in n.out_pins:
                 coverage[f"{n.name}.{pin}"] = False
     fired: set[str] = set()
-    for _, choices, _ in result.edges:
+    for choices in {choices for _, choices, _ in result.edges}:  # a search repeats few choice sets
         for ch in choices:
             fired.add(ch.node)
             if ch.kind == "decision" and ch.out_edge:
@@ -566,12 +569,15 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
     instance and `lifted_binding` to read them.
 
     When `truncated` is not given it is derived: a run whose last
-    configuration still has successors is a prefix.
+    configuration still has successors, some step of its enabled set, is
+    a prefix.
     """
     if not run:
         raise TokenGameError("empty run")
-    if truncated is None:
-        truncated = bool(successors(ad, run[-1], mode, action_mode=action_mode))
+    if truncated is None:  # an enabled step is a successor in either mode
+        truncated = bool(_view(ad).table(ad, action_mode).scan(run[-1]))
+        if mode not in (INTERLEAVING, CONCURRENT):
+            raise TokenGameError(f"unknown mode {mode!r}")
     return ad, lifted_binding(ad), Trace(tuple(run), truncated=truncated)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
 from .semantics import (
@@ -225,8 +226,12 @@ def standard_instance(ad: ActivityDiagram, scenario: Scenario | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def mailbox_tokens(s: SystemState, t: Transition) -> tuple[Token, ...]:
-    raw = s.data_store.get(MAILBOX_PREFIX + t.key, {}).get(MAILBOX_VAR, "[]")
-    return tuple(Token.from_json(d) for d in json.loads(str(raw)))
+    return _tokens(str(s.data_store.get(MAILBOX_PREFIX + t.key, {}).get(MAILBOX_VAR, "[]")))
+
+
+def _tokens(text: str) -> tuple[Token, ...]:
+    """The tokens of a mailbox's JSON text."""
+    return tuple(Token.from_json(d) for d in json.loads(text))
 
 
 def set_mailbox(s: SystemState, t: Transition, tokens: tuple[Token, ...]) -> SystemState:
@@ -242,9 +247,10 @@ def method_frame_present(n: Node, inst: ActionMethodsInstance, s: SystemState) -
 
 def _running_methods(inst: ActionMethodsInstance, s: SystemState) -> set[tuple[str, str]]:
     """(object, method) of every frame that sits on a stack of its own
-    object in one of the instance's threads."""
-    return {(f.callee, f.mname) for oid in set(inst.oid.values()) for th in inst.threads
-            for f in s.stack(oid, th) if f.callee == oid}
+    object in one of the instance's threads: of the stacks the state holds."""
+    objects, threads = inst.oid.values(), inst.threads
+    return {(oid, f.mname) for oid, stacks in s.control_store.items() if oid in objects
+            for th, stack in stacks.items() if th in threads for f in stack if f.callee == oid}
 
 
 def _runs(n: Node, inst: ActionMethodsInstance, running: set[tuple[str, str]]) -> bool:
@@ -260,29 +266,27 @@ def evaluate_guard(guard: str, inst: ActionMethodsInstance, s: SystemState) -> b
 
 
 def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
-    """Buffers are the mailboxes, each decoded once per state of the pair
-    being judged; a node executes while its method has a frame on its
-    object (`method_frame_present`), and the frames of a state are read
-    once."""
-    mailboxes = remember_states(lambda s: {})
+    """Buffers are the mailboxes, each distinct mailbox text decoded once
+    per binding, as `mailbox_tokens` decodes it; a node executes while its
+    method has a frame on its object (`method_frame_present`), and the
+    frames of a state are read once."""
+    decoded = cache(_tokens)  # a trace repeats few mailbox texts
     running = remember_states(lambda s: _running_methods(inst, s))
-    boxes = [(p, MAILBOX_PREFIX + t.key) for p, t in enumerate(inst.ad.layout.transitions)]
+    box_of = {t.key: MAILBOX_PREFIX + t.key for t in inst.ad.layout.transitions}
+    boxes = list(enumerate(box_of.values()))
     runs_as = {(inst.oid[n.name], inst.meth[n.name]): i  # no two actions share a method
                for i, n in enumerate(inst.ad.nodes) if n.name in inst.meth}
 
     def touched(_inst, s0, s1):
-        """The mailboxes whose raw text differs and the nodes that started or stopped."""
-        return ([p for p, box in boxes if s0.data_store.get(box, {}).get(MAILBOX_VAR, "[]")
-                 != s1.data_store.get(box, {}).get(MAILBOX_VAR, "[]")],
+        """The mailboxes whose raw text differs, among those whose attributes
+        differ, and the nodes that started or stopped."""
+        d0, d1, empty = s0.data_store, s1.data_store, {}
+        return ([p for p, box in boxes if (m0 := d0.get(box, empty)) != (m1 := d1.get(box, empty))
+                 and m0.get(MAILBOX_VAR, "[]") != m1.get(MAILBOX_VAR, "[]")],
                 [runs_as[key] for key in running(s0) ^ running(s1) if key in runs_as])
 
     def buf_state(t, _inst, s):
-        decoded = mailboxes(s)
-        try:
-            return decoded[t.key]
-        except KeyError:
-            tokens = decoded[t.key] = mailbox_tokens(s, t)
-            return tokens
+        return decoded(str(s.data_store.get(box_of[t.key], {}).get(MAILBOX_VAR, "[]")))
 
     return fifo_binding(
         diagram_of=lambda _inst: inst.ad,

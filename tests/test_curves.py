@@ -31,3 +31,16 @@ def test_one_cell_runs_in_under_two_seconds_and_checks_its_counts(monkeypatch):
     monkeypatch.setattr(curves.inputs.ForkFamily, "edges", lambda fam, mode, action_mode: 57)
     assert curves.measure_search(2, 2, curves.inputs.CONCURRENT, curves.inputs.TWO_PHASE,
                                  repeats=1)["correct"] is False
+
+
+def test_one_check_cell_reads_judges_and_checks_its_line_count(monkeypatch):
+    curves = _curves()
+    started = time.perf_counter()
+    cell = curves.measure_check("token", (2, 2), repeats=3)
+    assert time.perf_counter() - started < 2.0
+    # twoPhase: 2kc + 3 configurations, judged satisfied
+    assert (cell["lines"], cell["expected_lines"], cell["verdict"], cell["correct"]) == (11, 11, "satisfied", True)
+    assert cell["read_us_per_line"] > 0 and cell["us_per_pair"] > 0
+
+    monkeypatch.setattr(curves.inputs.ForkFamily, "run_length", lambda fam, action_mode: 12)
+    assert curves.measure_check("token", (2, 2), repeats=1)["correct"] is False
