@@ -95,14 +95,19 @@ class Transition:
 
 @dataclass(frozen=True)
 class EdgeLayout:
-    """A diagram's transitions, one per key (two declarations of one pinned
-    edge are one edge), and per node, in the order of `nodes`, its incoming
-    and outgoing transitions as positions among them, in declaration order;
-    `position` maps each key to its position."""
+    """A diagram's only adjacency: its transitions, one per key (two declarations of one
+    pinned edge are one edge), and per node, in the order of `nodes`, its incoming and
+    outgoing transitions as positions among them, in declaration order.  `position` maps
+    each key to its position, `index` each node name to its first node's index, and
+    `reader` and `writer` each position to the index of the node it enters and leaves
+    (None if no node has that name)."""
     transitions: tuple[Transition, ...]
     ins: tuple[tuple[int, ...], ...]
     outs: tuple[tuple[int, ...], ...]
     position: dict[str, int]
+    index: dict[str, int]
+    reader: tuple[int | None, ...]
+    writer: tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -115,20 +120,9 @@ class ActivityDiagram:
     guards: dict[tuple[str, str], str]
 
     @cached_property
-    def _index(self) -> dict[str, tuple[Node, tuple[Transition, ...], tuple[Transition, ...]]]:
-        """Node name -> (node, incoming, outgoing), transitions in declaration
-        order and the first of duplicate names winning; built once per instance."""
-        index = {n.name: (n, [], []) for n in reversed(self.nodes)}
-        for t in self.transitions:
-            if t.dst in index:
-                index[t.dst][1].append(t)
-            if t.src in index:
-                index[t.src][2].append(t)
-        return {name: (n, tuple(ins), tuple(outs)) for name, (n, ins, outs) in index.items()}
-
-    @cached_property
     def layout(self) -> EdgeLayout:
         """Built on first use, in one pass over the transitions."""
+        index = {n.name: i for i, n in reversed(tuple(enumerate(self.nodes)))}
         position: dict[str, int] = {}
         by_key: dict[str, Transition] = {}
         ins: defaultdict[str, dict[int, None]] = defaultdict(dict)  # by node name, positions as keys
@@ -137,16 +131,19 @@ class ActivityDiagram:
             p = position.setdefault(t.key, len(position))
             by_key[t.key] = t
             ins[t.dst][p] = outs[t.src][p] = None
-        return EdgeLayout(tuple(by_key.values()), tuple(tuple(ins[n.name]) for n in self.nodes),
-                          tuple(tuple(outs[n.name]) for n in self.nodes), position)
+        ts = tuple(by_key.values())
+        return EdgeLayout(ts, tuple(tuple(ins[n.name]) for n in self.nodes),
+                          tuple(tuple(outs[n.name]) for n in self.nodes), position, index,
+                          tuple(index.get(t.dst) for t in ts), tuple(index.get(t.src) for t in ts))
 
     def node(self, name: str) -> Node:
-        if name not in self._index:
+        i = self.layout.index.get(name)
+        if i is None:
             raise DiagramError(f"unknown node {name!r} in activity {self.name!r}")
-        return self._index[name][0]
+        return self.nodes[i]
 
     def has_node(self, name: str) -> bool:
-        return name in self._index
+        return name in self.layout.index
 
     def pin_type(self, node: str, pin: str) -> PinType:
         try:
@@ -203,19 +200,22 @@ class ParseError(Exception):
 
 
 def incoming(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
-    """All transitions ending at the node, in declaration order."""
-    name = node if isinstance(node, str) else node.name
-    if not ad.has_node(name):
-        raise DiagramError(f"unknown node {name!r}")
-    return ad._index[name][1]
+    """The transitions ending at the node, each key once, in declaration order."""
+    return _adjacent(ad, node, ad.layout.ins)
 
 
 def outgoing(ad: ActivityDiagram, node: Node | str) -> tuple[Transition, ...]:
-    """All transitions starting at the node, in declaration order."""
+    """The transitions starting at the node, each key once, in declaration order."""
+    return _adjacent(ad, node, ad.layout.outs)
+
+
+def _adjacent(ad: ActivityDiagram, node: Node | str, sides: tuple[tuple[int, ...], ...]
+              ) -> tuple[Transition, ...]:
     name = node if isinstance(node, str) else node.name
-    if not ad.has_node(name):
+    i = ad.layout.index.get(name)
+    if i is None:
         raise DiagramError(f"unknown node {name!r}")
-    return ad._index[name][2]
+    return tuple(ad.layout.transitions[p] for p in sides[i])
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def _node_step(n: Node, inst: object, s0: SystemState, s1: SystemState, b: Varia
     arguments of `_allows` after the node's kind, read from `b.delta` as
     `conforms` reads them."""
     ad = b.diagram_of(inst)
-    i = next((i for i, m in enumerate(ad.nodes) if m.name == n.name), None)
+    i = ad.layout.index.get(n.name)
     if i is None:
         raise DiagramError(f"unknown node {n.name!r}")
     ins, outs, ts = ad.layout.ins[i], ad.layout.outs[i], ad.layout.transitions
@@ -380,9 +380,8 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     else:
         return Verdict(VerdictKind.NO_INITIAL_FOUND)
 
-    nodes, transitions, ins, outs = ad.nodes, ad.layout.transitions, ad.layout.ins, ad.layout.outs
-    readers = {p: i for i, ps in enumerate(ins) for p in ps}  # position -> the node it enters
-    writers = {p: i for i, ps in enumerate(outs) for p in ps}  # position -> the node it leaves
+    nodes, transitions, ins = ad.nodes, ad.layout.transitions, ad.layout.ins
+    readers, writers = ad.layout.reader, ad.layout.writer
     flags = [b.executing(n, inst, s0) for n in nodes]
     buffered = [len(b.buf_state(t, inst, s0)) != 0 for t in transitions]
     # the final clause as two counts: lit[False] of the busy non-final nodes, lit[True] of the

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition
+from .diagram import ActivityDiagram, AdsemError, EdgeLayout, Node, NodeKind, PinKind, Transition
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -171,9 +171,9 @@ class _NodeSteps:
     """A node's non-stutter steps in one action mode, with its inputs and,
     under twoPhase, its flag as positions in the `Configuration` layout."""
 
-    def __init__(self, view: _View, reader: dict[int, int], index: int, n: Node,
-                 ins: tuple[int, ...], outs: tuple[int, ...], action_mode: str):
-        self.ins = ins
+    def __init__(self, view: _View, layout: EdgeLayout, index: int, n: Node, action_mode: str):
+        self.ins = ins = layout.ins[index]
+        outs, reader = layout.outs[index], layout.reader
         # under twoPhase an action's flag, which start and finish flip; set, it can only finish
         self.flag = view.flag_of[index] if action_mode == TWO_PHASE and n.kind is NodeKind.ACTION else None
 
@@ -184,7 +184,7 @@ class _NodeSteps:
                 return ()
             # the readers of what it consumes and produces, and its own node,
             # whose flag start and finish flip
-            reach = dict.fromkeys([index, *[reader[p] for p in touches if p in reader]])
+            reach = dict.fromkeys([index, *[reader[p] for p in touches if reader[p] is not None]])
             return (Step(choice, cons, prod, frozenset((choice,)), tuple(reach), touches, self.flag),)
 
         self.steps = self.finish = ()
@@ -267,11 +267,8 @@ class _View:
         if table is None:
             if action_mode not in (INSTANT, TWO_PHASE):
                 raise TokenGameError(f"unknown action mode {action_mode!r}")
-            layout = ad.layout
-            reader = {p: i for i, ins in enumerate(layout.ins) for p in ins}
             table = self.tables[action_mode] = _Steps(
-                _NodeSteps(self, reader, i, n, ins, outs, action_mode)
-                for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs)))
+                _NodeSteps(self, ad.layout, i, n, action_mode) for i, n in enumerate(ad.nodes))
         return table
 
     def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:

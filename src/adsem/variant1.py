@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable
 
-from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition
 from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
 from .sysmodel import Frame, SystemState, Trace, Value, new_state, top_frame
 
@@ -414,8 +414,9 @@ def _flows(ad: ActivityDiagram) -> dict[str, tuple | str]:
     flows = ad.__dict__.get("_v1_flows")
     if flows is None:
         flows = ad.__dict__["_v1_flows"] = {}
-        for n in ad.nodes:
-            outs, guarded = outgoing(ad, n), n.kind is NodeKind.DECISIONMERGE
+        ts = ad.layout.transitions
+        for n, ps in zip(ad.nodes, ad.layout.outs):
+            outs, guarded = [ts[p] for p in ps], n.kind is NodeKind.DECISIONMERGE
             if guarded or len(outs) == 1:
                 flows[n.name] = tuple((_guard(ad.guard(t.src, t.out_pin)) if guarded else None,
                                        t, ad.node(t.dst)) for t in outs)
@@ -465,8 +466,8 @@ def _entry(ad: ActivityDiagram) -> Transition:
 
 
 def _check_shape(ad: ActivityDiagram) -> None:
-    for n in ad.nodes:
-        if n.kind in (NodeKind.ACTION, NodeKind.FINAL) and len(incoming(ad, n)) > 1:
+    for n, ins in zip(ad.nodes, ad.layout.ins):
+        if n.kind in (NodeKind.ACTION, NodeKind.FINAL) and len(ins) > 1:
             raise VariantError(f"{n.name!r} has several incoming transitions; "
                                f"merge them on a decision/merge node")
 
@@ -504,7 +505,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
         raise VariantError("max_steps must be >= 0")
     _check_shape(ad)
     entry = _entry(ad)
-    if len(incoming(ad, ad.node(entry.dst))) > 1:
+    if len(ad.layout.ins[ad.layout.index[entry.dst]]) > 1:
         raise VariantError(f"entry node {entry.dst!r} has several incoming transitions; "
                            f"no state could count as initial")
     callee, thread, pc_map = inst.callee, inst.thread, inst.pc_map
@@ -582,10 +583,11 @@ def atomic_binding(inst: MethodExecutionInstance) -> VariationBinding:
     at_pc: dict[str | None, list[int]] = {}  # pc -> positions whose buffer holds the token there
     for p, t in enumerate(ts):
         at_pc.setdefault(inst.pc_map.get(t.dst), []).append(p)
-    into_decisions = frozenset(t.key for t in ts if ad.node(t.dst).kind is NodeKind.DECISIONMERGE)
+    into = {p for p, t in enumerate(ts) if ad.node(t.dst).kind is NodeKind.DECISIONMERGE}
+    into_decisions = frozenset(ts[p].key for p in into)
     # the pcs of the nodes whose flow may cross a decision; from any other pc none is crossed
-    walks = {inst.pc_map.get(n.name) for n in ad.nodes if n.kind is NodeKind.DECISIONMERGE
-             or any(t.key in into_decisions for t in outgoing(ad, n))}
+    walks = {inst.pc_map.get(n.name) for n, outs in zip(ad.nodes, ad.layout.outs)
+             if n.kind is NodeKind.DECISIONMERGE or not into.isdisjoint(outs)}
 
     def movement(s0: SystemState, s1: SystemState) -> tuple[object, object, frozenset[str]]:
         """The pc before and after (`_NO_FRAME` without a frame) and the keys

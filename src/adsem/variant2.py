@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
-from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition, incoming, outgoing
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -318,25 +318,26 @@ def check_role_constraint(inst: ActionMethodsInstance, trace: Trace) -> bool:
 # The simulator
 # ---------------------------------------------------------------------------
 
-def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> tuple[SystemState, dict]:
-    """The first state and its mailboxes by transition key: one token on each
-    output of an initial node."""
-    boxes = {t.key: () for t in ad.transitions}
+def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> tuple[SystemState, list]:
+    """The first state and its mailboxes by `ad.layout` position: one token
+    on each output of an initial node."""
+    ts = ad.layout.transitions
+    boxes: list[tuple[Token, ...]] = [()] * len(ts)
     counter = 0
-    for n in ad.nodes:
+    for n, outs in zip(ad.nodes, ad.layout.outs):
         if n.kind is not NodeKind.INITIAL:
             continue
-        for t in outgoing(ad, n):
-            ptype = ad.pin_type(t.src, t.out_pin)
+        for p in outs:
+            ptype = ad.pin_type(ts[p].src, ts[p].out_pin)
             if ptype.kind is PinKind.DATA:
-                tok = call_token(ptype.data_name, {t.in_pin: f"{ptype.data_name}#{counter}"})
+                tok = call_token(ptype.data_name, {ts[p].in_pin: f"{ptype.data_name}#{counter}"})
                 counter += 1
             else:
                 tok = CONTROL_TOKEN
-            boxes[t.key] = (tok,)
+            boxes[p] = (tok,)
     s = SystemState(data_store={oid: {} for oid in inst.rrep.values()})
-    for t in ad.transitions:
-        s = set_mailbox(s, t, boxes[t.key])
+    for t, box in zip(ts, boxes):
+        s = set_mailbox(s, t, box)
     return s, boxes
 
 
@@ -367,9 +368,9 @@ class _Running:
 def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenario,
              max_steps: int = 10_000) -> Trace:
     """Drive the simulated object system until a final configuration.  Mailboxes are
-    `Token` tuples in `boxes`, written into the state when they change.  Enabled events
-    carry over, derived again only where inputs changed and at the node that moved.  The
-    final check reads `boxes` and `running`, so each action needs a stack of its own.
+    `Token` tuples in `boxes`, by position, written into the state when they change.  Enabled
+    events carry over, derived again only where inputs changed and at the node that moved.
+    The final check reads `boxes` and `running`, so each action needs a stack of its own.
 
     Raises SimulationError on a negative `max_steps`, when nothing can move
     before `max_steps` states, or on a stuck (deadlocked, non-final) configuration.
@@ -381,38 +382,43 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
     states = [state]
     running: dict[str, _Running] = {}
     fresh_counter = 0
-    nodes, keys = ad.nodes, [t.key for t in ad.layout.transitions]
-    moved: list[Transition] = []  # the transitions whose mailbox the step changed
+    nodes, layout = ad.nodes, ad.layout
+    ts, ins, outs, reader = layout.transitions, layout.ins, layout.outs, layout.reader
+    moved: list[int] = []  # the positions whose mailbox the step changed
 
     def duration_for(node: str) -> int:
         wanted = scenario.durations.get(node, 2 + rng.randrange(2))
         return max(2, wanted)
 
-    def event_of(n: Node) -> tuple[str, str] | None:
-        """The start, fire or decide event `n` enables; finishes are timed apart."""
-        full = [len(boxes[t.key]) != 0 for t in incoming(ad, n)]
+    def event_of(i: int) -> tuple[str, str] | None:
+        """The start, fire or decide event the i-th node enables; finishes are timed apart."""
+        n, full = nodes[i], [len(boxes[p]) != 0 for p in ins[i]]
         if n.kind is NodeKind.DECISIONMERGE:
             return ("decide", n.name) if any(full) else None
         kind = {NodeKind.ACTION: "start", NodeKind.FORKJOIN: "fire"}.get(n.kind)
         return (kind, n.name) if kind and full and all(full) and n.name not in running else None
 
-    def take(t: Transition) -> Token:
-        moved.append(t)
-        tok, boxes[t.key] = boxes[t.key][0], boxes[t.key][1:]
+    def take(p: int) -> Token:
+        moved.append(p)
+        tok, boxes[p] = boxes[p][0], boxes[p][1:]
         return tok
 
-    def put(t: Transition, tok: Token) -> None:
-        moved.append(t)
-        boxes[t.key] += (tok,)
+    def put(p: int, tok: Token) -> None:
+        moved.append(p)
+        boxes[p] += (tok,)
 
-    enabled = {n.name: event_of(n) for n in nodes}  # node -> its event or None
+    def branch(i: int, s: SystemState) -> int | None:
+        """The first output of the i-th node whose guard holds in `s`, or None."""
+        return next((p for p in outs[i] if evaluate_guard(ad.guard(ts[p].src, ts[p].out_pin), inst, s)), None)
+
+    enabled = [event_of(i) for i in range(len(nodes))]  # by node index: its event or None
     while len(states) <= max_steps:
-        if configuration_is(ad, NodeKind.FINAL, lambda p: len(boxes[keys[p]]) != 0,
+        if configuration_is(ad, NodeKind.FINAL, lambda p: len(boxes[p]) != 0,
                             lambda i: nodes[i].name in running):
             return Trace(tuple(states), truncated=False)
 
         step_index = len(states) - 1
-        events = [e for e in enabled.values() if e is not None] + [
+        events = [e for e in enabled if e is not None] + [
             ("finish", name) for name, r in running.items()
             if step_index - r.started_step >= r.duration]
 
@@ -424,10 +430,10 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
                 f"stuck: no event enabled and nothing executing at step {step_index}")
 
         kind, name = sorted(events)[rng.randrange(len(events))]
-        node = ad.node(name)
+        i = layout.index[name]
         moved.clear()
         if kind == "start":
-            consumed = [(t, take(t)) for t in incoming(ad, node)]
+            consumed = [(ts[p], take(p)) for p in ins[i]]
             controller = PinController.for_pins(tuple(t.in_pin for t, _ in consumed))
             deliveries = list(consumed)
             rng.shuffle(deliveries)
@@ -446,12 +452,10 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
 
         elif kind == "finish":
             state = state.pop(inst.oid[name], inst.thread_of[name])
-            outs = outgoing(ad, node)
-            feeds = [ad.node(t.dst) for t in outs]
-            for t in outs:
+            for p in outs[i]:
                 fresh_counter += 1
-                put(t, _produce(ad, t, None, f"{name}#{fresh_counter}"))
-            for fed in feeds:
+                put(p, _produce(ad, ts[p], None, f"{name}#{fresh_counter}"))
+                fed = ad.node(ts[p].dst)
                 if fed.kind is NodeKind.DECISIONMERGE and _has_real_guards(ad, fed):
                     state = state.set_attr(inst.oid[name], RESULT_VAR,
                                            _choose_outcome(ad, fed, scenario, rng))
@@ -459,39 +463,33 @@ def simulate(ad: ActivityDiagram, inst: ActionMethodsInstance, scenario: Scenari
 
         elif kind == "fire":
             values: list[Value | None] = []
-            for t in incoming(ad, node):
-                tok = take(t)
-                values.append(None if tok.is_control else _payload_value(tok, t.in_pin))
-            for i, t in enumerate(outgoing(ad, node)):
+            for p in ins[i]:
+                tok = take(p)
+                values.append(None if tok.is_control else _payload_value(tok, ts[p].in_pin))
+            for k, p in enumerate(outs[i]):
                 fresh_counter += 1
-                value = values[i % len(values)] if values else None
-                put(t, _produce(ad, t, value, f"{name}#{fresh_counter}"))
+                value = values[k % len(values)] if values else None
+                put(p, _produce(ad, ts[p], value, f"{name}#{fresh_counter}"))
 
         else:  # decide
-            fed = [t for t in incoming(ad, node) if boxes[t.key]]
-            t_in = fed[rng.randrange(len(fed))]
-            tok = take(t_in)
-            chosen = None
-            for t in outgoing(ad, node):
-                if evaluate_guard(ad.guard(t.src, t.out_pin), inst, state):
-                    chosen = t
-                    break
+            fed = [p for p in ins[i] if boxes[p]]
+            p_in = fed[rng.randrange(len(fed))]
+            tok = take(p_in)
+            chosen = branch(i, state)
             if chosen is None:
-                outcome = _choose_outcome(ad, node, scenario, rng)
+                outcome = _choose_outcome(ad, nodes[i], scenario, rng)
                 state = state.set_attr(CHOICE_PREFIX + name, RESULT_VAR, outcome)
-                for t in outgoing(ad, node):
-                    if evaluate_guard(ad.guard(t.src, t.out_pin), inst, state):
-                        chosen = t
-                        break
+                chosen = branch(i, state)
             if chosen is None:
                 raise SimulationError(f"stuck-decision: no guard of {name!r} can hold")
             fresh_counter += 1
-            value = None if tok.is_control else _payload_value(tok, t_in.in_pin)
-            put(chosen, _produce(ad, chosen, value, f"{name}#{fresh_counter}"))
+            value = None if tok.is_control else _payload_value(tok, ts[p_in].in_pin)
+            put(chosen, _produce(ad, ts[chosen], value, f"{name}#{fresh_counter}"))
 
-        for t in moved:
-            state = set_mailbox(state, t, boxes[t.key])
-        enabled.update((n, event_of(ad.node(n))) for n in {name}.union(t.dst for t in moved))
+        for p in moved:
+            state = set_mailbox(state, ts[p], boxes[p])
+        for j in {i, *(reader[p] for p in moved)}:
+            enabled[j] = event_of(j)
         states.append(state)
 
     raise SimulationError(f"no final configuration within {max_steps} states")

@@ -388,6 +388,31 @@ def test_scenario_with_every_key_runs(tmp_path, capsys):
     assert json.loads(out)["truncated"] is False
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["dup_entry.ad", "dup_exit.ad"])
+def test_a_transition_declared_twice_runs_as_declared_once(tmp_path, capsys, name, seed):
+    """run-v2 writes the states of the diagram with the repeated declaration
+    dropped, and check-trace finds its trace satisfied."""
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    once = tmp_path / "once.ad"
+    once.write_text("\n".join(dict.fromkeys(text.splitlines())) + "\n", encoding="utf-8")
+    assert once.read_text(encoding="utf-8").count("->") == text.count("->") - 1
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"seed": seed}))
+    written = []
+    for ad in (str(FIXTURES / name), str(once)):
+        trace = tmp_path / "trace.jsonl"
+        code, out = run(capsys, "run-v2", ad, str(scenario), "--trace", str(trace))
+        assert code == 0
+        written.append((out, trace.read_text(encoding="utf-8").splitlines()[1:]))
+        code, out = run(capsys, "check-trace", ad, str(trace), "--variant", "v2")
+        assert (code, json.loads(out)["verdict"]) == (0, "satisfied")
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # reach
 # ---------------------------------------------------------------------------

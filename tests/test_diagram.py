@@ -18,6 +18,7 @@ from adsem.diagram import (
     NodeKind,
     ParseError,
     Severity,
+    Transition,
     compatible,
     data_type,
     incoming,
@@ -317,6 +318,23 @@ def test_node_returns_first_of_duplicate_names(minimal):
     ad = replace(minimal, nodes=minimal.nodes + (shadow,))
     assert ad.node("f").kind is NodeKind.FINAL
     assert ad.has_node("f")
+    assert incoming(ad, shadow) == incoming(ad, "f") == minimal.transitions  # adjacency goes by name
+    assert ad.layout.reader == (ad.nodes.index(minimal.node("f")),)
+    for ask in (ad.node, lambda name: incoming(ad, name), lambda name: outgoing(ad, name)):
+        with pytest.raises(DiagramError):
+            ask("nope")
+    assert not ad.has_node("nope")
+
+
+def test_a_transition_declared_twice_is_adjacent_once():
+    ad = parse("activity A { initial i out s; action a in x out y; final f in z; "
+               "i.s -> a.x; a.y -> f.z; i.s -> a.x; a.y -> f.z; a.y -> f.z; }")
+    assert len(ad.transitions) == 5
+    entry, exit_ = Transition("i", "s", "a", "x"), Transition("a", "y", "f", "z")
+    assert outgoing(ad, "i") == incoming(ad, "a") == (entry,)
+    assert outgoing(ad, "a") == incoming(ad, "f") == (exit_,)
+    assert ad.layout.transitions == (entry, exit_)
+    assert (ad.layout.reader, ad.layout.writer) == ((1, 2), (0, 1))
 
 
 def test_replaced_diagram_has_its_own_adjacency():

@@ -135,9 +135,15 @@ def test_the_layout_is_the_adjacency_numbered_by_key(name):
     layout = ad.layout
     assert [t.key for t in layout.transitions] == keys
     assert layout.position == {k: p for p, k in enumerate(keys)}
-    for n, ins, outs in zip(ad.nodes, layout.ins, layout.outs):
-        assert ins == tuple(dict.fromkeys(keys.index(t.key) for t in incoming(ad, n)))
-        assert outs == tuple(dict.fromkeys(keys.index(t.key) for t in outgoing(ad, n)))
+    for i, (n, ins, outs) in enumerate(zip(ad.nodes, layout.ins, layout.outs)):
+        assert ins == tuple(dict.fromkeys(keys.index(t.key) for t in ad.transitions if t.dst == n.name))
+        assert outs == tuple(dict.fromkeys(keys.index(t.key) for t in ad.transitions if t.src == n.name))
+        assert incoming(ad, n) == tuple(layout.transitions[p] for p in ins)
+        assert outgoing(ad, n) == tuple(layout.transitions[p] for p in outs)
+        assert layout.index[n.name] == i
+        assert all(layout.reader[p] == i for p in ins) and all(layout.writer[p] == i for p in outs)
+    # only the ghost transition leaves a node the diagram lacks
+    assert None not in layout.reader and layout.writer.count(None) == (name == "duplicated")
 
 
 def test_a_transition_declared_twice_is_one_edge_also_for_a_decision():
