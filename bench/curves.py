@@ -1,4 +1,5 @@
-"""Scaling curves of what a `reach` command pays per diagram, and of its search.
+"""Scaling curves of what a `reach` command pays per diagram and of its search,
+and of what `check-trace` pays per trace: the trace readers and `conforms`.
 
 For every fork_k x chain_c diagram (k 2-5, c 1-3) this times, in-process:
 

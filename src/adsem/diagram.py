@@ -53,6 +53,13 @@ class PinType:
             return self.data_name or "?"
         return "any" if self.kind is PinKind.TOP else "control"
 
+    def __contains__(self, token: object) -> bool:
+        """The type as its token set: `any` admits every token, `control` the control
+        token (a `semantics.Token` whose `type_name` is None), a data type the tokens
+        of its name; what has no `type_name` is no token."""
+        name = getattr(token, "type_name", ...)
+        return name is not ... and (self.kind is PinKind.TOP or name == self.data_name)
+
 
 CONTROL = PinType(PinKind.CONTROL)
 TOP = PinType(PinKind.TOP)
@@ -153,6 +160,12 @@ class ActivityDiagram:
 
     def guard(self, node: str, pin: str) -> str:
         return self.guards.get((node, pin), "true")
+
+    def carried(self, t: Transition) -> str | None:
+        """The type name of a token produced on `t`: the output pin's data type, else the
+        input pin's, else None (the control token)."""
+        return (self.pin_type(t.src, t.out_pin).data_name
+                or self.pin_type(t.dst, t.in_pin).data_name)
 
     @property
     def roles(self) -> tuple[str, ...]:
@@ -471,11 +484,7 @@ def to_text(ad: ActivityDiagram) -> str:
 
 def _pin_text(ad: ActivityDiagram, node: str, pin: str, is_out: bool) -> str:
     ptype = ad.pin_type(node, pin)
-    text = pin
-    if ptype.kind is PinKind.DATA:
-        text += f": {ptype.data_name}"
-    elif ptype.kind is PinKind.TOP:
-        text += ": any"
+    text = pin if ptype == CONTROL else f"{pin}: {ptype}"
     if is_out:
         g = ad.guard(node, pin)
         if g != "true":

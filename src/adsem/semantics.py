@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
-from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinKind, PinType, Transition
+from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinType, Transition
 from .sysmodel import SystemState, Trace
 
 
@@ -69,41 +69,11 @@ def call_token(type_name: str, args: dict[str, object]) -> Token:
     return Token(type_name, tuple(sorted(args.items())))
 
 
-class TokenSet:
-    """The (possibly infinite) set of tokens a pin type admits."""
-
-    def __init__(self, kind: PinKind, data_name: str | None = None):
-        self.kind = kind
-        self.data_name = data_name
-
-    def __contains__(self, token: object) -> bool:
-        if not isinstance(token, Token):
-            return False
-        if self.kind is PinKind.TOP:
-            return True
-        if self.kind is PinKind.CONTROL:
-            return token.is_control
-        return token.type_name == self.data_name
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, TokenSet)
-                and other.kind == self.kind and other.data_name == self.data_name)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.data_name))
-
-    def __repr__(self) -> str:
-        return f"TokenSet({self.kind.value}{'' if self.data_name is None else ', ' + self.data_name})"
-
-
-ALL_TOKENS = TokenSet(PinKind.TOP)
-CONTROL_ONLY = TokenSet(PinKind.CONTROL)
-
-
-def admissible_tokens(ptype: PinType) -> TokenSet:
-    """Default pin-type interpretation: control pins admit only the
-    control token, `any` admits everything, data types are nominal."""
-    return TokenSet(ptype.kind, ptype.data_name)
+def admissible_tokens(ptype: PinType) -> PinType:
+    """Default pin-type interpretation, `elems`: a pin type is its own token
+    set (`PinType.__contains__`), so control pins admit only the control
+    token, `any` admits everything, and data types are nominal."""
+    return ptype
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +94,7 @@ class VariationBinding:
     pair only through `delta`; `cons` and `prod` state its contract and the buffer law."""
     diagram_of: Callable[[object], ActivityDiagram]
     executing: Callable[[Node, object, SystemState], bool]
-    elems: Callable[[PinType], TokenSet]
+    elems: Callable[[PinType], PinType]
     buf_state: Callable[[Transition, object, SystemState], Buffer]
     cons: Callable[[Transition, object, SystemState, SystemState], Buffer]
     prod: Callable[[Transition, object, SystemState, SystemState], Buffer]

@@ -29,12 +29,11 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagram import ActivityDiagram, AdsemError, EdgeLayout, Node, NodeKind, PinKind, Transition
+from .diagram import ActivityDiagram, AdsemError, EdgeLayout, Node, NodeKind, Transition
 from .semantics import (
     CONTROL_TOKEN,
     Token,
     VariationBinding,
-    admissible_tokens,
     configuration_is,
     fifo_binding,
 )
@@ -138,12 +137,8 @@ class StepChoice:
 def representative_token(ad: ActivityDiagram, t: Transition, position: int) -> Token:
     """Deterministic token for a production on t; the payload depends only
     on the transition and the landing position so reachability closes."""
-    out_type = ad.pin_type(t.src, t.out_pin)
-    in_type = ad.pin_type(t.dst, t.in_pin)
-    for ptype in (out_type, in_type):
-        if ptype.kind is PinKind.DATA:
-            return Token(ptype.data_name, f"{t.key}#{position}")
-    return CONTROL_TOKEN
+    name = ad.carried(t)
+    return CONTROL_TOKEN if name is None else Token(name, f"{t.key}#{position}")
 
 
 def initial_config(ad: ActivityDiagram) -> Configuration:
@@ -310,8 +305,7 @@ def _apply(ad: ActivityDiagram, view: _View, c: Configuration, step: Step) -> Co
         buffers[p] = buf + (view.token(ad, p, len(buf)),)
     if step.choice.kind == "decision":  # its one production passes on what it consumed, if admitted
         tok, t = c.buffers[step.cons[0]][0], ad.layout.transitions[p]
-        if (tok in admissible_tokens(ad.pin_type(t.src, t.out_pin))
-                and tok in admissible_tokens(ad.pin_type(t.dst, t.in_pin))):
+        if tok in ad.pin_type(t.src, t.out_pin) and tok in ad.pin_type(t.dst, t.in_pin):
             buffers[p] = buf + (tok,)
     f = step.flag
     return _configuration((tuple(buffers), c.flags if f is None else (
@@ -408,7 +402,7 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
     if bound < 1:
         raise TokenGameError("bound must be >= 1")
     view, start = _view(ad), initial_config(ad)
-    table = view.table(ad, action_mode)
+    table, key = view.table(ad, action_mode), partial(view.order_key, ad)
     visited = {start: start}  # each configuration's first instance, in BFS order
     edges: list[tuple[Configuration, frozenset, Configuration]] = []
     dead_ends: list[Configuration] = []
@@ -425,7 +419,7 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
                 new.append(r)
             else:
                 edges.append((c, r[0], kept))
-        for choices, selection, c1 in _ordered(new, partial(view.order_key, ad)) if len(new) > 1 else new:
+        for choices, selection, c1 in _ordered(new, key):
             if len(visited) < bound or c1 in visited:  # in: reached by an earlier selection
                 kept = visited.setdefault(c1, c1)
                 if kept is c1:
@@ -519,12 +513,12 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     if max_len < 1:
         raise TokenGameError("bound must be >= 1")
     rng, view = random.Random(seed), _view(ad)
-    table = view.table(ad, action_mode)
+    table, key = view.table(ad, action_mode), partial(view.order_key, ad)
     configs: tuple[Configuration, ...] = (initial_config(ad),)
     enabled = table.scan(configs[0])
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), partial(view.order_key, ad))
+        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), key)
         if not succ:
             return Run(configs, choices)
         chs, selection, c1 = succ[rng.randrange(len(succ))]

@@ -30,7 +30,7 @@ from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, PinType, Transition
-from .semantics import ALL_TOKENS, CONTROL_ONLY, CONTROL_TOKEN, Token, TokenSet, VariationBinding
+from .semantics import CONTROL_TOKEN, Token, VariationBinding
 from .sysmodel import Frame, SystemState, Trace, Value, new_state, top_frame
 
 
@@ -396,12 +396,11 @@ def pc_buffer_state(t: Transition, inst: MethodExecutionInstance,
     return (CONTROL_TOKEN,) if frame.pc == inst.pc_map.get(t.dst) else ()
 
 
-def token_domain_v1(ptype: PinType) -> TokenSet:
-    if ptype.kind is PinKind.CONTROL:
-        return CONTROL_ONLY
-    if ptype.kind is PinKind.TOP:
-        return ALL_TOKENS
-    raise VariantError(f"data pin type {ptype} has no tokens in the atomic-action variant")
+def token_domain_v1(ptype: PinType) -> PinType:
+    """`elems`: a control or `any` pin type is its own token set; a data type has none here."""
+    if ptype.kind is PinKind.DATA:
+        raise VariantError(f"data pin type {ptype} has no tokens in the atomic-action variant")
+    return ptype
 
 
 # the kinds a walk lands on and those it may not enter, built once as it tests them per hop

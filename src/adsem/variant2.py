@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
-from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, PinKind, Transition
+from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, Transition
 from .semantics import (
     CONTROL_TOKEN,
     Token,
@@ -320,7 +320,8 @@ def check_role_constraint(inst: ActionMethodsInstance, trace: Trace) -> bool:
 
 def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> tuple[SystemState, list]:
     """The first state and its mailboxes by `ad.layout` position: one token
-    on each output of an initial node."""
+    on each output of an initial node, as `_produce` makes it, a data token's
+    value numbered among the data tokens."""
     ts = ad.layout.transitions
     boxes: list[tuple[Token, ...]] = [()] * len(ts)
     counter = 0
@@ -328,13 +329,9 @@ def _initial_state(ad: ActivityDiagram, inst: ActionMethodsInstance) -> tuple[Sy
         if n.kind is not NodeKind.INITIAL:
             continue
         for p in outs:
-            ptype = ad.pin_type(ts[p].src, ts[p].out_pin)
-            if ptype.kind is PinKind.DATA:
-                tok = call_token(ptype.data_name, {ts[p].in_pin: f"{ptype.data_name}#{counter}"})
-                counter += 1
-            else:
-                tok = CONTROL_TOKEN
+            tok = _produce(ad, ts[p], None, f"{ad.carried(ts[p])}#{counter}")
             boxes[p] = (tok,)
+            counter += not tok.is_control
     s = SystemState(data_store={oid: {} for oid in inst.rrep.values()})
     for t, box in zip(ts, boxes):
         s = set_mailbox(s, t, box)
@@ -351,12 +348,11 @@ def _payload_value(tok: Token, pin: str) -> Value:
 
 
 def _produce(ad: ActivityDiagram, t: Transition, value: Value, fresh: str) -> Token:
-    ptype_out = ad.pin_type(t.src, t.out_pin)
-    ptype_in = ad.pin_type(t.dst, t.in_pin)
-    for ptype in (ptype_out, ptype_in):
-        if ptype.kind is PinKind.DATA:
-            return call_token(ptype.data_name, {t.in_pin: value if value is not None else fresh})
-    return CONTROL_TOKEN
+    """A token produced on t: the control token, or a call of `ad.carried(t)` passing
+    `value`, else `fresh`, to t's input pin."""
+    name = ad.carried(t)
+    return CONTROL_TOKEN if name is None else call_token(
+        name, {t.in_pin: value if value is not None else fresh})
 
 
 @dataclass

@@ -7,9 +7,11 @@ every checkout.  The cases cover the fac loop at several lengths, a run
 cut by `--max-steps`, `local` effects with a guard on a local
 (`fixtures/locals.ad`), `grade_thesis` with both decision outcomes and
 with an outcome drawn from the seed, the `command` caller mode,
-`sub_variant: false` and a fork whose chains belong to two roles
+`sub_variant: false`, a fork whose chains belong to two roles
 (`fixtures/fork2x2_roles.ad`), at seeds and durations where two
-finishes fall due on the same step.
+finishes fall due on the same step, and an initial `any` pin feeding a
+`Thesis` input (`fixtures/any_initial.ad`), whose first token is a
+`Thesis` call.
 
 Regenerate them, only when an output change is intended, from the
 repository root with::
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACES = GOLDEN / "traces"
 FAC, GRADE = "corpus/fac.ad", "corpus/grade_thesis.ad"
 LOCALS, FORK_ROLES = "tests/fixtures/locals.ad", "tests/fixtures/fork2x2_roles.ad"
+ANY_INITIAL = "tests/fixtures/any_initial.ad"
 
 V1_CASES = {
     "fac-n0": (FAC, ["n=0"]),
@@ -55,6 +58,7 @@ V2_CASES = {
     "fork2x2-roles-seed1": (FORK_ROLES, {"seed": 1, "durations": {"A0_0": 3, "A1_0": 2,
                                                                   "A0_1": 2, "A1_1": 2}}),
     "fork2x2-roles-seed7": (FORK_ROLES, {"seed": 7, "durations": {"A0_1": 3, "A1_1": 4}}),
+    "any-initial": (ANY_INITIAL, {"seed": 0}),
 }
 CASES = sorted(V1_CASES) + sorted(V2_CASES)
 

@@ -29,6 +29,7 @@ from adsem.diagram import (
     validate,
 )
 from adsem.diagram import _error, _lex
+from adsem.semantics import CONTROL_TOKEN, Token
 
 from .conftest import CORPUS, load
 
@@ -418,6 +419,20 @@ def test_type_compatibility_rules():
     assert compatible(thesis, thesis)
     assert not compatible(thesis, review)
     assert not compatible(CONTROL, thesis)
+
+
+SAMPLE_TYPES = {"control": CONTROL, "any": TOP, "Thesis": data_type("Thesis"),
+                "Review": data_type("Review")}
+SAMPLE_TOKENS = (CONTROL_TOKEN, Token("Thesis"), Token("Review"), Token("Other"))
+
+
+@pytest.mark.parametrize("a", SAMPLE_TYPES)
+@pytest.mark.parametrize("b", SAMPLE_TYPES)
+def test_compatible_types_share_a_token(a, b):
+    """`validate`'s rule is the checker's: two pin types are compatible exactly
+    when some token lies in both as token sets."""
+    a, b = SAMPLE_TYPES[a], SAMPLE_TYPES[b]
+    assert compatible(a, b) == any(tok in a and tok in b for tok in SAMPLE_TOKENS)
 
 
 # ---------------------------------------------------------------------------

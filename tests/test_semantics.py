@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsem.semantics import (
-    ALL_TOKENS,
-    CONTROL_ONLY,
     CONTROL_TOKEN,
     Token,
     VerdictKind,
@@ -33,7 +31,7 @@ from adsem.semantics import (
 )
 from adsem.sysmodel import Trace
 from adsem.tokengame import as_binding
-from adsem.diagram import data_type
+from adsem.diagram import CONTROL, TOP, data_type
 
 from .conftest import pair, runs
 
@@ -68,9 +66,9 @@ def tr(ad, key):
 # ---------------------------------------------------------------------------
 
 def test_token_sets():
-    assert CONTROL_TOKEN in CONTROL_ONLY
-    assert THESIS not in CONTROL_ONLY
-    assert CONTROL_TOKEN in ALL_TOKENS and THESIS in ALL_TOKENS
+    assert CONTROL_TOKEN in CONTROL
+    assert THESIS not in CONTROL
+    assert CONTROL_TOKEN in TOP and THESIS in TOP
     thesis_set = admissible_tokens(data_type("Thesis"))
     assert THESIS in thesis_set
     assert REVIEW1 not in thesis_set and CONTROL_TOKEN not in thesis_set

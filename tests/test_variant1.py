@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsem.diagram import NodeKind, parse
-from adsem.semantics import CONTROL_ONLY, CONTROL_TOKEN, VerdictKind, conforms
+from adsem.semantics import CONTROL_TOKEN, VerdictKind, conforms
 from adsem.sysmodel import Frame, SystemState, Trace, top_frame
 from adsem.tokengame import initial_config, successors
 from adsem.variant1 import (
@@ -192,7 +192,7 @@ def test_pc_buffer_state(fac):
 
 
 def test_token_domain_v1():
-    assert token_domain_v1(CONTROL) == CONTROL_ONLY
+    assert token_domain_v1(CONTROL) == CONTROL
     assert CONTROL_TOKEN in token_domain_v1(TOP)
     with pytest.raises(VariantError):
         token_domain_v1(data_type("Thesis"))

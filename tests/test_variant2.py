@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from adsem.semantics import (
     stutters,
 )
 from adsem.sysmodel import Frame, SystemState, Trace
+from adsem.tokengame import initial_config
 from adsem.variant2 import (
     ActionMethodsInstance,
     PinController,
@@ -276,6 +279,25 @@ def test_an_action_runs_again_for_a_token_that_arrived_while_it_ran(seed):
                and method_frame_present(_TWICE.node("A"), inst, trace[j + 1])
                for j in range(len(trace) - 1)) == 2
     assert conforms(trace, inst, binding).kind is VerdictKind.SATISFIED
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# every diagram of the corpus and the fixtures that run-v2 runs; split_join's
+# join starves on whichever branch its decision takes
+RUNNABLE = sorted(p.relative_to(ROOT).as_posix()
+                  for p in [*ROOT.glob("corpus/*.ad"), *ROOT.glob("tests/fixtures/*.ad")]
+                  if p.name != "split_join.ad")
+
+
+@pytest.mark.parametrize("path", RUNNABLE)
+def test_first_state_types_its_tokens_as_the_token_game(path):
+    """The first v2 state holds, position by position, tokens of the types that
+    `initial_config` starts with: both take them from `ActivityDiagram.carried`
+    (`tests/fixtures/any_initial.ad` starts a `Thesis` token at an `any` pin)."""
+    ad = parse((ROOT / path).read_text(encoding="utf-8"))
+    first = simulate(ad, standard_instance(ad), Scenario())[0]
+    assert ([[tok.type_name for tok in mailbox_tokens(first, t)] for t in ad.layout.transitions]
+            == [[tok.type_name for tok in buf] for buf in initial_config(ad).buffers])
 
 
 # ---------------------------------------------------------------------------
