@@ -25,9 +25,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import compress, groupby
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .diagram import ActivityDiagram, AdsemError, EdgeLayout, Node, NodeKind, Transition
 from .semantics import (
@@ -152,12 +153,12 @@ def initial_config(ad: ActivityDiagram) -> Configuration:
 
 
 class Step(NamedTuple):
-    """One reaction of a node, with its choice set made once."""
+    """One reaction of a node, with its choice set made once; a move (see `_expand`)."""
+    choices: frozenset
+    reach: tuple[int, ...]  # the nodes whose enabled steps it can change
     choice: StepChoice
     cons: tuple[int, ...]  # positions it consumes from
     prod: tuple[int, ...]  # positions it produces to
-    choices: frozenset
-    reach: tuple[int, ...]  # the nodes whose enabled steps it can change
     touches: frozenset[int]  # cons and prod, which no other step of a selection may touch
     flag: int | None  # the flag position that start and finish flip
 
@@ -180,9 +181,9 @@ class _NodeSteps:
             # the readers of what it consumes and produces, and its own node,
             # whose flag start and finish flip
             reach = dict.fromkeys([index, *[reader[p] for p in touches if reader[p] is not None]])
-            return (Step(choice, cons, prod, frozenset((choice,)), tuple(reach), touches, self.flag),)
+            return (Step(frozenset((choice,)), tuple(reach), choice, cons, prod, touches, self.flag),)
 
-        self.steps = self.finish = ()
+        self.steps = self.finish = self.branches = ()
         if n.kind is NodeKind.ACTION and action_mode == INSTANT:
             self.steps = step(StepChoice(n.name, "instant"), ins, outs)
         elif n.kind is NodeKind.ACTION:
@@ -190,23 +191,19 @@ class _NodeSteps:
             self.finish = step(StepChoice(n.name, "finish"), (), outs)
         elif n.kind is NodeKind.FORKJOIN:
             self.steps = step(StepChoice(n.name, "forkjoin"), ins, outs)
-        # a decision's steps, one per input x output pair
-        self.branches: list[Step] = [
-            branch for p in ins for q in outs
-            for branch in step(StepChoice(n.name, "decision", view.keys[p], view.keys[q]), (p,), (q,))
-        ] if n.kind is NodeKind.DECISIONMERGE else []
+        elif n.kind is NodeKind.DECISIONMERGE:  # one step per input x output pair
+            self.steps = self.branches = tuple(branch for p in ins for q in outs for branch in step(
+                StepChoice(n.name, "decision", view.keys[p], view.keys[q]), (p,), (q,)))
 
     def enabled(self, c: Configuration) -> tuple[Step, ...]:
-        """The non-stutter steps that token presence and the flag allow;
-        initial and final nodes only stutter."""
+        """The non-stutter steps that token presence and the flag allow, of a decision those
+        whose input holds a token; initial and final nodes only stutter."""
         buffers = c.buffers
-        if self.branches:
-            return tuple(step for step in self.branches if buffers[step.cons[0]])
         if self.flag is not None and c.flags[self.flag]:
             return self.finish
         for p in self.ins:
             if not buffers[p]:
-                return ()
+                return self.branches and tuple(step for step in self.branches if buffers[step.cons[0]])
         return self.steps
 
 
@@ -218,18 +215,16 @@ class _Steps(tuple):
         index, every branch of a decision whose input holds a token."""
         return {i: steps for i, ns in enumerate(self) if (steps := ns.enabled(c))}
 
-    def carry(self, enabled: dict[int, tuple[Step, ...]], selection: Sequence[Step],
+    def carry(self, enabled: dict[int, tuple[Step, ...]], move: tuple,
               c1: Configuration) -> dict[int, tuple[Step, ...]]:
-        """`scan(c1)` for the configuration that `selection` made from one
-        whose enabled set is `enabled`: only the nodes it reaches change."""
+        """`scan(c1)` for the configuration that `move` made from one whose
+        enabled set is `enabled`: only the nodes it reaches change."""
         enabled = enabled.copy()
-        for step in selection:
-            for i in step.reach:
-                steps = self[i].enabled(c1)
-                if steps:
-                    enabled[i] = steps
-                else:
-                    enabled.pop(i, None)
+        for i in move[1]:
+            if steps := self[i].enabled(c1):
+                enabled[i] = steps
+            else:
+                enabled.pop(i, None)
         return enabled
 
 
@@ -246,7 +241,7 @@ class _View:
         self.flag_position = {name: i for i, name in enumerate(self.actions)}
         self.flag_of = [self.flag_position.get(n.name) for n in ad.nodes]  # by node index
         self.tables: dict[str, _Steps] = {}
-        self.tokens: dict[tuple[int, int], Token] = {}
+        self.tokens: list[list[Token]] = [[] for _ in keys]  # by position, then buffer index
         # `order_key`'s texts, each made once: "key":[ by position, a token's, a one-token buffer's, flags'
         self.prefix = prefix = [_quote(k) + ":[" for k in keys]
         self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
@@ -267,10 +262,12 @@ class _View:
         return table
 
     def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:
-        """`representative_token`, one object per (position, index), so that
-        equal buffers compare by identity."""
-        return self.tokens.get((p, index)) or self.tokens.setdefault(
-            (p, index), representative_token(ad, ad.layout.transitions[p], index))
+        """`representative_token`, one object per (position, index) kept in
+        `tokens`, so that equal buffers compare by identity."""
+        tokens = self.tokens[p]
+        while len(tokens) <= index:
+            tokens.append(representative_token(ad, ad.layout.transitions[p], len(tokens)))
+        return tokens[index]
 
     def order_key(self, ad: ActivityDiagram, c: Configuration) -> str:
         """`c.canonical(ad)`, joined from memoised texts: each nonempty buffer
@@ -297,19 +294,21 @@ def _view(ad: ActivityDiagram) -> _View:
 
 def _apply(ad: ActivityDiagram, view: _View, c: Configuration, step: Step) -> Configuration:
     """`c` after one of its enabled steps."""
-    buffers = list(c.buffers)
+    buffers, tokens = list(c.buffers), view.tokens
     for p in step.cons:
         buffers[p] = buffers[p][1:]
     for p in step.prod:
-        buf = buffers[p]
-        buffers[p] = buf + (view.token(ad, p, len(buf)),)
+        buf, made = buffers[p], tokens[p]
+        buffers[p] = buf + (made[len(buf)] if len(buf) < len(made) else view.token(ad, p, len(buf)),)
     if step.choice.kind == "decision":  # its one production passes on what it consumed, if admitted
         tok, t = c.buffers[step.cons[0]][0], ad.layout.transitions[p]
         if tok in ad.pin_type(t.src, t.out_pin) and tok in ad.pin_type(t.dst, t.in_pin):
             buffers[p] = buf + (tok,)
-    f = step.flag
-    return _configuration((tuple(buffers), c.flags if f is None else (
-        *c.flags[:f], step.choice.kind == "start", *c.flags[f + 1:])))
+    if step.flag is None:
+        return _configuration((tuple(buffers), c.flags))
+    flags = list(c.flags)
+    flags[step.flag] = not flags[step.flag]
+    return _configuration((tuple(buffers), tuple(flags)))
 
 
 def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
@@ -318,41 +317,47 @@ def _patch(c: Configuration, step: Step, c1: Configuration) -> Configuration:
     buffers = list(c.buffers)
     for p in step.touches:
         buffers[p] = c1.buffers[p]
-    f = step.flag
-    return _configuration((tuple(buffers),
-                           c.flags if f is None else (*c.flags[:f], c1.flags[f], *c.flags[f + 1:])))
+    if step.flag is None:
+        return _configuration((tuple(buffers), c.flags))
+    flags = list(c.flags)
+    flags[step.flag] = c1.flags[step.flag]
+    return _configuration((tuple(buffers), tuple(flags)))
 
 
 def _expand(ad: ActivityDiagram, view: _View, c: Configuration, enabled: dict[int, tuple[Step, ...]],
-            mode: str) -> list[tuple[frozenset, tuple[Step, ...], Configuration]]:
-    """The successors of `c`, whose enabled set is `enabled`, unsorted, each
-    with its choices and steps.  Each step is applied to `c` once; a
-    concurrent selection is patched together from its steps' results."""
+            mode: str) -> Iterator[tuple[tuple, Configuration]]:
+    """The successors of `c`, whose enabled set is `enabled`, unsorted, each with the move
+    that makes it: a `Step` or a concurrent selection, a tuple that starts with its choices
+    and the nodes whose enabled steps it can change.  Each step is applied to `c` once; a
+    selection is patched together from its steps' results.  No enabled step, no successor."""
     if mode == INTERLEAVING:
-        return [(step.choices, (step,), _apply(ad, view, c, step))
-                for steps in enabled.values() for step in steps]
+        for steps in enabled.values():
+            for step in steps:
+                yield step, _apply(ad, view, c, step)
+        return
     if mode != CONCURRENT:
         raise TokenGameError(f"unknown mode {mode!r}")
-    # at most one step per node and no two touching one position
-    grown = [((), frozenset(), frozenset(), c)]
+    # at most one step per node and no two touching one position; reach is empty only at the start
+    grown = [(frozenset(), (), frozenset(), c)]
     for steps in enabled.values():
         singles = [(step, _apply(ad, view, c, step)) for step in steps]
-        grown += [(selection + (step,), touched | step.touches, choices | step.choices,
-                   _patch(c0, step, c1) if selection else c1)
-                  for selection, touched, choices, c0 in grown
+        grown += [(choices | step.choices, reach + step.reach, touched | step.touches,
+                   _patch(c0, step, c1) if reach else c1)
+                  for choices, reach, touched, c0 in grown
                   for step, c1 in singles if touched.isdisjoint(step.touches)]
-    return [(choices, selection, c1) for selection, _, choices, c1 in grown[1:]]
+    for selection in grown[1:]:
+        yield selection, selection[3]
 
 
 def _ordered(items: list, key: Callable[..., str]) -> list:
-    """`items`, each with its configuration third, in the order of every
-    successor list: by `key` of the configuration, its `canonical(ad)`,
-    the sorted step labels breaking ties."""
+    """`items`, each a move and the configuration it makes, in the order of
+    every successor list: by `key` of the configuration, its `canonical(ad)`,
+    the sorted labels of the move's choices breaking ties."""
     if len(items) < 2:
         return items
-    keys = list(map(key, map(itemgetter(2), items)))
+    keys = [key(c1) for _, c1 in items]
     if len(set(keys)) < len(keys):  # a tie, which the labels break
-        keys = [(k, sorted(ch.label() for ch in chs)) for k, (chs, _, _) in zip(keys, items)]
+        keys = [(k, sorted(ch.label() for ch in move[0])) for k, (move, _) in zip(keys, items)]
     return list(map(items.__getitem__, sorted(range(len(items)), key=keys.__getitem__)))
 
 
@@ -364,8 +369,8 @@ def successors(ad: ActivityDiagram, c: Configuration, mode: str = INTERLEAVING,
     set of nodes whose consumed and produced transition sets are pairwise
     disjoint fires simultaneously."""
     view = _view(ad)
-    succ = _expand(ad, view, c, view.table(ad, action_mode).scan(c), mode)
-    return [(choices, c1) for choices, _, c1 in _ordered(succ, partial(view.order_key, ad))]
+    succ = list(_expand(ad, view, c, view.table(ad, action_mode).scan(c), mode))
+    return [(move[0], c1) for move, c1 in _ordered(succ, partial(view.order_key, ad))]
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +415,20 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
     queue = deque([(start, table.scan(start))])
     while queue:
         c, enabled = queue.popleft()
-        succ = _expand(ad, view, c, enabled, mode)
-        if not succ:
+        if not enabled:
             dead_ends.append(c)
-        new = []
-        for r in succ:
-            if (kept := visited.get(r[2])) is None:
-                new.append(r)
+        new = []  # the successors not seen before; a revisit is only looked up
+        for move, c1 in _expand(ad, view, c, enabled, mode):
+            if (kept := visited.get(c1)) is None:
+                new.append((move, c1))
             else:
-                edges.append((c, r[0], kept))
-        for choices, selection, c1 in _ordered(new, key):
-            if len(visited) < bound or c1 in visited:  # in: reached by an earlier selection
+                edges.append((c, move[0], kept))
+        for move, c1 in _ordered(new, key):
+            if len(visited) < bound or c1 in visited:  # in: reached by an earlier move
                 kept = visited.setdefault(c1, c1)
                 if kept is c1:
-                    queue.append((c1, table.carry(enabled, selection, c1)))
-                edges.append((c, choices, kept))
+                    queue.append((c1, table.carry(enabled, move, c1)))
+                edges.append((c, move[0], kept))
             else:
                 truncated = True
     return ReachabilityResult(start, list(visited), edges, truncated, dead_ends)
@@ -518,14 +522,13 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
     enabled = table.scan(configs[0])
     choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
-        succ = _ordered(_expand(ad, view, configs[-1], enabled, mode), key)
+        succ = _ordered(list(_expand(ad, view, configs[-1], enabled, mode)), key)
         if not succ:
             return Run(configs, choices)
-        chs, selection, c1 = succ[rng.randrange(len(succ))]
-        enabled = table.carry(enabled, selection, c1)
-        configs += (c1,)
-        choices += (chs,)
-    return Run(configs, choices, bool(_expand(ad, view, configs[-1], enabled, mode)))
+        move, c1 = succ[rng.randrange(len(succ))]
+        enabled = table.carry(enabled, move, c1)
+        configs, choices = configs + (c1,), choices + (move[0],)
+    return Run(configs, choices, next(_expand(ad, view, configs[-1], enabled, mode), None) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +595,24 @@ def run_to_jsonl(ad: ActivityDiagram, run: Iterable[Configuration]) -> str:
 
 def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:
     index, view = {c: i for i, c in enumerate(result.configs)}, _view(ad)
+    ends = [p for n, ps in zip(ad.nodes, ad.layout.ins) if n.kind is NodeKind.FINAL for p in ps]
 
     def describe(c: Configuration) -> str:
         parts = [f"{k}({len(buf)})" for k, buf in zip(view.keys, c.buffers) if buf]
-        parts += [name for name, value in zip(view.actions, c.flags) if value]
+        parts += compress(view.actions, c.flags)
         return "\\n".join(parts) if parts else "empty"
 
     lines = [f'digraph "{ad.name}-reachability" {{']
-    for c, i in index.items():
-        shape = "doublecircle" if config_is_final(ad, c) else "box"
+    for c, i in index.items():  # a final configuration holds a token before a final node
+        shape = "doublecircle" if any(c.buffers[p] for p in ends) and config_is_final(ad, c) else "box"
         lines.append(f'    n{i} [shape={shape}, label="{describe(c)}"];')
-    # sources as `reachable` expands them, each one's targets by key rank, then by their labels
-    rank = {c: r for r, c in enumerate(sorted(index, key=partial(view.order_key, ad)))}
-    for i, _, labels, j in sorted((index[c0], rank[c1], sorted(ch.label() for ch in chs), index[c1])
-                                  for c0, chs, c1 in result.edges):
-        lines.append(f'    n{i} -> n{j} [label="{", ".join(labels)}"];')
+    # sources as `reachable` expands them, each looked up once per run of edges; targets by key rank, then labels
+    target = {c: (r, index[c]) for r, c in enumerate(sorted(index, key=partial(view.order_key, ad)))}
+    label = {chs: (labels, ", ".join(labels)) for chs in {chs for _, chs, _ in result.edges}
+             for labels in [sorted(ch.label() for ch in chs)]}
+    rows = [(i, target[c1], label[chs]) for c0, out in groupby(result.edges, itemgetter(0))
+            for i in [index[c0]] for _, chs, c1 in out]
+    for i, (_, j), (_, text) in sorted(rows):
+        lines.append(f'    n{i} -> n{j} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

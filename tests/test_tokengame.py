@@ -33,8 +33,9 @@ from adsem.tokengame import (
 
 from ._brute import brute_successors
 from ._forks import fork
-from .conftest import keyed, runs
+from .conftest import keyed, load, runs
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 ORPHAN = parse("""
     activity Orphan {
         initial i out s;
@@ -251,7 +252,7 @@ def test_a_search_leaves_its_diagram_holding_near_nothing():
     tests/fixtures/orphan.ad, whose buffer into the final node grows without
     end, and with the result dropped, the diagram keeps no buffer it keyed:
     at bound 300 it held 0.89 MB while it memoised each buffer's text."""
-    ad = parse((Path(__file__).resolve().parent / "fixtures" / "orphan.ad").read_text(encoding="utf-8"))
+    ad = parse((FIXTURES / "orphan.ad").read_text(encoding="utf-8"))
     gc.collect()
     tracemalloc.start()
     try:
@@ -339,19 +340,50 @@ def test_decision_exclusivity(grade, fac):
 # Completeness against the brute-force filter
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["fac.ad", "minimal.ad", "split_join.ad"])
+# tests/fixtures/orphan.ad with X's output typed: its tokens carry `key#index` payloads
+TYPED_ORPHAN = """
+    activity Orphan {
+        initial i out s;
+        action X out d: Doc;
+        final f in a, b: Doc;
+        i.s -> f.a;
+        X.d -> f.b;
+    }
+"""
+# name, diagram, bound: the corpus is searched whole, and its buffers hold at most two
+# tokens; orphan.ad is cut at 40 configurations, its buffer into the final node far longer
+BRUTE = [(name, load(name), tokengame.DEFAULT_BOUND) for name in ("fac.ad", "minimal.ad", "split_join.ad")]
+BRUTE += [("orphan.ad", parse((FIXTURES / "orphan.ad").read_text(encoding="utf-8")), 40),
+          ("typed_orphan", parse(TYPED_ORPHAN), 40)]
+
+
+@pytest.mark.parametrize("name,ad,bound", BRUTE, ids=[name for name, _, _ in BRUTE])
 @pytest.mark.parametrize("action_mode", [INSTANT, TWO_PHASE])
-def test_brute_force_equality(name, action_mode):
-    from .conftest import load
-    ad = load(name)
+def test_brute_force_equality(name, ad, bound, action_mode):
     assert len(ad.transitions) <= 12
-    res = reachable(ad, action_mode=action_mode)
+    res = reachable(ad, action_mode=action_mode, bound=bound)
+    longest = max(len(buf) for c in res.configs for buf in c.buffers)
+    assert longest <= 2 if bound == tokengame.DEFAULT_BOUND else res.truncated and longest > 2
     for c in res.configs:
-        assert max(map(len, c.buffers), default=0) <= 2
         expected = brute_successors(ad, c, action_mode=action_mode)
         actual = {c1 for _, c1 in successors(ad, c, INTERLEAVING,
                                              action_mode=action_mode)}
         assert actual == expected, f"{name} {action_mode}: mismatch at {c.canonical(ad)}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda ad: reachable(ad, mode="bogus"),
+    lambda ad: successors(ad, initial_config(ad), mode="bogus"),
+    lambda ad: random_run(ad, mode="bogus"),
+    lambda ad: as_binding(ad, [initial_config(ad)], mode="bogus"),
+], ids=["reachable", "successors", "random_run", "as_binding"])
+def test_an_unknown_mode_raises_at_a_dead_end(call):
+    """minimal.ad's initial configuration has no successor, so no step is
+    expanded before the mode is read."""
+    ad = load("minimal.ad")
+    assert successors(ad, initial_config(ad)) == []
+    with pytest.raises(TokenGameError, match=r"^unknown mode 'bogus'$"):
+        call(ad)
 
 
 # ---------------------------------------------------------------------------
