@@ -107,22 +107,17 @@ class Configuration(NamedTuple):
         return Configuration.make(ad, buffers, flags)
 
     def canonical(self, ad: ActivityDiagram) -> str:
-        return _dumps(self.to_json(ad))
+        return json.dumps(self.to_json(ad), sort_keys=True, separators=(",", ":"))
 
 
 _configuration = partial(tuple.__new__, Configuration)  # of a (buffers, flags) pair
-
-
-def _dumps(value: object) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepChoice:
+class StepChoice(NamedTuple):
     """Which permitted reaction a node took in a step."""
     node: str
     kind: str  # start | finish | instant | forkjoin | decision
@@ -242,14 +237,17 @@ class _View:
         self.flag_of = [self.flag_position.get(n.name) for n in ad.nodes]  # by node index
         self.tables: dict[str, _Steps] = {}
         self.tokens: list[list[Token]] = [[] for _ in keys]  # by position, then buffer index
-        # `order_key`'s texts, each made once: "key":[ by position, a token's, a one-token buffer's, flags'
-        self.prefix = prefix = [_quote(k) + ":[" for k in keys]
-        self.token_json = text = cache(lambda tok: _dumps(tok.to_json()))
+        # the tokens of `tokens`, by themselves, the only ones whose texts are kept: tokens read
+        # from a file may be equal, one holding 1 and one True (1 == True == 1.0), in other JSON
+        self.made = made = {}
+        # `order_key`'s texts, made once: "key": [ by position, a made token's, one-token buffers', flags'
+        self.prefix = prefix = [_quote(k) + ": [" for k in keys]
+        self.token_json = text = cache(lambda tok: json.dumps(made[tok].to_json(), sort_keys=True))
         self.single = cache(lambda p, tok: prefix[p] + text(tok) + "]")
-        # per action by name: flag position, "name":false/true texts compact (order_key), spaced (run_to_jsonl)
-        self.flag_texts = flags = [(i, (f"{q}:false", f"{q}:true"), (f"{q}: false", f"{q}: true"))
-                                   for _, i, q in sorted((a, i, _quote(a)) for i, a in enumerate(actions))]
-        self.exec_json = cache(lambda c_flags: "{" + ",".join([t[c_flags[i]] for i, t, _ in flags]) + "}")
+        # per action by name: flag position and its "name": false/true texts
+        flags = [(i, (f"{q}: false", f"{q}: true"))
+                 for _, i, q in sorted((a, i, _quote(a)) for i, a in enumerate(actions))]
+        self.exec_json = cache(lambda c_flags: "{" + ", ".join([t[c_flags[i]] for i, t in flags]) + "}")
 
     def table(self, ad: ActivityDiagram, action_mode: str) -> _Steps:
         """The step table of `action_mode`, built on first use and kept."""
@@ -263,23 +261,26 @@ class _View:
 
     def token(self, ad: ActivityDiagram, p: int, index: int) -> Token:
         """`representative_token`, one object per (position, index) kept in
-        `tokens`, so that equal buffers compare by identity."""
+        `tokens`, so that equal buffers compare by identity, and in `made`."""
         tokens = self.tokens[p]
         while len(tokens) <= index:
-            tokens.append(representative_token(ad, ad.layout.transitions[p], len(tokens)))
+            tokens.append(tok := representative_token(ad, ad.layout.transitions[p], len(tokens)))
+            self.made[tok] = tok
         return tokens[index]
 
     def order_key(self, ad: ActivityDiagram, c: Configuration) -> str:
-        """`c.canonical(ad)`, joined from memoised texts: each nonempty buffer
-        in key order, whole if it holds one token, else by token, and the
-        flags.  No buffer is kept, so a growing one costs no memory."""
+        """`c`'s `run_to_jsonl` line, `json.dumps(c.to_json(ad), sort_keys=True)`, joined from
+        memoised texts: each nonempty buffer in key order, whole if it holds one token, else by
+        token, and the flags.  No buffer is kept, so a growing one costs no memory.  Keys sort and
+        compare as `c.canonical(ad)` does, which is this text less the space after each `,` and
+        `:` between items: two texts first differ at the same character in both forms."""
         prefix, single, buffers, text = self.prefix, self.single, c.buffers, self.token_json
         try:
-            parts = [single(p, buf[0]) if len(buf) == 1 else prefix[p] + ",".join(map(text, buf)) + "]"
+            parts = [single(p, buf[0]) if len(buf) == 1 else prefix[p] + ", ".join(map(text, buf)) + "]"
                      for p in self.key_order if (buf := buffers[p])]
-        except TypeError:  # unhashable: a payload read from a file may be a list
-            return c.canonical(ad)
-        return '{"buffers":{' + ",".join(parts) + '},"exec":' + self.exec_json(c.flags) + "}"
+        except (KeyError, TypeError):  # a token no step made, as one read from a file, or unhashable
+            return json.dumps(c.to_json(ad), sort_keys=True)
+        return '{"buffers": {' + ", ".join(parts) + '}, "exec": ' + self.exec_json(c.flags) + "}"
 
 
 def _view(ad: ActivityDiagram) -> _View:
@@ -351,8 +352,9 @@ def _expand(ad: ActivityDiagram, view: _View, c: Configuration, enabled: dict[in
 
 def _ordered(items: list, key: Callable[..., str]) -> list:
     """`items`, each a move and the configuration it makes, in the order of
-    every successor list: by `key` of the configuration, its `canonical(ad)`,
-    the sorted labels of the move's choices breaking ties."""
+    every successor list: by `key` of the configuration, its JSON-lines text,
+    which orders as `canonical(ad)` does, the sorted labels of the move's
+    choices breaking ties."""
     if len(items) < 2:
         return items
     keys = [key(c1) for _, c1 in items]
@@ -518,17 +520,18 @@ def random_run(ad: ActivityDiagram, seed: int = 0, mode: str = INTERLEAVING,
         raise TokenGameError("bound must be >= 1")
     rng, view = random.Random(seed), _view(ad)
     table, key = view.table(ad, action_mode), partial(view.order_key, ad)
-    configs: tuple[Configuration, ...] = (initial_config(ad),)
+    configs, choices = [initial_config(ad)], []
     enabled = table.scan(configs[0])
-    choices: tuple[frozenset, ...] = ()
     while len(configs) < max_len:
         succ = _ordered(list(_expand(ad, view, configs[-1], enabled, mode)), key)
         if not succ:
-            return Run(configs, choices)
+            return Run(tuple(configs), tuple(choices))
         move, c1 = succ[rng.randrange(len(succ))]
         enabled = table.carry(enabled, move, c1)
-        configs, choices = configs + (c1,), choices + (move[0],)
-    return Run(configs, choices, next(_expand(ad, view, configs[-1], enabled, mode), None) is not None)
+        configs.append(c1)
+        choices.append(move[0])
+    cut = next(_expand(ad, view, configs[-1], enabled, mode), None) is not None
+    return Run(tuple(configs), tuple(choices), cut)
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +583,9 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
 # ---------------------------------------------------------------------------
 
 def run_to_jsonl(ad: ActivityDiagram, run: Iterable[Configuration]) -> str:
-    """A `json.dumps(c.to_json(ad), sort_keys=True)` line per configuration, joined from key, flag
-    and token texts; tokens are memoised by identity, safe as the run is held until this returns."""
-    view, tokens, lines = _view(ad), {}, []
-    keys = [(p, _quote(view.keys[p]) + ": [") for p in view.key_order]
-    for buffers, flags in tuple(run):
-        parts = [key + ", ".join([tokens.get(id(tok)) or tokens.setdefault(
-                     id(tok), json.dumps(tok.to_json(), sort_keys=True)) for tok in buf]) + "]"
-                 for p, key in keys if (buf := buffers[p])]
-        lines.append('{"buffers": {' + ", ".join(parts) + '}, "exec": {'
-                     + ", ".join([t[flags[i]] for i, _, t in view.flag_texts]) + "}}\n")
-    return "".join(lines)
+    """A `json.dumps(c.to_json(ad), sort_keys=True)` line per configuration: its `order_key`."""
+    key = partial(_view(ad).order_key, ad)
+    return "".join([key(c) + "\n" for c in run])
 
 
 def reachability_to_dot(ad: ActivityDiagram, result: ReachabilityResult) -> str:

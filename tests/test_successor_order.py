@@ -2,18 +2,24 @@
 
 Successor lists, `reach`'s new successors and each configuration's DOT
 edges sort by `_View.order_key`, which joins memoised JSON instead of
-serialising each configuration; it must equal
-`Configuration.canonical(ad)` exactly, or the BFS numbering, the order of
-deadlocks, the DOT file and the seeded pick of `simulate` change.
+serialising each configuration.  It must equal the line `run_to_jsonl`
+writes, `json.dumps(c.to_json(ad), sort_keys=True)`, exactly, and it must
+order and compare as `Configuration.canonical(ad)` does, or the BFS
+numbering, the order of deadlocks, the DOT file and the seeded pick of
+`simulate` change.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adsem.diagram import parse, validate
+from adsem.diagram import NodeKind, parse, validate
+from adsem.semantics import Token, call_token
 from adsem.tokengame import (
     CONCURRENT,
     INSTANT,
@@ -22,6 +28,7 @@ from adsem.tokengame import (
     Configuration,
     StepChoice,
     _View,
+    _view,
     initial_config,
     reachability_to_dot,
     reachable,
@@ -74,12 +81,14 @@ DIAGRAMS = list(diagrams())
 @pytest.mark.parametrize("name,ad", DIAGRAMS + [("prefixed", parse(PREFIXED))],
                          ids=[name for name, _ in DIAGRAMS] + ["prefixed"])
 def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
+    """Every key `reach` and the DOT writer build is the configuration's JSON-lines text, whose
+    order is `canonical()`'s (see `test_order_key_orders_and_compares_as_canonical`)."""
     made = Counter()  # the keys built, by configuration
     order_key = _View.order_key
 
     def recording(view, ad, c):
         key = order_key(view, ad, c)
-        assert key == c.canonical(ad)
+        assert key == json.dumps(c.to_json(ad), sort_keys=True)
         made[c] += 1
         return key
 
@@ -95,6 +104,79 @@ def test_order_key_is_canonical(name, ad, mode, actions, monkeypatch):
     searched = made.copy()
     reachability_to_dot(ad, result)
     assert made - searched == Counter(result.configs)
+
+
+PREFIXED_AD = parse(PREFIXED)  # one diagram, so that its memoised texts outlive each example
+# the tokens its steps make, whose texts its view keeps
+MADE = list(dict.fromkeys(tok for c in reachable(PREFIXED_AD, CONCURRENT, TWO_PHASE).configs
+                          for buf in c.buffers for tok in buf))
+# texts that JSON escapes or that look like its separators, and non-ASCII ones
+TEXTS = st.lists(st.sampled_from([",", ":", " ", ", ", ": ", "]", "[", "{", '"', "\\", "\n", "a", "é", "中",
+                                  "\u2028"]), max_size=5).map("".join)
+# record values equal in Python whose JSON differs: 1 == True == 1.0, 0 == False == 0.0 == -0.0
+VALUES = st.one_of(TEXTS, st.none(), st.sampled_from([0, 1, True, False, 1.0, 0.0, -0.0]))
+TOKENS = st.one_of(
+    st.sampled_from(MADE),
+    st.builds(Token, st.just("Doc"), TEXTS),
+    st.builds(call_token, st.just("Doc"), st.dictionaries(st.sampled_from(["a", ": ", "中"]), VALUES,
+                                                          max_size=2)),
+    st.builds(Token, st.just("Doc"), st.lists(VALUES, max_size=2)),  # unhashable
+)
+SWAP = {bool: float, float: int, int: bool}  # to an equal value of another type, for 0 and 1
+
+
+def twin(c):
+    """A configuration equal to `c` whose JSON differs where a record holds a number."""
+    def token(tok):
+        if type(tok.payload) is not tuple:
+            return tok
+        return Token(tok.type_name, tuple((k, SWAP[type(v)](v) if type(v) in SWAP else v)
+                                          for k, v in tok.payload))
+    return Configuration(tuple(tuple(map(token, buf)) for buf in c.buffers), c.flags)
+
+
+def configurations(ad):
+    keys = sorted(ad.layout.position)
+    actions = sorted({n.name for n in ad.nodes if n.kind is NodeKind.ACTION})
+    return st.builds(lambda buffers, flags: Configuration.make(ad, buffers, flags),
+                     st.dictionaries(st.sampled_from(keys), st.lists(TOKENS, max_size=3), max_size=4),
+                     st.fixed_dictionaries({name: st.booleans() for name in actions}))
+
+
+def edited(c):
+    """`c` with one buffer replaced or one flag flipped, so that the two texts share a long head."""
+    def edit(p, toks, flip):
+        buffers, flags = list(c.buffers), list(c.flags)
+        buffers[p % len(buffers)] = tuple(toks)
+        if flip is not None:
+            flags[flip % len(flags)] ^= True
+        return Configuration(tuple(buffers), tuple(flags))
+    return st.builds(edit, st.integers(0, 99), st.lists(TOKENS, max_size=3), st.none() | st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_order_key_orders_and_compares_as_canonical(data):
+    ad = PREFIXED_AD
+    view, c1 = _view(ad), data.draw(configurations(ad))
+    c2 = data.draw(st.one_of(configurations(ad), edited(c1),
+                             st.just(Configuration.from_json(ad, json.loads(c1.canonical(ad))))))
+    for pair in ((c1, c2), (c1, twin(c1))):
+        keys = [view.order_key(ad, c) for c in pair]
+        assert keys == [json.dumps(c.to_json(ad), sort_keys=True) for c in pair]
+        texts = [c.canonical(ad) for c in pair]
+        assert (keys[0] < keys[1], keys[0] == keys[1]) == (texts[0] < texts[1], texts[0] == texts[1])
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_number_in_a_payload_keeps_its_own_text(count):
+    """1 == True == 1.0, so buffers holding them are equal, yet their texts differ."""
+    ad, view = PREFIXED_AD, _view(PREFIXED_AD)
+    configs = [Configuration.make(ad, {"F.y->A.t": [call_token("Doc", {"a": v})] * count})
+               for v in (1, True, 1.0)]
+    assert configs[0] == configs[1] == configs[2]
+    assert [view.order_key(ad, c) for c in configs] == [json.dumps(c.to_json(ad), sort_keys=True)
+                                                         for c in configs]
 
 
 SMALL = [(name, ad) for name, ad in DIAGRAMS + [("prefixed", parse(PREFIXED))]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import time
 import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
@@ -410,6 +411,27 @@ def test_random_run_reaches_final(grade):
     run = random_run(grade, seed=7)
     assert not run.cut
     assert config_is_final(grade, run.configs[-1])
+
+
+def test_a_long_run_costs_time_linear_in_its_length():
+    """A loop through a decision merge never ends, so each run of it is cut at its bound.
+    60,000 steps take a small part of the 5 s allowed when no step copies the run so far,
+    and about 20 s when each does."""
+    loop = parse("""
+        activity Loop {
+            initial i out s;
+            decisionmerge M in a, b out o;
+            action A in x out y;
+            final f in z;
+            i.s -> M.a;
+            M.o -> A.x;
+            A.y -> M.b;
+        }
+    """)
+    start = time.perf_counter()
+    run = random_run(loop, 0, INTERLEAVING, TWO_PHASE, max_len=60_000)
+    assert time.perf_counter() - start < 5
+    assert run.cut and len(run.configs) == 60_000
 
 
 def test_run_jsonl_round_trip(grade):
