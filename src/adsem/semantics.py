@@ -339,7 +339,10 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     is judged from its `b.delta` at the readers of what it consumed, the writers of what it
     produced and the nodes it lists, in declaration order, by a plan (`_checks`) made once
     per delta and flags, and found by identity once the binding has returned one delta
-    object again.  A state the binding cannot read raises `StateError`."""
+    object again.  A pair whose plan is found by identity is judged, guards aside, from the
+    abstract configuration before it (buffered bits, flags, loads and finality counts) and
+    its plan; what it asks and leads to is kept per plan, by configuration.  A state the
+    binding cannot read raises `StateError`."""
     ad = b.diagram_of(inst)
     for start, s0 in enumerate(trace):
         try:
@@ -364,8 +367,11 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         load[i] += d
         if load[i] == (d > 0):  # 0 -> 1 or 1 -> 0
             lit[final[i]] += d
-    plans: dict = {}  # delta as items -> (id of the delta it was made from, judged nodes, {flags before: checks})
+    plans: dict = {}  # delta as items -> (id of the delta it was made from, judged nodes, {flags before: checks},
+    #                 {id of an abstract configuration: (checks, the abstract configuration after)})
     held: dict = {}  # id of a delta met again -> (that delta, kept so that no other object takes its id, its plan)
+    confs: dict = {}  # abstract configurations, interned and kept, so that no other object takes their ids
+    conf = None  # while plans are found by identity, the abstract configuration; the lists catch up on a miss
     for j in range(start, len(trace) - 1):
         s1 = trace[j + 1]
         try:
@@ -375,7 +381,19 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
         moves, moved = delta
         if held and (hit := held.get(id(delta))) is not None:  # a binding may return one delta object again
             plan = hit[1]
+            if conf is None:
+                conf = confs.setdefault(now := (tuple(buffered), tuple(flags), tuple(load), tuple(lit)), now)
+            if (known := plan[3].get(id(conf))) is not None:
+                for i, guard in known[0]:
+                    if not b.eval_guard(guard, inst, s1):
+                        return Verdict(VerdictKind.VIOLATED, j, nodes[i].name, _STEP_PREDICATE[nodes[i].kind])
+                conf, s0 = known[1], s1
+                continue
+            buffered[:], flags[:], load[:], lit[:] = conf
         else:
+            if conf is not None:
+                buffered[:], flags[:], load[:], lit[:] = conf
+                conf = None
             key = (tuple(moves.items()), tuple(moved.items()))
             if (plan := plans.get(key)) is None:
                 judged = set(moved)
@@ -384,10 +402,10 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
                         judged.add(readers[p])
                     if produced:
                         judged.add(writers[p])
-                plan = plans[key] = (id(delta), sorted(judged), {})
+                plan = plans[key] = (id(delta), sorted(judged), {}, {})
             elif plan[0] == id(delta):  # made from this object, or from a freed one at its address
                 held[id(delta)] = (delta, plan)  # either way its plan, found by identity from now on
-        _, judged, by_flags = plan
+        _, judged, by_flags, _ = plan
         f0 = tuple([flags[i] for i in judged])
         if (checks := by_flags.get(f0)) is None:
             checks = by_flags[f0] = _checks(ad, moves, moved, judged, f0)
@@ -406,6 +424,9 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
             blamed = (_busy(ad, NodeKind.FINAL, buffered.__getitem__, flags.__getitem__)
                       or next(n for n in nodes if n.kind is NodeKind.FINAL))
             return Verdict(VerdictKind.VIOLATED, j, blamed.name, "final-persistence")
+        if conf is not None:  # a pair that passed: its checks and where it leads, from this configuration
+            after = confs.setdefault(now := (tuple(buffered), tuple(flags), tuple(load), tuple(lit)), now)
+            plan[3][id(conf)], conf = (checks, after), after
         s0 = s1
     if trace.truncated:
         return Verdict(VerdictKind.SATISFIED_SO_FAR)

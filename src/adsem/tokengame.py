@@ -559,6 +559,20 @@ def lifted_binding(ad: ActivityDiagram) -> VariationBinding:
     )
 
 
+def _has_step(ad: ActivityDiagram, c: Configuration, action_mode: str) -> bool:
+    """`bool(table.scan(c))` of the step table of `action_mode`, read off the layout: under
+    twoPhase an action whose flag is set or whose inputs are all filled, else an action or
+    fork/join whose inputs are all filled and none of them an output of its own, or a
+    decision with a filled input and another output.  No step of the table is built."""
+    buffers, two_phase = c.buffers, action_mode == TWO_PHASE
+    return any(
+        any(buffers[p] and any(q != p for q in outs) for p in ins) if n.kind is NodeKind.DECISIONMERGE
+        else c.flags[flag] or all(map(buffers.__getitem__, ins)) if two_phase and flag is not None
+        else (n.kind in (NodeKind.ACTION, NodeKind.FORKJOIN) and all(map(buffers.__getitem__, ins))
+              and set(ins).isdisjoint(outs))
+        for n, ins, outs, flag in zip(ad.nodes, ad.layout.ins, ad.layout.outs, _view(ad).flag_of))
+
+
 def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
                mode: str = INTERLEAVING, action_mode: str = INSTANT,
                truncated: bool | None = None) -> tuple[ActivityDiagram, VariationBinding, Trace]:
@@ -566,15 +580,17 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
     instance and `lifted_binding` to read them.
 
     When `truncated` is not given it is derived: a run whose last
-    configuration still has successors, some step of its enabled set, is
-    a prefix.
+    configuration still has successors, some step of `action_mode`
+    (`_has_step`), is a prefix.  Unknown modes are rejected either way.
     """
     if not run:
         raise TokenGameError("empty run")
+    if action_mode not in (INSTANT, TWO_PHASE):
+        raise TokenGameError(f"unknown action mode {action_mode!r}")
+    if mode not in (INTERLEAVING, CONCURRENT):
+        raise TokenGameError(f"unknown mode {mode!r}")
     if truncated is None:  # an enabled step is a successor in either mode
-        truncated = bool(_view(ad).table(ad, action_mode).scan(run[-1]))
-        if mode not in (INTERLEAVING, CONCURRENT):
-            raise TokenGameError(f"unknown mode {mode!r}")
+        truncated = _has_step(ad, run[-1], action_mode)
     return ad, lifted_binding(ad), Trace(tuple(run), truncated=truncated)
 
 

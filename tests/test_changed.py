@@ -8,14 +8,19 @@ also gets seeded `random_run`s, mutated alike, in all four modes of
 `corpus/fac.ad` (a loop), `corpus/split_join.ad` and
 `fixtures/orphan.ad` (an action with no input, which starts and finishes
 again and again), so that steps recur under both flag values and
-`conforms` judges them from the plan it made the first time.  On each
+`conforms` judges them from the plan it made the first time, and
+`run_method` traces of `corpus/fac.ad` and of a two-accumulator counting
+loop, mutated alike, whose loops revisit each abstract configuration, so
+that `conforms` judges repeated pairs from what it kept of them.  On each
 pair of states, `delta` must give each position it lists the `cons` and
 `prod` counts and the filled bit of the second buffer, and each node it
 lists the flag in the second state; any other position has no counts and
 one buffer in both states, and any other node keeps its flag.  `conforms`
 judges a pair from `delta` alone; `full_scan` is the loop it replaced,
 which judges every node and reads every buffer and flag of every state,
-and the two must give the same verdict, or raise the same error.
+and the two must give the same verdict, or raise the same error, also
+when the binding returns one `delta` object for equal deltas
+(`interning`), so that token traces are judged by identity too.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from functools import cache
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adsem import diagram, tokengame, variant1
+from adsem import diagram, sysmodel, tokengame, variant1
 from adsem.diagram import NodeKind
 from adsem.semantics import (_STEP_PREDICATE, CONTROL_TOKEN, Verdict, VerdictKind, _allows, _busy,
                              configuration_is, conforms, is_initial_state)
@@ -37,6 +42,25 @@ from .test_cli_golden_verdicts import MODES, bases, decoded, golden_path, mutate
 
 RECORDS = {name: json.loads(golden_path(name).read_text(encoding="utf-8")) for name in bases()}
 LOOPING = ["corpus/fac.ad", "corpus/split_join.ad", "tests/fixtures/orphan.ad"]
+COUNTING = """activity Counting {
+    initial s out o;
+    action Z1 in g out p effect "acc1 := 0";
+    action Z2 in g out p effect "acc2 := 0";
+    decisionmerge H in a, b out body guard "i > 0", exit guard "i <= 0";
+    action B1 in g out p effect "acc1 := acc1 + i * 3";
+    action B2 in g out p effect "acc2 := acc2 + i * 7";
+    action D in g out p effect "i := i - 1";
+    final x in e;
+    s.o -> Z1.g;
+    Z1.p -> Z2.g;
+    Z2.p -> H.a;
+    H.body -> B1.g;
+    B1.p -> B2.g;
+    B2.p -> D.g;
+    D.p -> H.b;
+    H.exit -> x.e;
+}
+"""
 
 
 def full_scan(trace, inst, b) -> Verdict:
@@ -98,13 +122,30 @@ def random_record(path: str, mode: str, actions: str, seed: int) -> dict:
             "base": [json.dumps(c.to_json(ad), sort_keys=True) for c in run.configs]}
 
 
+@cache
+def v1_record(counting: bool, n: int) -> dict:
+    """A record like `golden/verdicts/fac-n3.json` whose base is a `run_method` of
+    `corpus/fac.ad` from n, or of `COUNTING` from i = n."""
+    path = "corpus/fac.ad"
+    text = COUNTING if counting else (CORPUS.parent / path).read_text(encoding="utf-8")
+    ad = diagram.parse(text)
+    inst = variant1.method_instance(ad)
+    trace = variant1.run_method(ad, inst, {"i" if counting else "n": n})
+    header = {"params": inst.to_json(), "truncated": trace.truncated, "variant": "v1"}
+    return {"diagram": path, **({"text": text} if counting else {}), "options": ["--variant", "v1"],
+            "base": [json.dumps(header, sort_keys=True), *sysmodel.states_to_jsonl(trace.states).splitlines()]}
+
+
 @st.composite
 def traces(draw, looping: bool = False):
     """(instance, binding, trace) of a recorded trace, or with `looping` maybe of a
-    `random_run` of a `LOOPING` diagram, mutated up to three times."""
-    if looping and draw(st.booleans()):
+    `random_run` of a `LOOPING` diagram or a v1 run of a loop, mutated up to three times."""
+    source = draw(st.sampled_from(["recorded", "token", "v1"] if looping else ["recorded"]))
+    if source == "token":
         record = random_record(draw(st.sampled_from(LOOPING)), *draw(st.sampled_from(MODES)),
                                draw(st.integers(0, 40)))
+    elif source == "v1":
+        record = v1_record(draw(st.booleans()), draw(st.integers(3, 40)))
     else:
         record = RECORDS[draw(st.sampled_from(sorted(RECORDS)))]
     lines = record["base"]
@@ -143,11 +184,36 @@ def test_delta_gives_the_counts_buffers_and_flags_of_every_pair(case):
             assert flags[i] == flags1[i] if i in flags else flags0[i] == flags1[i]
 
 
+def interning(b):
+    """`b`, its `delta` returning one object for equal deltas, as a binding may, so that
+    `conforms` finds every plan met twice by identity, also of a token trace."""
+    kept: dict = {}
+
+    def delta(inst, s0, s1):
+        moves, moved = found = b.delta(inst, s0, s1)
+        return kept.setdefault((tuple(moves.items()), tuple(moved.items())), found)
+    return replace(b, delta=delta)
+
+
 @settings(max_examples=500, deadline=None)
 @given(traces(looping=True))
 def test_conforms_agrees_with_a_full_scan(case):
     inst, b, trace = case
-    assert outcome(conforms, trace, inst, b) == outcome(full_scan, trace, inst, b)
+    expected = outcome(full_scan, trace, inst, b)
+    assert outcome(conforms, trace, inst, b) == outcome(conforms, trace, inst, interning(b)) == expected
+
+
+def test_a_pc_rewound_late_in_a_long_loop_is_located_as_a_full_scan_locates_it():
+    # fac n=60 loops 59 times; the 51st MulRes state, after 50 passes, goes back to SetRes,
+    # so that every pair before it is a loop pair met before, from a configuration met before
+    record = v1_record(False, 60)
+    lines = list(record["base"])
+    at = [k for k, line in enumerate(lines) if '"pc": "pc:MulRes"' in line][50]
+    lines[at] = lines[at].replace('"pc": "pc:MulRes"', '"pc": "pc:SetRes"')
+    inst, b, trace = decoded(record, lines)
+    verdict = conforms(trace, inst, b)
+    assert verdict == full_scan(trace, inst, b)
+    assert verdict.kind is VerdictKind.VIOLATED and verdict.index == at - 2  # line `at` holds state at - 1
 
 
 def test_finality_reached_by_a_token_and_lost_by_a_start_is_blamed_on_the_starter():
@@ -187,6 +253,66 @@ def test_a_recurring_decision_step_reads_its_guard_on_every_occurrence(fac):
         assert conforms(trace, inst, fails_at(k)) == Verdict(
             VerdictKind.VIOLATED, k - 1, "Loop", "step:decisionmerge")
         assert asked == [("n > 1", i) for i in (2, 5, 8) if i <= k]
+
+
+def test_a_pair_met_again_from_a_configuration_met_before_reads_its_guard_again(fac):
+    # in v1, DecN -> MulRes crosses Loop: one delta object, from one abstract configuration,
+    # on every pass after the first; its guard is still read in each pair's second state
+    inst = variant1.method_instance(fac)
+    trace = variant1.run_method(fac, inst, {"n": 10})
+    asked = []
+
+    def fails_at(k: int | None):
+        """The v1 binding, its guards holding in every state but `trace[k]`."""
+        def eval_guard(guard, _inst, s):
+            asked.append((guard, next(i for i, s1 in enumerate(trace) if s1 is s)))
+            return k is None or s is not trace[k]
+        return replace(variant1.atomic_binding(inst), eval_guard=eval_guard)
+    assert conforms(trace, inst, fails_at(None)) == Verdict(VerdictKind.SATISFIED)
+    assert asked == [("n > 1", i) for i in range(1, len(trace) - 1, 2)] + [("n <= 1", len(trace) - 1)]
+    asked.clear()
+    assert conforms(trace, inst, fails_at(15)) == Verdict(VerdictKind.VIOLATED, 14, "Loop", "step:decisionmerge")
+    assert asked == [("n > 1", i) for i in range(1, 16, 2)]
+
+
+def test_a_stutter_met_again_after_kept_pairs_is_judged_where_the_trace_is(fac):
+    # seed 28 loops eight times; with one delta object per distinct delta, `conforms` judges the
+    # later passes from what it kept of the earlier ones.  A stutter, met three times after
+    # them, is judged by key twice, then by identity from where the trace is
+    run = list(tokengame.random_run(fac, 28, tokengame.INTERLEAVING, tokengame.TWO_PHASE).configs)
+    assert len(run) == 44
+    for k in (36, 33, 30):
+        run.insert(k, run[k])
+    inst, b, trace = tokengame.as_binding(fac, run, action_mode=tokengame.TWO_PHASE)
+    assert conforms(trace, inst, interning(b)) == full_scan(trace, inst, b) == Verdict(VerdictKind.SATISFIED)
+
+
+LOOP_THEN_ORPHAN = diagram.parse("""activity LoopThenOrphan {
+    initial i out s;
+    decisionmerge M in a, b out body, exit;
+    action A in x out y;
+    action X;
+    final f in z;
+    i.s -> M.a;
+    M.body -> A.x;
+    A.y -> M.b;
+    M.exit -> f.z;
+}""")
+
+
+def test_finality_lost_after_kept_pairs_is_found_where_the_trace_is():
+    # five passes through A, judged from what `conforms` kept of the first ones, then the exit,
+    # met once and judged by key from where the trace is, makes it final, and X starts
+    ad, steps = LOOP_THEN_ORPHAN, ["M:i.s->M.a=>M.body->A.x"]
+    steps += ["A:start", "A:finish", "M:A.y->M.b=>M.body->A.x"] * 4 + ["A:start", "A:finish"]
+    run = [tokengame.initial_config(ad)]
+    for label in steps + ["M:A.y->M.b=>M.exit->f.z", "X:start"]:
+        run.append(next(c1 for chs, c1 in tokengame.successors(ad, run[-1], tokengame.INTERLEAVING,
+                                                               tokengame.TWO_PHASE)
+                        if [ch.label() for ch in chs] == [label]))
+    inst, b, trace = tokengame.as_binding(ad, run, action_mode=tokengame.TWO_PHASE)
+    expected = Verdict(VerdictKind.VIOLATED, len(steps) + 1, "X", "final-persistence")
+    assert conforms(trace, inst, interning(b)) == full_scan(trace, inst, b) == expected
 
 
 def test_one_delta_is_judged_again_under_other_flags(fac):

@@ -74,10 +74,15 @@ def check(record: dict, lines: list[str], tmp: Path) -> dict:
     return _cli("check-trace", str(ROOT / record["diagram"]), "trace.jsonl", *record["options"])
 
 
+def record_diagram(record: dict) -> diagram.ActivityDiagram:
+    """The record's diagram: its `text`, if it holds one, else the file it names."""
+    return diagram.parse(record.get("text") or (ROOT / record["diagram"]).read_text(encoding="utf-8"))
+
+
 def decoded(record: dict, lines: list[str]):
     """(instance, binding, trace) as `check-trace` builds them; raises on
     lines it would reject."""
-    ad = diagram.parse((ROOT / record["diagram"]).read_text(encoding="utf-8"))
+    ad = record_diagram(record)
     options = dict(zip(record["options"][::2], record["options"][1::2]))
     if options["--variant"] == "token":
         run = [tokengame.Configuration.from_json(ad, json.loads(line)) for line in lines]
@@ -265,7 +270,7 @@ EDITS = {"token": [flip_flag, add_token, take_token, move_token],
 def mutate(rng: random.Random, record: dict, ops: int) -> tuple[str, list[str]] | None:
     """Up to `ops` mutations of the record's base trace: their names and
     the mutated lines, or None when none applied."""
-    ad = diagram.parse((ROOT / record["diagram"]).read_text(encoding="utf-8"))
+    ad = record_diagram(record)
     variant = record["options"][1]
     lines = list(record["base"])
     header = None if variant == "token" else json.loads(lines.pop(0))

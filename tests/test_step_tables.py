@@ -16,9 +16,10 @@ import pytest
 from adsem import diagram, tokengame
 from adsem.diagram import Transition, incoming, outgoing, parse, to_text
 from adsem.tokengame import (CONCURRENT, INSTANT, INTERLEAVING, TWO_PHASE, Configuration, TokenGameError,
-                             analyze, config_is_final, initial_config, lifted_binding, random_run,
+                             analyze, as_binding, config_is_final, initial_config, lifted_binding, random_run,
                              reachability_to_dot, reachable, run_to_jsonl, successors)
 
+from ._forks import FAMILIES, fork_text
 from .conftest import CORPUS
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -75,6 +76,7 @@ def test_reading_and_writing_configurations_builds_no_step(monkeypatch):
     assert all(view.order_key(ad, c) == json.dumps(c.to_json(ad), sort_keys=True) for c in run)
     assert config_is_final(ad, run[-1]) and not config_is_final(ad, run[0])
     assert lifted_binding(ad).delta(ad, run[0], run[1])
+    assert [as_binding(ad, run[:k], CONCURRENT, TWO_PHASE)[2].truncated for k in (1, len(run))] == [True, False]
     assert built == [] and view.tables == {}
 
     successors(ad, run[0], CONCURRENT, TWO_PHASE)  # the stand-in is called where steps are built
@@ -151,3 +153,50 @@ def test_a_transition_declared_twice_is_one_edge_also_for_a_decision():
     assert once.count("->") == DUPLICATED.count("->") - 2
     for m, a in MODES:
         assert outputs(parse(DUPLICATED), m, a) == outputs(parse(once), m, a)
+
+
+RULE_TEXTS = {path.name: path.read_text(encoding="utf-8")
+              for path in [*sorted(CORPUS.glob("*.ad")), *sorted(FIXTURES.glob("*.ad"))]}
+RULE_TEXTS.update((f"fork{k}x{c}", fork_text(k, c)) for k, c in FAMILIES)
+
+
+@pytest.mark.parametrize("name", RULE_TEXTS)
+def test_the_layout_rule_finds_a_step_exactly_where_the_table_does(name):
+    """`as_binding`'s truncation rule, read off the layout, against the step table of each
+    action mode on every configuration that `reach --bound 3000` reaches in any mode."""
+    ad = parse(RULE_TEXTS[name])
+    configs = {c for m, a in MODES for c in reachable(ad, m, a, bound=3000).configs}
+    for c in configs:
+        for a in (INSTANT, TWO_PHASE):
+            assert tokengame._has_step(ad, c, a) == bool(tokengame._view(ad).table(ad, a).scan(c))
+
+
+SELF_LOOPS = """activity SelfLoops {
+    initial i out s;
+    decisionmerge D in a, b out o;
+    decisionmerge E in a, b out o, x;
+    action A in x out y;
+    forkjoin F in x out y, z;
+    final f in z, w, v;
+    D.o -> D.b;
+    E.o -> E.b;
+    E.x -> f.z;
+    A.y -> A.x;
+    F.y -> F.x;
+    F.z -> f.w;
+    i.s -> f.v;
+}"""
+
+
+@pytest.mark.parametrize("filled,flags,instant,two_phase", [
+    ("D.o->D.b", {}, False, False),  # a decision's only output is the input it would take from
+    ("E.o->E.b", {}, True, True),  # another output takes the token
+    ("A.y->A.x", {}, False, True),  # an instant action consumes what it produces; a start does not
+    (None, {"A": True}, False, True),  # set, the flag lets it finish
+    ("F.y->F.x", {}, False, False),  # a fork/join never fires into its own input
+])
+def test_a_self_loop_enables_what_the_table_says(filled, flags, instant, two_phase):
+    ad = parse(SELF_LOOPS)
+    c = Configuration.make(ad, {filled: [tokengame.CONTROL_TOKEN]} if filled else {}, flags)
+    for a, expected in ((INSTANT, instant), (TWO_PHASE, two_phase)):
+        assert tokengame._has_step(ad, c, a) is bool(tokengame._view(ad).table(ad, a).scan(c)) is expected

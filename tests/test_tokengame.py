@@ -377,7 +377,9 @@ def test_brute_force_equality(name, ad, bound, action_mode):
     lambda ad: successors(ad, initial_config(ad), mode="bogus"),
     lambda ad: random_run(ad, mode="bogus"),
     lambda ad: as_binding(ad, [initial_config(ad)], mode="bogus"),
-], ids=["reachable", "successors", "random_run", "as_binding"])
+    lambda ad: as_binding(ad, [initial_config(ad)], mode="bogus", truncated=True),
+    lambda ad: as_binding(ad, [initial_config(ad)], mode="bogus", truncated=False),
+], ids=["reachable", "successors", "random_run", "as_binding", "as_binding-truncated", "as_binding-complete"])
 def test_an_unknown_mode_raises_at_a_dead_end(call):
     """minimal.ad's initial configuration has no successor, so no step is
     expanded before the mode is read."""
@@ -385,6 +387,14 @@ def test_an_unknown_mode_raises_at_a_dead_end(call):
     assert successors(ad, initial_config(ad)) == []
     with pytest.raises(TokenGameError, match=r"^unknown mode 'bogus'$"):
         call(ad)
+
+
+@pytest.mark.parametrize("truncated", [None, True, False])
+@pytest.mark.parametrize("mode", [INTERLEAVING, "bogus"])
+def test_as_binding_rejects_an_unknown_action_mode_before_the_mode(mode, truncated):
+    ad = load("minimal.ad")
+    with pytest.raises(TokenGameError, match=r"^unknown action mode 'bogus'$"):
+        as_binding(ad, [initial_config(ad)], mode=mode, action_mode="bogus", truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
