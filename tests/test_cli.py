@@ -543,6 +543,82 @@ def _recorded(tmp_path, capsys, variant) -> tuple[str, Path, list[dict]]:
     return ad, trace, [json.loads(line) for line in trace.read_text().splitlines()]
 
 
+def _rewound(line: str) -> str:
+    """A v1 state line with its pc moved back to the first action."""
+    state = json.loads(line)
+    _first_frame(state)["pc"] = "pc:SetRes"
+    return json.dumps(state)
+
+
+def _with_string_n(line: str) -> str:
+    """A v1 state line whose `n`, which the loop's guard reads, is a string."""
+    state = json.loads(line)
+    state["ds"]["obj:callee"]["n"] = "x"
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("edit,index,first_error", [
+    (_rewound, 3, (2, '"verdict": "violated"')),
+    (_with_string_n, 2, (3, "invalid literal for int() with base 10: 'x'")),
+], ids=["violated", "state-error"])
+def test_a_malformed_line_after_a_verdict_or_a_state_error_is_reported(tmp_path, capsys, edit, index,
+                                                                       first_error):
+    """Every line decodes before a verdict or an unreadable state is reported,
+    so a later malformed line exits 3 at its own line."""
+    ad, trace, _ = _recorded(tmp_path, capsys, "v1")
+    lines = trace.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    trace.write_text("\n".join(lines) + "\n")
+    code, expected = first_error
+    assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == code
+    out, err = capsys.readouterr()
+    assert expected in (out if code == 2 else err)
+    trace.write_text("\n".join(lines[:-1] + ["not json", lines[-1]]) + "\n")
+    assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:{len(lines)}: not JSON: "
+                                       f"Expecting value at column 1\n")
+
+
+def test_a_malformed_line_after_a_token_violation_is_reported(tmp_path, capsys):
+    out_file = tmp_path / "run.jsonl"
+    run(capsys, "simulate", GRADE, "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    del lines[1]  # FileThesis and the fork fire in one step
+    out_file.write_text("\n".join(lines) + "\n")
+    assert main(["check-trace", GRADE, str(out_file), "--variant", "token"]) == 2
+    capsys.readouterr()
+    out_file.write_text("\n".join(lines + ["{"]) + "\n")
+    assert main(["check-trace", GRADE, str(out_file), "--variant", "token"]) == 3
+    assert capsys.readouterr() == ("", f"error: {out_file}:{len(lines) + 1}: not JSON: Expecting "
+                                       f"property name enclosed in double quotes at column 2\n")
+
+
+def test_a_state_error_names_its_line_past_blank_lines(tmp_path, capsys):
+    ad, trace, _ = _recorded(tmp_path, capsys, "v1")
+    lines = trace.read_text().splitlines()
+    lines[2] = _with_string_n(lines[2])
+    trace.write_text("\n".join(lines[:1] + ["", "  "] + lines[1:2] + ["\t"] + lines[2:]) + "\n")
+    assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:6: invalid literal for int() "
+                                       f"with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2", "token"])
+def test_a_trace_of_blank_lines_is_empty(tmp_path, capsys, variant):
+    trace = tmp_path / "blank.jsonl"
+    trace.write_text("\n  \n\t\n")
+    assert main(["check-trace", GRADE, str(trace), "--variant", variant]) == 3
+    assert capsys.readouterr() == ("", f"error: empty trace file {trace}\n")
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2"])
+def test_a_header_without_states_is_rejected(tmp_path, capsys, variant):
+    ad, trace, _ = _recorded(tmp_path, capsys, variant)
+    trace.write_text(trace.read_text().splitlines()[0] + "\n\n \n")
+    assert main(["check-trace", ad, str(trace), "--variant", variant]) == 3
+    assert capsys.readouterr() == ("", "error: trace file has a header but no states\n")
+
+
 def _first_frame(state: dict) -> dict:
     return next(f for stacks in state["cs"].values() for stack in stacks.values() for f in stack)
 
