@@ -12,10 +12,12 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import diagram, semantics, sysmodel, tokengame, variant1, variant2
 
@@ -92,11 +94,7 @@ def _cmd_simulate(args) -> int:
     run = tokengame.random_run(
         ad, seed=_seed_override(args.seed), mode=args.mode,
         action_mode=args.actions, max_len=args.bound)
-    text = tokengame.run_to_jsonl(ad, run.configs)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "", run.configs, partial(tokengame.run_to_jsonl, ad))
     if run.cut:
         print("run cut before a maximal configuration", file=sys.stderr)
     return EXIT_OK
@@ -114,9 +112,16 @@ def _cmd_reach(args) -> int:
     return EXIT_OK
 
 
-def _write_trace(path: str, header: dict, trace: sysmodel.Trace) -> None:
-    Path(path).write_text(json.dumps(header, sort_keys=True) + "\n"
-                          + sysmodel.states_to_jsonl(trace.states), encoding="utf-8")
+def _write(path: str | None, head: str, items: Sequence, to_jsonl: Callable[[Sequence], str]) -> None:
+    """`head`, then `to_jsonl` of each run of 64 items, each written to `path` (else stdout) as it
+    is made: no text of a whole trace is built."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        out.writelines(chain([head], (to_jsonl(items[i:i + 64]) for i in range(0, len(items), 64))))
+
+
+def _write_trace(args, variant: str, inst, trace: sysmodel.Trace) -> None:
+    header = {"diagram": args.file, "variant": variant, "params": inst.to_json(), "truncated": trace.truncated}
+    _write(args.trace, json.dumps(header, sort_keys=True) + "\n", trace.states, sysmodel.states_to_jsonl)
 
 
 def _cmd_run_v1(args) -> int:
@@ -130,9 +135,7 @@ def _cmd_run_v1(args) -> int:
     store = _parse_store(args.store)
     trace = variant1.run_method(ad, inst, store, max_steps=args.max_steps)
     if args.trace:
-        header = {"diagram": args.file, "variant": "v1", "params": inst.to_json(),
-                  "truncated": trace.truncated}
-        _write_trace(args.trace, header, trace)
+        _write_trace(args, "v1", inst, trace)
     _emit({"store": variant1.terminal_store(inst, trace),
            "states": len(trace), "truncated": trace.truncated}, args.human)
     return EXIT_OK
@@ -147,9 +150,7 @@ def _cmd_run_v2(args) -> int:
     inst = variant2.standard_instance(ad, scenario)
     trace = variant2.simulate(ad, inst, scenario, max_steps=args.max_steps)
     if args.trace:
-        header = {"diagram": args.file, "variant": "v2", "params": inst.to_json(),
-                  "truncated": trace.truncated}
-        _write_trace(args.trace, header, trace)
+        _write_trace(args, "v2", inst, trace)
     _emit({"states": len(trace), "truncated": trace.truncated}, args.human)
     return EXIT_OK
 
@@ -171,55 +172,55 @@ def _located(path: str, lineno: int | None = None):
         raise CliError(f"{where}: {e}") from e
 
 
-def _decode_lines(path: str, lines: list[tuple[int, str]], decode) -> list:
-    decoded = []
-    try:
-        for lineno, line in lines:
-            decoded.append(decode(line))
-    except Exception:
-        with _located(path, lineno):
-            raise
-    return decoded
-
-
 def _cmd_check_trace(args) -> int:
-    ad = _load_diagram(args.file)
-    lines = [(i, line) for i, line in
-             enumerate(Path(args.trace).read_text(encoding="utf-8").splitlines(), 1)
-             if line.strip()]
-    if not lines:
-        raise CliError(f"empty trace file {args.trace}")
+    """Each line is decoded and judged as it is read.  After a verdict or a state the binding
+    cannot read, the rest is still decoded: a later line that does not decode is reported first."""
+    ad, path = _load_diagram(args.file), "<stdin>" if args.trace == "-" else args.trace
+    with nullcontext(sys.stdin) if args.trace == "-" else open(path, encoding="utf-8") as f:
+        lines = ((i, line) for i, line in enumerate((s for text in f for s in text.splitlines()), 1)
+                 if line.strip())
+        if (first := next(lines, None)) is None:
+            raise CliError(f"empty trace file {path}")
+        at = [first[0]]  # the line of the last state read
 
-    if args.variant == "token":
-        run = _decode_lines(args.trace, lines, lambda line: tokengame.Configuration.from_json(
-            ad, sysmodel.json_value(line)))
-        inst, binding, trace = tokengame.as_binding(ad, run, mode=args.mode,
-                                                    action_mode=args.actions)
-    else:
-        with _located(args.trace, lines[0][0]):
-            header = sysmodel.json_object(json.loads(lines[0][1]))
-            if header.get("variant") not in (args.variant, None):
-                raise ValueError(f"trace was recorded for variant {header.get('variant')!r}")
-            if args.variant == "v1":
-                inst = variant1.MethodExecutionInstance.from_json(ad, header["params"])
-                binding = variant1.atomic_binding(inst)
-            else:
-                inst = variant2.ActionMethodsInstance.from_json(ad, header["params"])
-                binding = variant2.methods_binding(inst)
-            truncated = header.get("truncated", False)
-            if type(truncated) is not bool:
-                raise ValueError(f"truncated is not true or false: {truncated!r}")
-        states = tuple(_decode_lines(args.trace, lines[1:], sysmodel.state_reader()))
-        if not states:
-            raise CliError("trace file has a header but no states")
-        trace = sysmodel.Trace(states, truncated=truncated)
+        def decoded(lines, decode):
+            try:
+                for at[0], line in lines:
+                    yield decode(line)
+            except Exception:
+                with _located(path, at[0]):
+                    raise
 
-    try:
-        verdict = semantics.conforms(trace, inst, binding)
-    except semantics.StateError as e:
-        index, reason = e.args
-        state_lines = lines if args.variant == "token" else lines[1:]
-        raise CliError(f"{args.trace}:{state_lines[index][0]}: {reason}") from e
+        if args.variant == "token":
+            inst, binding, trace = tokengame.as_binding(
+                ad, decoded(chain([first], lines), lambda line: tokengame.Configuration.from_json(
+                    ad, sysmodel.json_value(line))), mode=args.mode, action_mode=args.actions)
+        else:
+            with _located(path, first[0]):
+                header = sysmodel.json_object(json.loads(first[1]))
+                if header.get("variant") not in (args.variant, None):
+                    raise ValueError(f"trace was recorded for variant {header.get('variant')!r}")
+                if args.variant == "v1":
+                    inst = variant1.MethodExecutionInstance.from_json(ad, header["params"])
+                    binding = variant1.atomic_binding(inst)
+                else:
+                    inst = variant2.ActionMethodsInstance.from_json(ad, header["params"])
+                    binding = variant2.methods_binding(inst)
+                truncated = header.get("truncated", False)
+                if type(truncated) is not bool:
+                    raise ValueError(f"truncated is not true or false: {truncated!r}")
+                if unknown := header.keys() - {"diagram", "variant", "params", "truncated"}:
+                    raise ValueError(f"unknown header keys: {sorted(unknown)}")
+            trace = sysmodel.Stream(decoded(lines, sysmodel.state_reader()), lambda last: truncated)
+        try:
+            verdict = semantics.conforms(trace, inst, binding)
+        except semantics.StateError as e:
+            raise CliError(f"{path}:{at[0]}: {e.args[1]}") from e
+        finally:
+            for _ in trace:
+                pass
+    if trace.last is None:
+        raise CliError("trace file has a header but no states")
     _emit(verdict.to_json(), args.human)
     return EXIT_OK if verdict.ok else EXIT_VIOLATED
 
@@ -290,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-trace", help="check a recorded trace for conformance")
     p.add_argument("file")
-    p.add_argument("trace")
+    p.add_argument("trace", help="the trace file, or - for stdin")
     p.add_argument("--variant", choices=["v1", "v2", "token"], required=True)
     _add_mode_options(p)
     p.set_defaults(fn=_cmd_check_trace)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
 from .diagram import ActivityDiagram, DiagramError, Node, NodeKind, PinType, Transition
-from .sysmodel import SystemState, Trace
+from .sysmodel import Stream, SystemState, Trace
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +333,18 @@ _STEP_PREDICATE = {
 }
 
 
-def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
-    """Check a trace against the diagram instance: find the first initial state, then
-    require every later step to be allowed for every node and finality to persist.  A pair
-    is judged from its `b.delta` at the readers of what it consumed, the writers of what it
-    produced and the nodes it lists, in declaration order, by a plan (`_checks`) made once
-    per delta and flags, and found by identity once the binding has returned one delta
-    object again.  A pair whose plan is found by identity is judged, guards aside, from the
-    abstract configuration before it (buffered bits, flags, loads and finality counts) and
-    its plan; what it asks and leads to is kept per plan, by configuration.  A state the
-    binding cannot read raises `StateError`."""
-    ad = b.diagram_of(inst)
-    for start, s0 in enumerate(trace):
+def conforms(trace: Trace | Stream, inst: object, b: VariationBinding) -> Verdict:
+    """Check a trace against the diagram instance, one state at a time as it is read: find the
+    first initial state, then require every later step to be allowed for every node and finality
+    to persist; `trace.truncated` is read after the last state.  A pair is judged from its
+    `b.delta` at the readers of what it consumed, the writers of what it produced and the nodes it
+    lists, in declaration order, by a plan (`_checks`) made once per delta and flags, and found by
+    identity once the binding has returned one delta object again.  A pair whose plan is found by
+    identity is judged, guards aside, from the abstract configuration before it (buffered bits,
+    flags, loads and finality counts) and its plan; what it asks and leads to is kept per plan, by
+    configuration.  A state the binding cannot read raises `StateError`; it is the last state read."""
+    ad, states = b.diagram_of(inst), iter(trace)
+    for start, s0 in enumerate(states):
         try:
             if is_initial_state(inst, s0, b):
                 break
@@ -372,8 +372,7 @@ def conforms(trace: Trace, inst: object, b: VariationBinding) -> Verdict:
     held: dict = {}  # id of a delta met again -> (that delta, kept so that no other object takes its id, its plan)
     confs: dict = {}  # abstract configurations, interned and kept, so that no other object takes their ids
     conf = None  # while plans are found by identity, the abstract configuration; the lists catch up on a miss
-    for j in range(start, len(trace) - 1):
-        s1 = trace[j + 1]
+    for j, s1 in enumerate(states, start):
         try:
             delta = b.delta(inst, s0, s1)
         except (ValueError, TypeError) as e:  # a value of s1 the binding cannot read

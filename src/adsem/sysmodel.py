@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .diagram import AdsemError
 
 Value = int | bool | str
+READ_MEMO = 256  # the texts a trace reader's memo keeps, per kind: the most recently used
 
 
 class SystemModelError(AdsemError):
@@ -105,8 +106,23 @@ class Trace:
     def __len__(self) -> int:
         return len(self.states)
 
+    def __iter__(self) -> Iterator[SystemState]:
+        return iter(self.states)
+
     def __getitem__(self, i: int) -> SystemState:
         return self.states[i]
+
+
+class Stream:
+    """States judged as they are read, each held until the next; `truncated` is `truncated_of(last)`."""
+    def __init__(self, states: Iterable, truncated_of: Callable[[object], bool]):
+        self.states, self.last, self.truncated_of = iter(states), None, truncated_of
+
+    def __iter__(self) -> Iterator:
+        for self.last in self.states:
+            yield self.last
+
+    truncated = property(lambda self: self.truncated_of(self.last))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +134,10 @@ def frame_to_json(f: Frame) -> dict:
 
 
 def frame_from_json(d: dict) -> Frame:
-    """Raises ValueError unless `callee`, `m`, `pc` and `caller` are strings."""
+    """Raises ValueError unless `callee`, `m`, `pc` and `caller` are strings and `vars` the only other key."""
     callee, mname, pc, caller = d["callee"], d["m"], d["pc"], d["caller"]
+    if unknown := d.keys() - {"callee", "m", "vars", "pc", "caller"}:
+        raise ValueError(f"unknown frame keys: {sorted(unknown)}")
     if not (type(callee) is type(mname) is type(pc) is type(caller) is str):
         bad = {k: d[k] for k in ("callee", "m", "pc", "caller") if type(d[k]) is not str}
         raise ValueError(f"frame fields are not strings: {bad}")
@@ -191,7 +209,10 @@ def json_object(value: object) -> dict:
 
 
 def state_from_json(d: dict) -> SystemState:
-    return SystemState(_data_from_json(json_object(d).get("ds", {})), _control_from_json(d.get("cs", {})),
+    """A missing store is empty; raises ValueError on a key besides `ds`, `cs` and `es`."""
+    if unknown := json_object(d).keys() - {"ds", "cs", "es"}:
+        raise ValueError(f"unknown state keys: {sorted(unknown)}")
+    return SystemState(_data_from_json(d.get("ds", {})), _control_from_json(d.get("cs", {})),
                        _events_from_json(d.get("es", {})))
 
 
@@ -205,10 +226,10 @@ def json_value(text: str, _raw_decode=json.JSONDecoder().raw_decode):
 
 
 def state_reader() -> Callable[[str], SystemState]:
-    """The mirror of `states_to_jsonl`: `state_from_json(json.loads(line))`, decoding each distinct
-    store text once.  Cut at its first `, "ds": ` and the next `, "es": `, `{"cs": C, "ds": D,
-    "es": E}` means just C, D and E if each decodes; else the per-line path decodes or raises."""
-    control, data, events = (cache(lambda text, build=build: build(json_value(text)))
+    """The mirror of `states_to_jsonl`: `state_from_json(json.loads(line))`, decoding each of the
+    `READ_MEMO` last store texts once.  Cut at its first `, "ds": ` and the next `, "es": `, `{"cs": C,
+    "ds": D, "es": E}` means just C, D and E if each decodes; else the per-line path decodes or raises."""
+    control, data, events = (lru_cache(READ_MEMO)(lambda text, build=build: build(json_value(text)))
                              for build in (_control_from_json, _data_from_json, _events_from_json))
 
     def read(line: str) -> SystemState:

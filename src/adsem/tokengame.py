@@ -38,7 +38,7 @@ from .semantics import (
     configuration_is,
     fifo_binding,
 )
-from .sysmodel import Trace, json_object
+from .sysmodel import Stream, Trace, json_object
 
 Buffer = tuple[Token, ...]
 
@@ -573,11 +573,11 @@ def _has_step(ad: ActivityDiagram, c: Configuration, action_mode: str) -> bool:
         for n, ins, outs, flag in zip(ad.nodes, ad.layout.ins, ad.layout.outs, _view(ad).flag_of))
 
 
-def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
+def as_binding(ad: ActivityDiagram, run: Sequence[Configuration] | Iterator[Configuration],
                mode: str = INTERLEAVING, action_mode: str = INSTANT,
-               truncated: bool | None = None) -> tuple[ActivityDiagram, VariationBinding, Trace]:
-    """A run as a trace of its configurations, with the diagram as its
-    instance and `lifted_binding` to read them.
+               truncated: bool | None = None) -> tuple[ActivityDiagram, VariationBinding, Trace | Stream]:
+    """A run as a trace of its configurations (a `Stream` of an iterator, read as it is
+    judged), with the diagram as its instance and `lifted_binding` to read them.
 
     When `truncated` is not given it is derived: a run whose last
     configuration still has successors, some step of `action_mode`
@@ -589,9 +589,10 @@ def as_binding(ad: ActivityDiagram, run: Sequence[Configuration],
         raise TokenGameError(f"unknown action mode {action_mode!r}")
     if mode not in (INTERLEAVING, CONCURRENT):
         raise TokenGameError(f"unknown mode {mode!r}")
-    if truncated is None:  # an enabled step is a successor in either mode
-        truncated = _has_step(ad, run[-1], action_mode)
-    return ad, lifted_binding(ad), Trace(tuple(run), truncated=truncated)
+    def derived(last: Configuration) -> bool:  # an enabled step is a successor in either mode
+        return _has_step(ad, last, action_mode) if truncated is None else truncated
+    trace = Stream(run, derived) if isinstance(run, Iterator) else Trace(tuple(run), derived(run[-1]))
+    return ad, lifted_binding(ad), trace
 
 
 # ---------------------------------------------------------------------------

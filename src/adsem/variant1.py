@@ -544,7 +544,7 @@ def run_method(ad: ActivityDiagram, inst: MethodExecutionInstance,
 
 
 def terminal_store(inst: MethodExecutionInstance, trace: Trace) -> dict[str, Value]:
-    return trace[len(trace) - 1].attrs(inst.callee)
+    return trace[-1].attrs(inst.callee)
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +640,7 @@ def check_effect_constraint(ad: ActivityDiagram, inst: MethodExecutionInstance,
     """Every pc movement must mirror the fired node's effect: the action's
     statement semantics on the stores, and a true guard (with no store
     effect of its own) for every decision crossed on the way."""
-    for j in range(len(trace) - 1):
-        s0, s1 = trace[j], trace[j + 1]
+    for s0, s1 in zip(trace, trace.states[1:]):
         f0, f1 = (top_frame(s, inst.callee, inst.thread) for s in (s0, s1))
         if f0 is None or f1 is None or f0.pc == f1.pc:
             continue
@@ -671,9 +670,9 @@ def trace_firings(ad: ActivityDiagram, inst: MethodExecutionInstance,
                   trace: Trace) -> list[str]:
     """Node names in firing order, decisions included in traversal order."""
     fired: list[str] = []
-    for j in range(len(trace) - 1):
-        f0, f1 = (top_frame(s, inst.callee, inst.thread) for s in trace.states[j:j + 2])
-        move = _movement(inst, f0, f1, trace[j + 1].attrs(inst.callee))
+    for s0, s1 in zip(trace, trace.states[1:]):
+        f0, f1 = (top_frame(s, inst.callee, inst.thread) for s in (s0, s1))
+        move = _movement(inst, f0, f1, s1.attrs(inst.callee))
         if move is None:
             continue
         source, _, path = move

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import lru_cache
 
 from .diagram import ActivityDiagram, AdsemError, Node, NodeKind, Transition
 from .semantics import (
@@ -32,7 +32,7 @@ from .semantics import (
     configuration_is,
     remember_states,
 )
-from .sysmodel import Frame, SystemState, Trace, Value
+from .sysmodel import READ_MEMO, Frame, SystemState, Trace, Value
 
 MAILBOX_PREFIX = "mbox:"
 CHOICE_PREFIX = "choice:"
@@ -266,11 +266,11 @@ def evaluate_guard(guard: str, inst: ActionMethodsInstance, s: SystemState) -> b
 
 
 def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
-    """Buffers are the mailboxes, each distinct mailbox text decoded once
-    per binding, as `mailbox_tokens` decodes it; a node executes while its
+    """Buffers are the mailboxes, a mailbox text decoded again only after
+    `READ_MEMO` others since its last use, as `mailbox_tokens` decodes it; a node executes while its
     method has a frame on its object (`method_frame_present`), and the
     frames of a state are read once."""
-    decoded = cache(_tokens)  # a trace repeats few mailbox texts
+    decoded = lru_cache(READ_MEMO)(_tokens)  # a trace repeats few mailbox texts
     running = remember_states(lambda s: _running_methods(inst, s))
     box_of = {t.key: MAILBOX_PREFIX + t.key for t in inst.ad.layout.transitions}
     boxes = list(enumerate(box_of.values()))
@@ -302,8 +302,7 @@ def check_role_constraint(inst: ActionMethodsInstance, trace: Trace) -> bool:
     on the stack of its callee, which is the action's object, which is
     the object that represents the action's role."""
     node_of_meth = {m: n for n, m in inst.meth.items()}
-    for i in range(len(trace)):
-        s = trace[i]
+    for s in trace:
         for oid, per_thread in s.control_store.items():
             for stack in per_thread.values():
                 for f in stack:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -674,6 +675,40 @@ def test_a_trace_field_of_the_wrong_json_type_is_located(tmp_path, capsys, varia
     assert capsys.readouterr() == ("", f"error: {trace}:{line}: {reason}\n")
 
 
+def _renamed(d: dict, old: str, new: str) -> None:
+    d[new] = d.pop(old)
+
+
+@pytest.mark.parametrize("variant,edit,line,reason", [
+    ("v1", lambda lines: lines[2].update(bogus=1), 3, "unknown state keys: ['bogus']"),
+    ("v2", lambda lines: lines[3].update(bogus=1), 4, "unknown state keys: ['bogus']"),
+    ("v1", lambda lines: _renamed(lines[2], "es", "ex"), 3, "unknown state keys: ['ex']"),
+    ("v1", lambda lines: _renamed(lines[0], "variant", "varaint"), 1,
+     "unknown header keys: ['varaint']"),
+    ("v2", lambda lines: lines[0].update(seed=2), 1, "unknown header keys: ['seed']"),
+    ("v1", lambda lines: _first_frame(lines[2]).update(bogus=1), 3, "unknown frame keys: ['bogus']"),
+    ("v2", lambda lines: _renamed(_first_frame(lines[2]), "vars", "var"), 3,
+     "unknown frame keys: ['var']"),
+], ids=["v1-state", "v2-state", "v1-es-renamed", "v1-header-misspelt", "v2-header", "v1-frame",
+        "v2-frame-vars-renamed"])
+def test_an_unknown_key_in_a_trace_is_located(tmp_path, capsys, variant, edit, line, reason):
+    ad, trace, lines = _recorded(tmp_path, capsys, variant)
+    edit(lines)
+    trace.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    assert main(["check-trace", ad, str(trace), "--variant", variant]) == 3
+    assert capsys.readouterr() == ("", f"error: {trace}:{line}: {reason}\n")
+
+
+def test_a_state_without_stores_reads_as_empty(tmp_path, capsys):
+    """A missing store is empty: a fac trace whose last state drops its (empty) event store
+    is still satisfied."""
+    ad, trace, lines = _recorded(tmp_path, capsys, "v1")
+    assert lines[-1].pop("es") == {}
+    trace.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    code, out = run(capsys, "check-trace", ad, str(trace), "--variant", "v1")
+    assert (code, json.loads(out)["verdict"]) == (0, "satisfied")
+
+
 def test_a_broken_store_fragment_is_located_like_the_whole_line(tmp_path, capsys):
     ad, trace, _ = _recorded(tmp_path, capsys, "v1")
     lines = trace.read_text().splitlines()
@@ -756,6 +791,57 @@ def test_token_trace_with_list_payloads_gets_a_verdict(tmp_path, capsys):
     code, out = run(capsys, "check-trace", GRADE, str(out_file), "--variant", "token")
     assert code == 0
     assert json.loads(out)["verdict"] == "satisfied-so-far"
+
+
+# ---------------------------------------------------------------------------
+# check-trace reading stdin
+# ---------------------------------------------------------------------------
+
+def _adsem(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(adsem.__file__).resolve().parents[1])}
+    env.pop("ADSEM_SEED", None)
+    return subprocess.run([sys.executable, "-m", "adsem.cli", *argv], capture_output=True,
+                          env=env, **kwargs)
+
+
+@pytest.mark.parametrize("mode,actions", [("interleaving", "instant"), ("concurrent", "twoPhase")])
+def test_simulate_piped_into_check_trace(tmp_path, mode, actions):
+    options = ["--mode", mode, "--actions", actions]
+    env = {**os.environ, "PYTHONPATH": str(Path(adsem.__file__).resolve().parents[1])}
+    env.pop("ADSEM_SEED", None)
+    with subprocess.Popen([sys.executable, "-m", "adsem.cli", "simulate", GRADE, *options, "--seed", "2"],
+                          stdout=subprocess.PIPE, env=env) as simulate:
+        piped = _adsem("check-trace", GRADE, "-", "--variant", "token", *options, stdin=simulate.stdout)
+    assert simulate.returncode == 0
+    trace = tmp_path / "run.jsonl"
+    assert _adsem("simulate", GRADE, *options, "--seed", "2", "--out", str(trace)).returncode == 0
+    from_file = _adsem("check-trace", GRADE, str(trace), "--variant", "token", *options)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, from_file.stdout, b"")
+    assert json.loads(piped.stdout)["verdict"] == "satisfied"
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2"])
+def test_a_recorded_trace_read_from_stdin_gets_the_verdict_of_its_file(tmp_path, capsys,
+                                                                      monkeypatch, variant):
+    ad, trace, lines = _recorded(tmp_path, capsys, variant)
+    mutated = tmp_path / "mutated.jsonl"
+    mutated.write_text("".join(json.dumps(d) + "\n" for d in lines[:1] + lines[2:]))  # no first state
+    codes = []
+    for path in (trace, mutated):
+        code, out = run(capsys, "check-trace", ad, str(path), "--variant", variant)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        assert run(capsys, "check-trace", ad, "-", "--variant", variant) == (code, out)
+        codes.append(code)
+    assert codes == [0, 2]
+
+
+def test_a_located_error_on_stdin_names_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n{}\n"))
+    assert main(["check-trace", FAC, "-", "--variant", "v1"]) == 3
+    assert capsys.readouterr() == ("", "error: <stdin>:2: missing key 'params'\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["check-trace", FAC, "-", "--variant", "token"]) == 3
+    assert capsys.readouterr() == ("", "error: empty trace file <stdin>\n")
 
 
 def test_usage_error_exits_three(capsys):

@@ -22,9 +22,11 @@ repository root with::
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -332,6 +334,20 @@ def test_verdicts_match_golden(name, tmp_path, monkeypatch):
     for case_name, case in record["cases"].items():
         actual = check(record, case_lines(record, case), tmp_path)
         expected = {k: case[k] for k in ("exit", "stdout", "stderr")}
+        assert actual == expected, case_name
+
+
+@pytest.mark.parametrize("name", sorted(bases()))
+def test_verdicts_read_from_stdin_match_golden(name, monkeypatch):
+    """`check-trace DIAGRAM -` answers each case as the file form does, a located
+    error naming `<stdin>` for the file."""
+    monkeypatch.delenv("ADSEM_SEED", raising=False)
+    record = json.loads(golden_path(name).read_text(encoding="utf-8"))
+    for case_name, case in record["cases"].items():
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in case_lines(record, case))))
+        actual = _cli("check-trace", str(ROOT / record["diagram"]), "-", *record["options"])
+        expected = {"exit": case["exit"], "stdout": case["stdout"],
+                    "stderr": case["stderr"].replace("error: trace.jsonl:", "error: <stdin>:")}
         assert actual == expected, case_name
 
 
