@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -113,8 +113,7 @@ def _cmd_reach(args) -> int:
 
 
 def _write(path: str | None, head: str, items: Sequence, to_jsonl: Callable[[Sequence], str]) -> None:
-    """`head`, then `to_jsonl` of each run of 64 items, each written to `path` (else stdout) as it
-    is made: no text of a whole trace is built."""
+    """`head`, then `to_jsonl` of each run of 64 items, written to `path` (else stdout) as it is made."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         out.writelines(chain([head], (to_jsonl(items[i:i + 64]) for i in range(0, len(items), 64))))
 
@@ -177,19 +176,20 @@ def _cmd_check_trace(args) -> int:
     cannot read, the rest is still decoded: a later line that does not decode is reported first."""
     ad, path = _load_diagram(args.file), "<stdin>" if args.trace == "-" else args.trace
     with nullcontext(sys.stdin) if args.trace == "-" else open(path, encoding="utf-8") as f:
-        lines = ((i, line) for i, line in enumerate((s for text in f for s in text.splitlines()), 1)
-                 if line.strip())
-        if (first := next(lines, None)) is None:
+        lines = enumerate(chain.from_iterable(map(str.splitlines, f)), 1)
+        if (first := next(((i, line) for i, line in lines if line.strip()), None)) is None:
             raise CliError(f"empty trace file {path}")
         at = [first[0]]  # the line of the last state read
 
-        def decoded(lines, decode):
-            try:
-                for at[0], line in lines:
-                    yield decode(line)
-            except Exception:
-                with _located(path, at[0]):
-                    raise
+        def decoded(lines, decode):  # each run of 64 lines is decoded before its states are judged
+            while run := list(islice(lines, 64)):
+                try:
+                    states = [(at[0], decode(line)) for at[0], line in run if line.strip()]
+                except Exception:
+                    with _located(path, at[0]):
+                        raise
+                for at[0], state in states:
+                    yield state
 
         if args.variant == "token":
             inst, binding, trace = tokengame.as_binding(
