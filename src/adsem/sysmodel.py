@@ -136,8 +136,8 @@ def frame_to_json(f: Frame) -> dict:
 def frame_from_json(d: dict) -> Frame:
     """Raises ValueError unless `callee`, `m`, `pc` and `caller` are strings and `vars` the only other key."""
     callee, mname, pc, caller = d["callee"], d["m"], d["pc"], d["caller"]
-    if unknown := d.keys() - {"callee", "m", "vars", "pc", "caller"}:
-        raise ValueError(f"unknown frame keys: {sorted(unknown)}")
+    if len(d) != 4 + ("vars" in d):  # a key besides those four and `vars`
+        raise ValueError(f"unknown frame keys: {sorted(d.keys() - {'callee', 'm', 'vars', 'pc', 'caller'})}")
     if not (type(callee) is type(mname) is type(pc) is type(caller) is str):
         bad = {k: d[k] for k in ("callee", "m", "pc", "caller") if type(d[k]) is not str}
         raise ValueError(f"frame fields are not strings: {bad}")
