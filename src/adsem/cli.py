@@ -155,25 +155,23 @@ def _cmd_run_v2(args) -> int:
 
 
 @contextmanager
-def _located(path: str, lineno: int | None = None):
-    """Report what is wrong with a JSON file, or one line of a JSON-lines
-    file, and where."""
-    where = path if lineno is None else f"{path}:{lineno}"
+def _located(path: str, at: list[int] | None = None):
+    """Report what is wrong with a JSON file, or with line `at[0]` of a JSON-lines file as the
+    error is raised, and where."""
     try:
         yield
-    except json.JSONDecodeError as e:
-        at = f"line {e.lineno} column {e.colno}" if lineno is None else f"column {e.colno}"
-        raise CliError(f"{where}: not JSON: {e.msg} at {at}") from e
-    except KeyError as e:
-        raise CliError(f"{where}: missing key {e}") from e
-    except (ValueError, TypeError, AttributeError,
+    except (ValueError, TypeError, KeyError, AttributeError,
             tokengame.TokenGameError, sysmodel.SystemModelError) as e:
-        raise CliError(f"{where}: {e}") from e
+        where = path if at is None else f"{path}:{at[0]}"
+        if isinstance(e, json.JSONDecodeError):
+            column = f"line {e.lineno} column {e.colno}" if at is None else f"column {e.colno}"
+            raise CliError(f"{where}: not JSON: {e.msg} at {column}") from e
+        raise CliError(f"{where}: missing key {e}" if isinstance(e, KeyError) else f"{where}: {e}") from e
 
 
 def _cmd_check_trace(args) -> int:
-    """Each line is decoded and judged as it is read.  After a verdict or a state the binding
-    cannot read, the rest is still decoded: a later line that does not decode is reported first."""
+    """The trace is judged as it is read, a run of 64 lines at a time.  After a verdict or a state the
+    binding cannot read, the rest is still decoded: a later line that does not decode is reported first."""
     ad, path = _load_diagram(args.file), "<stdin>" if args.trace == "-" else args.trace
     with nullcontext(sys.stdin) if args.trace == "-" else open(path, encoding="utf-8") as f:
         lines = enumerate(chain.from_iterable(map(str.splitlines, f)), 1)
@@ -183,11 +181,8 @@ def _cmd_check_trace(args) -> int:
 
         def decoded(lines, decode):  # each run of 64 lines is decoded before its states are judged
             while run := list(islice(lines, 64)):
-                try:
+                with _located(path, at):
                     states = [(at[0], decode(line)) for at[0], line in run if line.strip()]
-                except Exception:
-                    with _located(path, at[0]):
-                        raise
                 for at[0], state in states:
                     yield state
 
@@ -196,7 +191,7 @@ def _cmd_check_trace(args) -> int:
                 ad, decoded(chain([first], lines), lambda line: tokengame.Configuration.from_json(
                     ad, sysmodel.json_value(line))), mode=args.mode, action_mode=args.actions)
         else:
-            with _located(path, first[0]):
+            with _located(path, at):
                 header = sysmodel.json_object(json.loads(first[1]))
                 if header.get("variant") not in (args.variant, None):
                     raise ValueError(f"trace was recorded for variant {header.get('variant')!r}")
@@ -215,12 +210,13 @@ def _cmd_check_trace(args) -> int:
         try:
             verdict = semantics.conforms(trace, inst, binding)
         except semantics.StateError as e:
-            raise CliError(f"{path}:{at[0]}: {e.args[1]}") from e
-        finally:
-            for _ in trace:
-                pass
+            verdict = CliError(f"{path}:{at[0]}: {e.args[1]}")
+        for _ in trace:
+            pass
     if trace.last is None:
         raise CliError("trace file has a header but no states")
+    if isinstance(verdict, CliError):
+        raise verdict
     _emit(verdict.to_json(), args.human)
     return EXIT_OK if verdict.ok else EXIT_VIOLATED
 

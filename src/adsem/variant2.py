@@ -266,8 +266,8 @@ def evaluate_guard(guard: str, inst: ActionMethodsInstance, s: SystemState) -> b
 
 
 def methods_binding(inst: ActionMethodsInstance) -> VariationBinding:
-    """Buffers are the mailboxes, a mailbox text decoded again only after
-    `READ_MEMO` others since its last use, as `mailbox_tokens` decodes it; a node executes while its
+    """Buffers are the mailboxes, each of the `READ_MEMO` last mailbox texts
+    decoded once, as `mailbox_tokens` decodes it; a node executes while its
     method has a frame on its object (`method_frame_present`), and the
     frames of a state are read once."""
     decoded = lru_cache(READ_MEMO)(_tokens)  # a trace repeats few mailbox texts
