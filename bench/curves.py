@@ -1,5 +1,6 @@
 """Scaling curves of what a `reach` command pays per diagram and of its search,
-and of what `check-trace` pays per trace: the trace readers and `conforms`.
+of what `check-trace` pays per trace (the trace readers, `conforms` and its
+memory), and of the two trace writers.
 
 For every fork_k x chain_c diagram (k 2-5, c 1-3) this times, in-process:
 
@@ -14,13 +15,19 @@ For every fork_k x chain_c diagram (k 2-5, c 1-3) this times, in-process:
 It also judges recorded traces, as `check-trace` does, under each binding:
 
 - token: a seeded `simulate --actions twoPhase` run of each fork_k x chain_c;
-- v1: `run-v1` of `corpus/fac.ad` for n 10, 30 and 100;
+- v1: `run-v1` of `corpus/fac.ad` for n 10, 30, 100 and 400;
 - v2: `run-v2` of each fork_k x chain_c with one role per chain.
 
 Each trace is written as its JSON lines and read back.  `read_us_per_line`
 times the reader on those lines (`Configuration.from_json` of each line, or
 one `state_reader`), and `us_per_pair` one `conforms` call with a fresh
-binding, per judged pair.
+binding, per judged pair.  `write_us_per_line` times the trace's writer on
+the whole trace (`run_to_jsonl` on a fresh diagram, or `states_to_jsonl`).
+`judge_peak_bytes_per_line` is tracemalloc's peak over one in-process
+`check-trace` of the trace file (its header line included for v1 and v2),
+from reading the diagram to the verdict, per line: a reader that holds the
+whole trace pays for all of it at once, one that streams pays for a run of
+lines and its memos, so that its cost per line falls as the trace grows.
 
 Per-diagram costs are in µs per diagram and the search in µs per edge.  Every
 time is the median over repeats, each scaled to the nominal host speed of
@@ -43,11 +50,15 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import platform
 import random
 import statistics
 import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -56,7 +67,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import hostspeed  # noqa: E402
 import inputs  # noqa: E402
-from adsem import diagram, semantics, sysmodel, tokengame, variant1, variant2  # noqa: E402
+from adsem import cli, diagram, semantics, sysmodel, tokengame, variant1, variant2  # noqa: E402
 
 MODES = [(m, a) for m in (inputs.INTERLEAVING, inputs.CONCURRENT)
          for a in (inputs.INSTANT, inputs.TWO_PHASE)]
@@ -120,30 +131,56 @@ def measure_search(k: int, c: int, mode: str, action_mode: str, repeats: int) ->
             "us": us, "us_per_edge": us / edges}
 
 
-def _record_trace(binding: str, shape) -> tuple[str, list[str], int | None]:
-    """The diagram text, the trace's JSON lines (a v1 or v2 trace without its
-    header) and the closed-form line count, if there is one, of one cell."""
+def _record_trace(binding: str, shape) -> tuple[str, list[str], list[str], int | None, object]:
+    """The diagram text, the trace file's header line (none for a token run),
+    the trace's JSON lines, the closed-form line count, if there is one, and
+    `write(ad)`, the trace's writer on a diagram of the text, of one cell."""
     if binding == "v1":
         text = inputs.corpus_text("fac.ad")
         ad = diagram.parse(text)
-        trace = variant1.run_method(ad, variant1.method_instance(ad), {"n": shape})
-        return text, sysmodel.states_to_jsonl(trace.states).splitlines(), inputs.fac_answer(shape)[1]
-    k, c = shape
-    fam = inputs.ForkFamily(k, c, TAG, roles=binding == "v2")
-    ad = diagram.parse(fam.text())
-    if binding == "token":
-        run = tokengame.random_run(ad, k * 10 + c, inputs.INTERLEAVING, inputs.TWO_PHASE)
-        return fam.text(), tokengame.run_to_jsonl(ad, run.configs).splitlines(), fam.run_length(inputs.TWO_PHASE)
-    sc = variant2.Scenario.from_json(ad, inputs.scenario(
-        random.Random(k * 10 + c), [fam.action(a, b) for a in range(k) for b in range(c)], {}))
-    trace = variant2.simulate(ad, variant2.standard_instance(ad, sc), sc)
-    return fam.text(), sysmodel.states_to_jsonl(trace.states).splitlines(), None
+        inst = variant1.method_instance(ad)
+        trace, expected = variant1.run_method(ad, inst, {"n": shape}), inputs.fac_answer(shape)[1]
+    else:
+        k, c = shape
+        fam = inputs.ForkFamily(k, c, TAG, roles=binding == "v2")
+        ad, text = diagram.parse(fam.text()), fam.text()
+        if binding == "token":
+            configs = tokengame.random_run(ad, k * 10 + c, inputs.INTERLEAVING, inputs.TWO_PHASE).configs
+            return (text, [], tokengame.run_to_jsonl(ad, configs).splitlines(), fam.run_length(inputs.TWO_PHASE),
+                    lambda ad: tokengame.run_to_jsonl(ad, configs))
+        sc = variant2.Scenario.from_json(ad, inputs.scenario(
+            random.Random(k * 10 + c), [fam.action(a, b) for a in range(k) for b in range(c)], {}))
+        inst = variant2.standard_instance(ad, sc)
+        trace, expected = variant2.simulate(ad, inst, sc), None
+    header = {"diagram": "diagram.ad", "variant": binding, "params": inst.to_json(), "truncated": trace.truncated}
+    return (text, [json.dumps(header, sort_keys=True)], sysmodel.states_to_jsonl(trace.states).splitlines(),
+            expected, lambda ad: sysmodel.states_to_jsonl(trace.states))
+
+
+def judge_peak(text: str, lines: list[str], options: list[str]) -> tuple[int, str, int]:
+    """Exit status, verdict and tracemalloc's peak in bytes of an in-process
+    `check-trace` of a file of `lines` against a file of the diagram `text`:
+    the second of two, so that no lazily loaded module's body counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ad, trace = Path(tmp, "diagram.ad"), Path(tmp, "trace.jsonl")
+        ad.write_text(text, encoding="utf-8")
+        trace.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for _ in range(2):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with redirect_stdout(io.StringIO()) as out:
+                    code = cli.main(["check-trace", str(ad), str(trace), *options])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return code, json.loads(out.getvalue())["verdict"], peak
 
 
 def measure_check(binding: str, shape, repeats: int) -> dict:
     """Read and judge one recorded trace under `binding`; `shape` is fac's n
     for v1, else (k, c)."""
-    text, lines, expected = _record_trace(binding, shape)
+    text, header, lines, expected, write = _record_trace(binding, shape)
 
     def fresh():  # a diagram of the cell, laid out, with its token view
         ad = diagram.parse(text)
@@ -167,13 +204,18 @@ def measure_check(binding: str, shape, repeats: int) -> dict:
         return sysmodel.Trace(tuple(states)), inst, variant2.methods_binding(inst)
 
     verdict = semantics.conforms(*judged(fresh())).kind.value
+    options = ["--variant", binding] + (["--actions", inputs.TWO_PHASE] if binding == "token" else [])
+    code, judged_verdict, peak = judge_peak(text, header + lines, options)
     pairs = len(lines) - 1
     return {"binding": binding, **({"n": shape} if binding == "v1" else {"k": shape[0], "c": shape[1]}),
             "lines": len(lines), "expected_lines": expected, "verdict": verdict,
-            "correct": verdict == "satisfied" and expected in (None, len(lines)),
+            "correct": ((verdict, code, judged_verdict) == ("satisfied", 0, "satisfied")
+                        and expected in (None, len(lines))),
             "read_us_per_line": scaled(fresh, read, repeats) / len(lines),
             "us_per_pair": scaled(lambda: judged(fresh()), lambda args: semantics.conforms(*args),
-                                  repeats) / pairs}
+                                  repeats) / pairs,
+            "write_us_per_line": scaled(fresh, write, repeats) / len(lines),
+            "judge_peak_bytes_per_line": peak / len(header + lines)}
 
 
 def search_repeats(k: int, c: int, mode: str, action_mode: str, most: int) -> int:
@@ -193,7 +235,9 @@ def run(ks, cs, ns, table_repeats: int, search_most: int) -> dict:
         "reference_s": hostspeed.time_reference(20),
         "units": {"parse_us": "µs per diagram", "layout_us": "µs per diagram",
                   "table_us": "µs per diagram and action mode", "us_per_edge": "µs per edge",
-                  "read_us_per_line": "µs per trace line", "us_per_pair": "µs per judged pair"},
+                  "read_us_per_line": "µs per trace line", "us_per_pair": "µs per judged pair",
+                  "write_us_per_line": "µs per trace line",
+                  "judge_peak_bytes_per_line": "tracemalloc peak bytes per trace file line"},
         "diagrams": diagrams,
         "searches": searches,
         "checks": checks,
@@ -210,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         result = run(range(2, 4), range(1, 3), (10, 30), table_repeats=5, search_most=3)
     else:
-        result = run(range(2, 6), range(1, 4), (10, 30, 100), table_repeats=41, search_most=15)
+        result = run(range(2, 6), range(1, 4), (10, 30, 100, 400), table_repeats=41, search_most=15)
     for s in result["searches"]:
         if not s["correct"]:
             print(f"fork{s['k']}x{s['c']} {s['mode']}/{s['actions']}: configurations, edges "

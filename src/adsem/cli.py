@@ -113,9 +113,10 @@ def _cmd_reach(args) -> int:
 
 
 def _write(path: str | None, head: str, items: Sequence, to_jsonl: Callable[[Sequence], str]) -> None:
-    """`head`, then `to_jsonl` of each run of 64 items, written to `path` (else stdout) as it is made."""
+    """`head`, then `to_jsonl` of each run of 256 items, written to `path` (else stdout) as it is made;
+    each run encodes anew the stores it shares with the one before, so runs of 64 wrote fac n=200 5% slower."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-        out.writelines(chain([head], (to_jsonl(items[i:i + 64]) for i in range(0, len(items), 64))))
+        out.writelines(chain([head], (to_jsonl(items[i:i + 256]) for i in range(0, len(items), 256))))
 
 
 def _write_trace(args, variant: str, inst, trace: sysmodel.Trace) -> None:

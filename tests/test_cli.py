@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import adsem
+from adsem import variant1
 from adsem.cli import _build_parser, main
 from adsem.diagram import parse
-from adsem.tokengame import initial_config, successors
+from adsem.sysmodel import states_to_jsonl
+from adsem.tokengame import initial_config, random_run, run_to_jsonl, successors
 
 from .conftest import CORPUS
 
@@ -580,18 +582,56 @@ def test_a_malformed_line_after_a_verdict_or_a_state_error_is_reported(tmp_path,
                                        f"Expecting value at column 1\n")
 
 
-def test_a_malformed_line_after_a_token_violation_is_reported(tmp_path, capsys):
-    out_file = tmp_path / "run.jsonl"
-    run(capsys, "simulate", GRADE, "--out", str(out_file))
+LOOP = """
+    activity Loop {
+        initial i out s;
+        decisionmerge M in a, b out o;
+        action A in x out y;
+        final f in z;
+        i.s -> M.a;
+        M.o -> A.x;
+        A.y -> M.b;
+    }
+"""
+
+
+@pytest.mark.parametrize("diagram", ["grade", "loop"])
+def test_a_malformed_line_after_a_token_violation_is_reported(tmp_path, capsys, diagram):
+    """Also past the first run of lines that check-trace decodes at once: a loop of 200 steps."""
+    out_file, ad = tmp_path / "run.jsonl", GRADE
+    if diagram == "loop":
+        ad = str(tmp_path / "loop.ad")
+        Path(ad).write_text(LOOP)
+    run(capsys, "simulate", ad, "--bound", "200", "--out", str(out_file))
     lines = out_file.read_text().splitlines()
-    del lines[1]  # FileThesis and the fork fire in one step
+    del lines[1]  # two steps in one: FileThesis and the fork, or M and A
     out_file.write_text("\n".join(lines) + "\n")
-    assert main(["check-trace", GRADE, str(out_file), "--variant", "token"]) == 2
+    assert main(["check-trace", ad, str(out_file), "--variant", "token"]) == 2
     capsys.readouterr()
     out_file.write_text("\n".join(lines + ["{"]) + "\n")
-    assert main(["check-trace", GRADE, str(out_file), "--variant", "token"]) == 3
+    assert main(["check-trace", ad, str(out_file), "--variant", "token"]) == 3
     assert capsys.readouterr() == ("", f"error: {out_file}:{len(lines) + 1}: not JSON: Expecting "
                                        f"property name enclosed in double quotes at column 2\n")
+
+
+def test_traces_written_a_run_at_a_time_equal_the_whole_trace_text(tmp_path, capsys, monkeypatch):
+    """run-v1 --trace and simulate write a long trace run by run, to a file and to stdout: the bytes
+    equal those of the whole trace joined at once."""
+    monkeypatch.delenv("ADSEM_SEED", raising=False)
+    ad, trace_file = parse(Path(FAC).read_text()), tmp_path / "fac.jsonl"
+    inst = variant1.method_instance(ad)
+    run(capsys, "run-v1", FAC, "n=300", "--trace", str(trace_file))
+    trace = variant1.run_method(ad, inst, {"n": 300})
+    header = {"diagram": FAC, "params": inst.to_json(), "truncated": False, "variant": "v1"}
+    assert len(trace) == 600
+    assert trace_file.read_text() == json.dumps(header, sort_keys=True) + "\n" + states_to_jsonl(trace.states)
+    loop = tmp_path / "loop.ad"
+    loop.write_text(LOOP)
+    expected = run_to_jsonl(parse(LOOP), random_run(parse(LOOP), 5, max_len=700).configs)
+    assert expected.count("\n") == 700
+    assert run(capsys, "simulate", str(loop), "--seed", "5", "--bound", "700") == (0, expected)
+    run(capsys, "simulate", str(loop), "--seed", "5", "--bound", "700", "--out", str(tmp_path / "run.jsonl"))
+    assert (tmp_path / "run.jsonl").read_text() == expected
 
 
 def test_a_state_error_names_its_line_past_blank_lines(tmp_path, capsys):
@@ -602,6 +642,33 @@ def test_a_state_error_names_its_line_past_blank_lines(tmp_path, capsys):
     assert main(["check-trace", ad, str(trace), "--variant", "v1"]) == 3
     assert capsys.readouterr() == ("", f"error: {trace}:6: invalid literal for int() "
                                        f"with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("blank_every", [1, 7, 64])
+def test_lines_past_the_first_run_of_a_long_trace_are_located(tmp_path, capsys, blank_every):
+    """check-trace decodes a long trace a run of lines at a time: with blank lines between, a state
+    error deep in it, and a malformed line after a state error or a verdict, keep their lines."""
+    trace = tmp_path / "fac.jsonl"
+    run(capsys, "run-v1", FAC, "n=100", "--trace", str(trace))
+    lines = trace.read_text().splitlines()  # a header and 200 states; state k is lines[k + 1]
+
+    def check(edited: list[str]) -> tuple[int, str, str]:
+        spaced = [out for k, line in enumerate(edited)
+                  for out in ([line, ""] if k % blank_every == 0 else [line])]
+        trace.write_text("\n".join(spaced) + "\n")
+        code = main(["check-trace", FAC, str(trace), "--variant", "v1"])
+        return code, *capsys.readouterr(), spaced
+
+    code, out, err, spaced = check(lines)
+    assert (code, json.loads(out)["verdict"], err) == (0, "satisfied", "")
+    bad = lines[:152] + [_with_string_n(lines[152])] + lines[153:]  # state 151 follows a crossing
+    code, out, err, spaced = check(bad)
+    assert (code, out, err) == (3, "", f"error: {trace}:{spaced.index(bad[152]) + 1}: invalid literal "
+                                       f"for int() with base 10: 'x'\n")
+    for edited in (bad, lines[:10] + [_rewound(lines[10])] + lines[11:]):
+        code, out, err, spaced = check(edited[:-1] + ["not json", edited[-1]])
+        assert (code, out, err) == (3, "", f"error: {trace}:{spaced.index('not json') + 1}: not JSON: "
+                                           f"Expecting value at column 1\n")
 
 
 @pytest.mark.parametrize("variant", ["v1", "v2", "token"])
@@ -797,20 +864,22 @@ def test_token_trace_with_list_payloads_gets_a_verdict(tmp_path, capsys):
 # check-trace reading stdin
 # ---------------------------------------------------------------------------
 
+def _adsem_argv(*argv: str) -> dict:
+    """`subprocess` arguments that run `python -m adsem.cli ARGV` on this checkout, unseeded."""
+    env = {k: v for k, v in os.environ.items() if k != "ADSEM_SEED"}
+    env["PYTHONPATH"] = str(Path(adsem.__file__).resolve().parents[1])
+    return {"args": [sys.executable, "-m", "adsem.cli", *argv], "env": env}
+
+
 def _adsem(*argv: str, **kwargs) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(Path(adsem.__file__).resolve().parents[1])}
-    env.pop("ADSEM_SEED", None)
-    return subprocess.run([sys.executable, "-m", "adsem.cli", *argv], capture_output=True,
-                          env=env, **kwargs)
+    return subprocess.run(**_adsem_argv(*argv), capture_output=True, **kwargs)
 
 
 @pytest.mark.parametrize("mode,actions", [("interleaving", "instant"), ("concurrent", "twoPhase")])
 def test_simulate_piped_into_check_trace(tmp_path, mode, actions):
     options = ["--mode", mode, "--actions", actions]
-    env = {**os.environ, "PYTHONPATH": str(Path(adsem.__file__).resolve().parents[1])}
-    env.pop("ADSEM_SEED", None)
-    with subprocess.Popen([sys.executable, "-m", "adsem.cli", "simulate", GRADE, *options, "--seed", "2"],
-                          stdout=subprocess.PIPE, env=env) as simulate:
+    with subprocess.Popen(**_adsem_argv("simulate", GRADE, *options, "--seed", "2"),
+                          stdout=subprocess.PIPE) as simulate:
         piped = _adsem("check-trace", GRADE, "-", "--variant", "token", *options, stdin=simulate.stdout)
     assert simulate.returncode == 0
     trace = tmp_path / "run.jsonl"

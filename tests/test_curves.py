@@ -41,6 +41,14 @@ def test_one_check_cell_reads_judges_and_checks_its_line_count(monkeypatch):
     # twoPhase: 2kc + 3 configurations, judged satisfied
     assert (cell["lines"], cell["expected_lines"], cell["verdict"], cell["correct"]) == (11, 11, "satisfied", True)
     assert cell["read_us_per_line"] > 0 and cell["us_per_pair"] > 0
+    assert cell["write_us_per_line"] > 0 and cell["judge_peak_bytes_per_line"] > 0
 
     monkeypatch.setattr(curves.inputs.ForkFamily, "run_length", lambda fam, action_mode: 12)
     assert curves.measure_check("token", (2, 2), repeats=1)["correct"] is False
+
+
+def test_a_v1_check_cell_judges_its_file_with_the_header():
+    cell = _curves().measure_check("v1", 3, repeats=1)
+    # fac n=3: 6 states, judged satisfied by `conforms` and by `check-trace` on the file
+    assert (cell["lines"], cell["expected_lines"], cell["correct"]) == (6, 6, True)
+    assert cell["write_us_per_line"] > 0 and cell["judge_peak_bytes_per_line"] > 0
