@@ -10,7 +10,11 @@ For every fork_k x chain_c diagram (k 2-5, c 1-3) this times, in-process:
   table of that action mode, on a diagram whose layout is built: what a
   command pays before its first successor;
 - `reachable` in all four mode/action pairs, on a fresh diagram whose table
-  is built.
+  is built;
+- `reach_us_per_edge`: `cli.main(["reach", ...])` of a file of the diagram in
+  all four pairs, per reported edge, and also of fork6 x chain2 in the two
+  concurrent pairs (not with --quick).  It times what the command runs, so it
+  compares commits whose `reach` picks different searches.
 
 It also judges recorded traces, as `check-trace` does, under each binding:
 
@@ -33,10 +37,10 @@ Per-diagram costs are in µs per diagram and the search in µs per edge.  Every
 time is the median over repeats, each scaled to the nominal host speed of
 `perfbench/hostspeed.py`: multiplied by `NOMINAL_S` over the mean of the
 reference times taken just before and just after it.  Each search's
-configuration and edge counts are checked against `perfbench/inputs.py`'s
-closed forms, and so are the token and v1 trace lengths; every trace must be
-judged `satisfied`.  A wrong count or verdict is reported and the exit status
-is 1.
+configuration and edge counts, and each `reach` report, are checked against
+`perfbench/inputs.py`'s closed forms, and so are the token and v1 trace
+lengths; every trace must be judged `satisfied`.  A wrong count or verdict is
+reported and the exit status is 1.
 
     python bench/curves.py                  # all cells, JSON on stdout
     python bench/curves.py --quick          # k 2-3, c 1-2, fewer repeats
@@ -131,6 +135,30 @@ def measure_search(k: int, c: int, mode: str, action_mode: str, repeats: int) ->
             "us": us, "us_per_edge": us / edges}
 
 
+def measure_reach(k: int, c: int, mode: str, action_mode: str, repeats: int) -> dict:
+    """An in-process `reach` of a file of fork_k x chain_c, per edge of the closed form, which
+    a correct report prints; the report is checked against the closed forms.  Beyond a search,
+    the command pays for reading and parsing the file and for its report."""
+    fam = inputs.ForkFamily(k, c, TAG)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "diagram.ad")
+        path.write_text(fam.text(), encoding="utf-8")
+        argv = ["reach", str(path), "--mode", mode, "--actions", action_mode]
+
+        def reach(argv) -> tuple[int, str]:
+            with redirect_stdout(io.StringIO()) as out:
+                code = cli.main(argv)
+            return code, out.getvalue()
+        code, out = reach(argv)
+        us = scaled(lambda: argv, reach, repeats)
+    report = json.loads(out) if code == 0 else {}
+    expected = fam.reach_report(mode, action_mode)
+    correct = {**report, "deadlocks": len(report.get("deadlocks", ()))} == expected
+    return {"k": k, "c": c, "mode": mode, "actions": action_mode, "exit": code,
+            "edges": report.get("edges"), "correct": correct, "expected_edges": expected["edges"],
+            "us": us, "reach_us_per_edge": us / expected["edges"]}
+
+
 def _record_trace(binding: str, shape) -> tuple[str, list[str], list[str], int | None, object]:
     """The diagram text, the trace file's header line (none for a token run),
     the trace's JSON lines, the closed-form line count, if there is one, and
@@ -223,10 +251,14 @@ def search_repeats(k: int, c: int, mode: str, action_mode: str, most: int) -> in
     return max(1, min(most, 200_000 // inputs.ForkFamily(k, c, TAG).edges(mode, action_mode)))
 
 
-def run(ks, cs, ns, table_repeats: int, search_most: int) -> dict:
+def run(ks, cs, ns, table_repeats: int, search_most: int, wide=()) -> dict:
+    """`wide` holds the (k, c) of the extra concurrent `reach` cells."""
     diagrams = [measure_diagram(k, c, table_repeats) for k in ks for c in cs]
     searches = [measure_search(k, c, m, a, search_repeats(k, c, m, a, search_most))
                 for k in ks for c in cs for m, a in MODES]
+    cells = [(k, c, m, a) for k in ks for c in cs for m, a in MODES]
+    cells += [(k, c, m, a) for k, c in wide for m, a in MODES if m == inputs.CONCURRENT]
+    reaches = [measure_reach(*cell, search_repeats(*cell, search_most)) for cell in cells]
     checks = [measure_check(binding, (k, c), table_repeats) for binding in ("token", "v2")
               for k in ks for c in cs] + [measure_check("v1", n, table_repeats) for n in ns]
     return {
@@ -237,11 +269,13 @@ def run(ks, cs, ns, table_repeats: int, search_most: int) -> dict:
                   "table_us": "µs per diagram and action mode", "us_per_edge": "µs per edge",
                   "read_us_per_line": "µs per trace line", "us_per_pair": "µs per judged pair",
                   "write_us_per_line": "µs per trace line",
-                  "judge_peak_bytes_per_line": "tracemalloc peak bytes per trace file line"},
+                  "judge_peak_bytes_per_line": "tracemalloc peak bytes per trace file line",
+                  "reach_us_per_edge": "µs per reported edge"},
         "diagrams": diagrams,
         "searches": searches,
+        "reaches": reaches,
         "checks": checks,
-        "correct": all(s["correct"] for s in searches + checks),
+        "correct": all(s["correct"] for s in searches + reaches + checks),
     }
 
 
@@ -254,11 +288,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         result = run(range(2, 4), range(1, 3), (10, 30), table_repeats=5, search_most=3)
     else:
-        result = run(range(2, 6), range(1, 4), (10, 30, 100, 400), table_repeats=41, search_most=15)
+        result = run(range(2, 6), range(1, 4), (10, 30, 100, 400), table_repeats=41, search_most=15,
+                     wide=[(6, 2)])
     for s in result["searches"]:
         if not s["correct"]:
             print(f"fork{s['k']}x{s['c']} {s['mode']}/{s['actions']}: configurations, edges "
                   f"{s['configurations']}, {s['edges']}; expected {s['expected']}", file=sys.stderr)
+    for s in result["reaches"]:
+        if not s["correct"]:
+            print(f"reach fork{s['k']}x{s['c']} {s['mode']}/{s['actions']}: exit {s['exit']}, "
+                  f"{s['edges']} edges; expected exit 0, the closed-form report", file=sys.stderr)
     for s in result["checks"]:
         if not s["correct"]:
             shape = f"fac n={s['n']}" if s["binding"] == "v1" else f"fork{s['k']}x{s['c']}"

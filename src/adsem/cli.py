@@ -101,14 +101,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reach(args) -> int:
+    """Concurrent mode's report is the interleaving search's with an edge per selection, unless
+    its BFS order shows: in a DOT file, a truncated search or the order of two or more deadlocks."""
     ad = _load_diagram(args.file)
-    result = tokengame.reachable(ad, mode=args.mode, action_mode=args.actions,
-                                 bound=args.bound)
-    report = tokengame.analyze(ad, result)
-    _emit(report.to_json(ad), args.human)
-    if args.dot:
-        Path(args.dot).write_text(tokengame.reachability_to_dot(ad, result),
-                                  encoding="utf-8")
+    with open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext() as dot:
+        derived = args.mode == tokengame.CONCURRENT and not dot
+        search = partial(tokengame.reachable, ad, action_mode=args.actions, bound=args.bound)
+        report = tokengame.analyze(ad, result := search(tokengame.INTERLEAVING if derived else args.mode))
+        if derived and (result.truncated or len(report.deadlocks) > 1):
+            del result  # a cut search can be as large as the full one: free it first
+            report = tokengame.analyze(ad, result := search(args.mode))
+        elif derived:
+            report = replace(report, edges=tokengame.concurrent_edges(ad, result.configs, args.actions))
+        _emit(report.to_json(ad), args.human)
+        if dot:
+            dot.write(tokengame.reachability_to_dot(ad, result))
     return EXIT_OK
 
 

@@ -436,6 +436,20 @@ def reachable(ad: ActivityDiagram, mode: str = INTERLEAVING, action_mode: str = 
     return ReachabilityResult(start, list(visited), edges, truncated, dead_ends)
 
 
+def concurrent_edges(ad: ActivityDiagram, configs: Iterable[Configuration], action_mode: str = INSTANT) -> int:
+    """The edges a concurrent search that reached `configs` keeps: the selections `_expand` makes
+    of each one's enabled set, counted by its union loop run over the steps' `touches` alone, with
+    no configuration built.  Steps of a selection touch disjoint positions, so they commute, and an
+    untruncated interleaving search reaches the concurrent set (README, "Semantics notes")."""
+    table, edges = _view(ad).table(ad, action_mode), 0
+    for c in configs:
+        grown = [frozenset()]
+        for steps in table.scan(c).values():
+            grown += [touched | step.touches for touched in grown for step in steps if touched.isdisjoint(step.touches)]
+        edges += len(grown) - 1
+    return edges
+
+
 @dataclass
 class AnalysisReport:
     configurations: int

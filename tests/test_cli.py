@@ -431,6 +431,15 @@ def test_reach_report_and_dot(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("mode", ["interleaving", "concurrent"])
+def test_reach_to_a_dot_path_it_cannot_write_prints_nothing(tmp_path, capsys, mode):
+    dot = tmp_path / "missing" / "reach.dot"
+    assert main(["reach", FAC, "--mode", mode, "--dot", str(dot)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(dot) in err
+    assert not dot.parent.exists()
+
+
 @pytest.mark.parametrize("bound,configurations", [("1", 1), ("3", 3)])
 def test_a_truncated_reach_reports_no_false_deadlock(capsys, bound, configurations):
     # FileThesis is enabled in the initial configuration; the bound only cuts

@@ -52,3 +52,14 @@ def test_a_v1_check_cell_judges_its_file_with_the_header():
     # fac n=3: 6 states, judged satisfied by `conforms` and by `check-trace` on the file
     assert (cell["lines"], cell["expected_lines"], cell["correct"]) == (6, 6, True)
     assert cell["write_us_per_line"] > 0 and cell["judge_peak_bytes_per_line"] > 0
+
+
+def test_one_reach_cell_times_the_command_and_checks_its_report(monkeypatch):
+    curves = _curves()
+    cell = curves.measure_reach(2, 2, curves.inputs.CONCURRENT, curves.inputs.TWO_PHASE, repeats=3)
+    assert (cell["exit"], cell["edges"], cell["correct"]) == (0, 58, True)
+    assert cell["reach_us_per_edge"] == cell["us"] / 58
+
+    monkeypatch.setattr(curves.inputs.ForkFamily, "edges", lambda fam, mode, action_mode: 57)
+    assert curves.measure_reach(2, 2, curves.inputs.CONCURRENT, curves.inputs.TWO_PHASE,
+                                repeats=1)["correct"] is False
